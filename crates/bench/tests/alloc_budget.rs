@@ -32,6 +32,17 @@ use scidive_netsim::time::SimTime;
 /// or event generator.
 const ALLOCS_PER_FRAME_BUDGET: f64 = 2.0;
 
+/// The counter is process-global and `cargo test` runs tests on parallel
+/// threads, so each test holds this for its whole body — the other
+/// test's capture generation would otherwise be charged to whichever
+/// replay is being measured.
+static COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn counter() -> std::sync::MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; its budget verdict is its own.
+    COUNTER.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn assert_within_budget(label: &str, frames: &[(SimTime, IpPacket)]) {
     assert!(frames.len() > 200, "{label} capture too small: {}", frames.len());
     let mut ids = Scidive::new(ScidiveConfig::default());
@@ -59,6 +70,7 @@ fn assert_within_budget(label: &str, frames: &[(SimTime, IpPacket)]) {
 
 #[test]
 fn benign_replay_stays_within_alloc_budget() {
+    let _measuring = counter();
     let frames = run_benign_capture(42, &ScenarioOptions::default());
     assert_within_budget("benign", &frames);
 }
@@ -68,6 +80,7 @@ fn benign_replay_stays_within_alloc_budget() {
 /// fire, not just on silent traffic.
 #[test]
 fn bye_attack_replay_stays_within_alloc_budget() {
+    let _measuring = counter();
     let frames: Vec<(SimTime, IpPacket)> = run_attack(AttackKind::Bye, 43, &ScenarioOptions::default())
         .trace
         .records()

@@ -90,12 +90,16 @@ pub struct ScidiveConfig {
     /// via [`crate::proto::ProtocolSetBuilder`]; the default covers
     /// SIP / RTP / RTCP / accounting plus the fallback.
     pub protocols: ProtocolSet,
-    /// Exact per-key rate state (the reference) versus constant-memory
-    /// sketches for the flood-style detections. Copied into
-    /// [`ScidiveConfig::events`] at build time; see [`crate::rate`].
+    /// Exact per-key queues (the reference) versus constant-memory
+    /// sketches for the **identity plane's** flood / password-guess
+    /// store — its one remaining job. Threshold rules (`rapid-connect`,
+    /// DSL `threshold` clauses) keep exact, capped per-key state in
+    /// every mode ([`crate::rate::ThresholdTable`]) and never consult
+    /// it. Copied into [`ScidiveConfig::events`] at build time.
     pub exact_rate_state: bool,
-    /// Sketch dimensioning for the rate trackers (also copied into the
-    /// event config).
+    /// Hash seed and sketch dimensioning for the identity plane's rate
+    /// trackers (also copied into the event config); threshold rules
+    /// use the seed only.
     pub rate: RateConfig,
     /// Cross-shard rate aggregation (the fold plane). Consulted only by
     /// [`crate::shard::ShardedScidive`]; a single engine evaluates rate
@@ -222,7 +226,7 @@ pub struct Scidive {
     /// `event_log_cap`; drained by [`Scidive::drain_events`].
     event_log: Vec<crate::event::Event>,
     event_log_cap: usize,
-    /// Shared rate trackers for the ruleset (see [`crate::rate::RateHub`]).
+    /// The ruleset's rate hub (see [`crate::rate::RateHub`]).
     rates: RateHub,
     /// Generation of the installed ruleset (bumped by hot swaps).
     ruleset_generation: u64,
@@ -253,54 +257,33 @@ impl Scidive {
     /// compile (or its file cannot be read).
     pub fn try_new(config: ScidiveConfig) -> Result<Scidive, SpecError> {
         let blueprint = config.blueprint()?;
-        Ok(Scidive::assemble(config, &blueprint, false, 1))
+        Ok(Scidive::assemble(config, &blueprint, false))
     }
 
-    /// Builds a shard engine: identical to [`Scidive::new`] except the
-    /// event generator runs without an identity plane, because the
-    /// sharded dispatcher owns the one shared plane and injects its
-    /// events via [`Scidive::on_distilled`].
-    pub fn data_plane(config: ScidiveConfig) -> Scidive {
-        Scidive::data_plane_with_shards(config, 1)
-    }
-
-    /// [`Scidive::data_plane`] for one shard of a `shards`-way pipeline.
-    /// When the fold plane is enabled the rate hub runs in aggregated
-    /// mode ([`crate::rate::RateHub::new_aggregated`]): rate rules
-    /// observe and forward candidates, and the dispatcher's
+    /// Builds a shard engine — the entry point the sharded workers use,
+    /// both at boot and (indirectly, via [`Scidive::swap_ruleset`]) at
+    /// swap barriers, so a swapped-in ruleset and a boot ruleset built
+    /// from the same blueprint are the same object graph. Identical to
+    /// [`Scidive::new`] except the event generator runs without an
+    /// identity plane, because the sharded dispatcher owns the one
+    /// shared plane and injects its events via
+    /// [`Scidive::on_distilled`]; and when the fold plane is enabled
+    /// the rate hub runs in aggregated mode
+    /// ([`crate::rate::RateHub::new_aggregated`]): threshold rules
+    /// forward their observations, and the dispatcher's
     /// [`crate::rate::GlobalRatePlane`] owns threshold evaluation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured DSL program does not compile.
-    pub fn data_plane_with_shards(config: ScidiveConfig, shards: usize) -> Scidive {
-        let blueprint = config.blueprint().expect("configured ruleset compiles");
-        Scidive::assemble(config, &blueprint, true, shards)
-    }
-
-    /// A shard engine lowering an explicit blueprint — the entry point
-    /// the sharded workers use, both at boot and (indirectly, via
-    /// [`Scidive::swap_ruleset`]) at swap barriers, so a swapped-in
-    /// ruleset and a boot ruleset built from the same blueprint are the
-    /// same object graph.
     pub fn data_plane_from_blueprint(
         config: ScidiveConfig,
         blueprint: &RulesetBlueprint,
-        shards: usize,
     ) -> Scidive {
-        Scidive::assemble(config, blueprint, true, shards)
+        Scidive::assemble(config, blueprint, true)
     }
 
-    fn assemble(
-        config: ScidiveConfig,
-        blueprint: &RulesetBlueprint,
-        data_plane: bool,
-        shards: usize,
-    ) -> Scidive {
+    fn assemble(config: ScidiveConfig, blueprint: &RulesetBlueprint, data_plane: bool) -> Scidive {
         let rules = blueprint.build(config.full_scan_rules, config.trails.idle_timeout);
         let events_cfg = config.event_config();
         let rates = if data_plane && config.fold.enabled {
-            RateHub::new_aggregated(config.rate.clone(), config.exact_rate_state, shards)
+            RateHub::new_aggregated(config.rate.clone(), config.exact_rate_state)
         } else {
             RateHub::new(config.rate.clone(), config.exact_rate_state)
         };
@@ -328,7 +311,7 @@ impl Scidive {
     /// Atomically replaces the installed ruleset with the blueprint's,
     /// adopting the per-session state of every rule that survived the
     /// swap unchanged ([`CompiledRuleset::adopt_state`]): partial
-    /// sequences, fired-once latches and exact threshold windows carry
+    /// sequences, fired-once latches and threshold tables carry
     /// over; changed or new rules start fresh. The old ruleset's eval
     /// counters are retired into this engine's observation so per-rule
     /// invocation totals stay monotonic across swaps.
@@ -524,8 +507,11 @@ impl Scidive {
         let index = self.trails.media_index();
         let lifecycle = index.lifecycle_stats();
         let rule_state = self.rules.state_stats();
+        // Rate bytes: the identity plane's sketches, the threshold
+        // rules' tables, and whatever is queued for the next fold.
         let mut rate = self.rates.stats();
         rate.absorb(self.events.rate_stats());
+        rate.bytes += rule_state.bytes;
         StateGauges {
             trails: self.trails.trail_count() as u64,
             retained_footprints: self.trails.footprint_count() as u64,
@@ -539,6 +525,7 @@ impl Scidive {
             synthetic_expired: lifecycle.synthetic_expired,
             interner_expired: lifecycle.interner_expired,
             rule_state_expired: rule_state.expired,
+            rule_state_evicted: rule_state.evicted,
             session_plane_expired: self.events.sessions_expired(),
             router_media_index: 0,
             router_interner: 0,
@@ -550,11 +537,7 @@ impl Scidive {
             rate_divergence_max: rate.divergence_max,
             // The fold plane is dispatcher state; a lone engine (or one
             // shard worker) reports none.
-            fold_rate_trackers: 0,
             fold_rate_bytes: 0,
-            fold_divergence_samples: 0,
-            fold_divergence_sum: 0,
-            fold_divergence_max: 0,
             ruleset_generation: self.ruleset_generation,
         }
     }

@@ -108,7 +108,7 @@ pub mod prelude {
     pub use crate::online::OnlineScidive;
     pub use crate::rate::{
         CountMinSketch, FoldConfig, FoldStats, GlobalRatePlane, LatchSet, RateConfig, RateDelta,
-        RateHub, RateMergeError, RateStats, WindowedDistinct, WindowedSketch,
+        RateHub, RateObservation, RateStats, ThresholdTable, WindowedDistinct, WindowedSketch,
     };
     pub use crate::routing::{
         stable_session_hash, MediaIndex, RouteDecision, SessionRouter,

@@ -152,7 +152,8 @@ impl Histogram {
     }
 
     /// Upper-bound estimate of the `q`-quantile: the bound of the bucket
-    /// in which the quantile falls (`max` for the overflow bucket).
+    /// in which the quantile falls, clamped to `max` (no sample is
+    /// larger, and the overflow bucket has no bound of its own).
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -162,7 +163,7 @@ impl Histogram {
         for (i, c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank.max(1) {
-                return self.bounds.get(i).copied().unwrap_or(self.max);
+                return self.bounds.get(i).map_or(self.max, |b| (*b).min(self.max));
             }
         }
         self.max
@@ -272,6 +273,11 @@ pub struct StateGauges {
     pub rule_state_expired: u64,
     /// Session-plane dialog states dropped by idle expiry (monotonic).
     pub session_plane_expired: u64,
+    /// Threshold observations the engines' own tables dropped by cap
+    /// eviction (monotonic; each a possible miss, never a false alarm).
+    /// The fold plane's evictions are
+    /// [`DispatchCounters::fold_evicted`].
+    pub rule_state_evicted: u64,
     /// The dispatcher router's media mappings (0 for a single engine).
     pub router_media_index: u64,
     /// The dispatcher router's interned keys (0 for a single engine).
@@ -279,11 +285,13 @@ pub struct StateGauges {
     /// The dispatcher router's memoized synthetic keys (0 for a single
     /// engine).
     pub router_synthetic_keys: u64,
-    /// Live rate trackers (sketch rings, distinct estimators, latches)
-    /// across the identity plane and rule hub.
+    /// Live identity-plane rate trackers (sketch rings, distinct
+    /// estimators, latches).
     pub rate_trackers: u64,
-    /// Bytes pinned by the rate trackers — constant once every tracker
-    /// exists, regardless of key population.
+    /// Bytes pinned by rate state: the identity plane's trackers
+    /// (constant once they exist) plus the engines' threshold tables
+    /// and fold outboxes (each table capped at
+    /// [`crate::rate::TABLE_BYTES_CAP`]).
     pub rate_bytes: u64,
     /// Exact-mode shadow comparisons taken between sketch estimates and
     /// the exact windows (monotonic; 0 in sketch mode).
@@ -292,19 +300,11 @@ pub struct StateGauges {
     pub rate_divergence_sum: u64,
     /// Worst single |estimate − exact| seen (merged by max).
     pub rate_divergence_max: u64,
-    /// Trackers held by the dispatcher's cross-shard fold plane (0
-    /// unless the sharded pipeline runs with aggregation on).
-    pub fold_rate_trackers: u64,
-    /// Bytes pinned by the fold plane's merged trackers and latches —
-    /// the global-hub footprint the capacity cap must also cover.
+    /// Bytes pinned by the dispatcher's cross-shard fold plane: one
+    /// threshold table per clause, each capped at
+    /// [`crate::rate::TABLE_BYTES_CAP`] (0 unless the sharded pipeline
+    /// runs with aggregation on).
     pub fold_rate_bytes: u64,
-    /// Global-vs-best-local-slice comparisons taken at fold alerts.
-    pub fold_divergence_samples: u64,
-    /// Sum of (global estimate − best local slice) across those alerts.
-    pub fold_divergence_sum: u64,
-    /// Worst single global-vs-local gap seen (merged by max) — how far
-    /// a per-shard evaluation would have undercounted.
-    pub fold_divergence_max: u64,
     /// Generation of the installed ruleset (0 for the boot ruleset,
     /// bumped by every [`crate::shard::ShardedScidive::swap_ruleset`] /
     /// [`crate::engine::Scidive::swap_ruleset`]; merged by max, since
@@ -329,6 +329,7 @@ impl std::ops::Add for StateGauges {
             interner_expired: self.interner_expired + rhs.interner_expired,
             rule_state_expired: self.rule_state_expired + rhs.rule_state_expired,
             session_plane_expired: self.session_plane_expired + rhs.session_plane_expired,
+            rule_state_evicted: self.rule_state_evicted + rhs.rule_state_evicted,
             router_media_index: self.router_media_index + rhs.router_media_index,
             router_interner: self.router_interner + rhs.router_interner,
             router_synthetic_keys: self.router_synthetic_keys + rhs.router_synthetic_keys,
@@ -337,11 +338,7 @@ impl std::ops::Add for StateGauges {
             rate_divergence_samples: self.rate_divergence_samples + rhs.rate_divergence_samples,
             rate_divergence_sum: self.rate_divergence_sum + rhs.rate_divergence_sum,
             rate_divergence_max: self.rate_divergence_max.max(rhs.rate_divergence_max),
-            fold_rate_trackers: self.fold_rate_trackers + rhs.fold_rate_trackers,
             fold_rate_bytes: self.fold_rate_bytes + rhs.fold_rate_bytes,
-            fold_divergence_samples: self.fold_divergence_samples + rhs.fold_divergence_samples,
-            fold_divergence_sum: self.fold_divergence_sum + rhs.fold_divergence_sum,
-            fold_divergence_max: self.fold_divergence_max.max(rhs.fold_divergence_max),
             ruleset_generation: self.ruleset_generation.max(rhs.ruleset_generation),
         }
     }
@@ -372,13 +369,13 @@ pub struct DispatchCounters {
     pub folds: u64,
     /// Per-shard rate deltas absorbed across all folds.
     pub fold_deltas: u64,
-    /// Candidate keys shards forwarded for global evaluation.
+    /// Threshold observations shards forwarded for global evaluation.
     pub fold_candidates: u64,
     /// Alerts the global rate evaluation emitted.
     pub fold_alerts: u64,
-    /// Delta tracker merges refused for shape/seed mismatch (a
-    /// misconfigured shard; skipped, never wedging the fold).
-    pub rate_merge_rejected: u64,
+    /// Observations the fold plane dropped by evicting whole keys at
+    /// its byte cap (each a possible miss, never a false alarm).
+    pub fold_evicted: u64,
     /// Ruleset hot swaps executed (each one a full swap barrier across
     /// every shard).
     pub ruleset_swaps: u64,
@@ -765,12 +762,13 @@ impl PipelineObservation {
         );
         let _ = writeln!(
             out,
-            "lifecycle  expired_trails={} media_expired={} synthetic_expired={} interner_expired={} rule_state_expired={} session_plane_expired={}",
+            "lifecycle  expired_trails={} media_expired={} synthetic_expired={} interner_expired={} rule_state_expired={} rule_state_evicted={} session_plane_expired={}",
             self.gauges.expired_trails,
             self.gauges.media_expired,
             self.gauges.synthetic_expired,
             self.gauges.interner_expired,
             self.gauges.rule_state_expired,
+            self.gauges.rule_state_evicted,
             self.gauges.session_plane_expired,
         );
         let _ = writeln!(
@@ -784,17 +782,13 @@ impl PipelineObservation {
         );
         let _ = writeln!(
             out,
-            "fold       folds={} deltas={} candidates={} alerts={} rejected={} trackers={} bytes={} gap_samples={} gap_sum={} gap_max={}",
+            "fold       folds={} deltas={} observations={} evicted={} alerts={} bytes={}",
             self.dispatch.folds,
             self.dispatch.fold_deltas,
             self.dispatch.fold_candidates,
+            self.dispatch.fold_evicted,
             self.dispatch.fold_alerts,
-            self.dispatch.rate_merge_rejected,
-            self.gauges.fold_rate_trackers,
             self.gauges.fold_rate_bytes,
-            self.gauges.fold_divergence_samples,
-            self.gauges.fold_divergence_sum,
-            self.gauges.fold_divergence_max,
         );
         let _ = writeln!(
             out,
@@ -853,6 +847,17 @@ mod tests {
         assert_eq!(h.quantile(0.5), 100);
         assert_eq!(h.quantile(1.0), 5000); // overflow bucket → max
         assert!((h.mean() - (1 + 5 + 10 + 11 + 99 + 100 + 5000) as f64 / 7.0).abs() < 1e-9);
+    }
+
+    /// A bucket's upper bound can exceed every sample in it; a reported
+    /// quantile never exceeds the reported maximum.
+    #[test]
+    fn quantile_is_clamped_to_the_largest_sample() {
+        let mut h = Histogram::new(&DETECTION_DELAY_BUCKETS_MS);
+        h.record(1_020);
+        assert_eq!((h.quantile(0.5), h.quantile(0.95), h.max), (1_020, 1_020, 1_020));
+        h.record(3);
+        assert_eq!((h.quantile(0.5), h.quantile(1.0)), (5, 1_020));
     }
 
     #[test]

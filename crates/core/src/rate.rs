@@ -1,14 +1,26 @@
-//! Constant-memory rate primitives for flood-style detections.
+//! Rate state for flood-style detections: the identity plane's
+//! constant-memory sketches, and the exact per-key table that decides
+//! threshold clauses.
 //!
 //! SCIDIVE's §3.3 detections (REGISTER-flood DoS, password guessing)
 //! and the SPIT-style rapid-connection pattern are fundamentally *rate*
 //! questions: how many events keyed by some identity fell inside a
-//! sliding window, and how many of them were distinct. Answering those
-//! questions exactly needs one timestamp queue per key — memory linear
-//! in the number of active sources, the opposite of what million-dialog
-//! capacity demands. This module provides the sketch counterparts that
-//! answer the same questions in memory **independent of the key
-//! population**:
+//! sliding window, and how many of them were distinct.
+//!
+//! **Threshold clauses** (`rapid-connect` and every DSL `threshold`
+//! rule) are answered exactly, by one type: [`ThresholdTable`], a capped
+//! table of each key's in-window observations. A single engine's
+//! [`crate::rules::ThresholdRule`] owns one; under the sharded pipeline
+//! the workers forward observations raw through their [`RateHub`] and
+//! the dispatcher's [`GlobalRatePlane`] replays them through the same
+//! type, so the decision cannot depend on the shard count or on any
+//! other key's traffic.
+//!
+//! **The identity plane** ([`crate::event::IdentityPlane`]) keeps its
+//! flood/guess state behind the
+//! [`crate::engine::ScidiveConfig::exact_rate_state`] switch: exact
+//! per-key queues, or the sketch primitives below in memory
+//! independent of the key population:
 //!
 //! * [`CountMinSketch`] — point-frequency estimation with conservative
 //!   update. Never undercounts; overcounts by at most `ε·N` with
@@ -26,57 +38,25 @@
 //!
 //! Everything is deterministic: hashing is seeded ([`RateConfig::seed`]),
 //! time is virtual ([`SimTime`]), and no structure ever consults a wall
-//! clock — so sketch-mode runs replay byte-identically and the
-//! differential suite (`tests/rate_equivalence.rs`) can pin the
-//! exact-vs-sketch alert streams against each other.
-//!
-//! Rules reach these primitives through [`crate::rules::RuleCtx::rates`]
-//! (a [`RateHub`] of named trackers); the identity plane
-//! ([`crate::event::IdentityPlane`]) embeds them directly behind the
-//! [`crate::engine::ScidiveConfig::exact_rate_state`] reference switch.
+//! clock — so runs replay byte-identically and the differential suite
+//! (`tests/rate_equivalence.rs`) can pin the alert streams of both
+//! modes and every shard count against each other.
 
 pub mod cms;
 pub mod distinct;
 pub mod fold;
+pub mod table;
 pub mod window;
 
 pub use cms::CountMinSketch;
 pub use distinct::WindowedDistinct;
 pub use fold::{FoldConfig, FoldStats, GlobalRatePlane};
+pub use table::{ThresholdTable, TABLE_BYTES_CAP};
 pub use window::WindowedSketch;
 
-use scidive_netsim::time::{SimDuration, SimTime};
+use scidive_netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-
-/// Why a cross-tracker merge was refused. Surfaced (rather than
-/// panicking or debug-asserting) so the cross-shard fold can skip a
-/// misconfigured shard's delta — bumping the `rate_merge_rejected`
-/// counter — instead of wedging the whole pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RateMergeError {
-    /// Structural dimensions differ (grid, ring size, window, bits).
-    ShapeMismatch {
-        /// Which tracker kind refused.
-        tracker: &'static str,
-    },
-    /// Same shape, but the hash seeds differ — the cells don't line up.
-    SeedMismatch {
-        /// Which tracker kind refused.
-        tracker: &'static str,
-    },
-}
-
-impl std::fmt::Display for RateMergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RateMergeError::ShapeMismatch { tracker } => write!(f, "{tracker} shape mismatch"),
-            RateMergeError::SeedMismatch { tracker } => write!(f, "{tracker} seed mismatch"),
-        }
-    }
-}
-
-impl std::error::Error for RateMergeError {}
 
 /// The default deterministic hash seed for all rate trackers.
 pub const DEFAULT_RATE_SEED: u64 = 0x5c1d_0d1f_f00d_5eed;
@@ -243,429 +223,128 @@ impl LatchSet {
         self.words.fill(0);
     }
 
-    /// Folds another latch set (same size and seed) into this one by
-    /// bitwise OR.
-    ///
-    /// # Errors
-    ///
-    /// Refuses (mutating nothing) if the dimensions or seed differ.
-    pub fn try_merge(&mut self, other: &LatchSet) -> Result<(), RateMergeError> {
-        if self.mask != other.mask {
-            return Err(RateMergeError::ShapeMismatch {
-                tracker: "latch set",
-            });
-        }
-        if self.seed != other.seed {
-            return Err(RateMergeError::SeedMismatch {
-                tracker: "latch set",
-            });
-        }
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-        Ok(())
-    }
-
-    /// [`LatchSet::try_merge`], panicking on mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions or seed differ.
-    pub fn merge(&mut self, other: &LatchSet) {
-        self.try_merge(other).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// Bytes pinned by the bitset.
     pub fn bytes(&self) -> usize {
         self.words.len() * 8
     }
 }
 
-/// One rule-clause candidate a shard forwards to the fold plane with
-/// its delta: a key whose *local* slice crossed the admission bar, so
-/// the global plane should evaluate it against the merged trackers.
-/// Carries the display string the global alert needs (sketches cannot
-/// enumerate keys) and the local estimate for divergence telemetry.
+/// One threshold-clause observation a shard worker ships, raw, to the
+/// fold plane: which clause, whose window (`key`), when, the distinct
+/// item's hash, and the key's text for the alert message (the table
+/// stores hashes only, so the text travels with the observation that
+/// may complete the clause).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RateCandidate {
-    /// The clause (and latch) name, e.g. `"rapid-connect"`.
+pub struct RateObservation {
+    /// The clause name, e.g. `"rapid-connect"`.
     pub clause: &'static str,
-    /// The tracker key under evaluation.
+    /// The window key (seeded hash of clause and key-field text).
     pub key: u64,
-    /// Capture time this shard first saw the key in the current period
-    /// (merged by min across shards; telemetry — evaluation order uses
-    /// `(clause, display, key)`, which is shard-count invariant, and
-    /// first admission times are not).
-    pub first_time: SimTime,
-    /// The shard-local windowed estimate at admission (merged by max;
-    /// telemetry only — alerts use the global estimate).
-    pub local_estimate: u32,
-    /// Human-readable identity for the alert message (e.g. the caller
-    /// AOR).
+    /// Capture time of the observed event.
+    pub time: SimTime,
+    /// Hash of the distinct-field text (0 for a pure count clause).
+    pub item: u64,
+    /// The key-field text, e.g. the caller AOR.
     pub display: String,
 }
 
-/// One shard's contribution to a fold: plain-update twin trackers
-/// covering the observations since the last fold, plus the candidate
-/// keys whose local slices look worth a global evaluation. Summing
-/// deltas from any partition of the stream rebuilds the exact trackers
-/// one engine fed everything would hold (see
-/// [`CountMinSketch::observe_plain`]), which is what makes the global
-/// evaluation independent of the shard count.
+/// One shard's contribution to a fold: every threshold-clause
+/// observation since the last one, in this shard's event order.
 #[derive(Debug, Default)]
 pub struct RateDelta {
-    /// Windowed counters, plain-update twins of the hub's counters.
-    pub counters: Vec<(&'static str, WindowedSketch)>,
-    /// Windowed distinct estimators (register unions are naturally
-    /// partition-independent).
-    pub distincts: Vec<(&'static str, WindowedDistinct)>,
-    /// Candidate keys for the global threshold pass.
-    pub candidates: Vec<RateCandidate>,
+    /// The observations.
+    pub observations: Vec<RateObservation>,
 }
 
-/// Named tracker registry every rule can reach through
-/// [`crate::rules::RuleCtx::rates`]. Trackers are created lazily on
-/// first use and live for the engine's lifetime — their memory is a
-/// function of [`RateConfig`] dimensions alone, never of traffic.
-///
-/// In **aggregated** mode ([`RateHub::new_aggregated`], the sharded
-/// pipeline with the fold plane on) the hub additionally maintains a
-/// [`RateDelta`]: plain-update twins of every counter/distinct tracker
-/// plus the candidate registry, swapped out by [`RateHub::take_delta`]
-/// at each fold barrier. Rules built on the hub check
-/// [`RateHub::aggregated`] to split local-latch evaluation (single
-/// engine) from observe-and-forward (shard worker under a fold plane).
+/// What rules reach through [`crate::rules::RuleCtx::rates`]: the seeded
+/// key hash, and — for a shard worker under the fold plane
+/// ([`RateHub::new_aggregated`]) — the outbox threshold rules
+/// [`RateHub::forward`] their observations into instead of judging a
+/// slice of the stream locally. [`RateHub::take_delta`] empties it at
+/// each fold barrier.
 ///
 /// Interior mutability (the engine is single-threaded per worker) lets
-/// rules update trackers through the shared `&RuleCtx` they already
-/// receive, without widening the `Rule::on_event` contract.
+/// rules forward through the shared `&RuleCtx` they already receive,
+/// without widening the `Rule::on_event` contract.
 #[derive(Debug)]
 pub struct RateHub {
-    exact: bool,
-    /// Fold-plane mode: feed delta twins and forward candidates instead
-    /// of latching locally.
     aggregated: bool,
-    /// Shard count of the owning pipeline (1 when unsharded); scales
-    /// the candidate admission bar so a threshold sliced `shards` ways
-    /// still admits every globally-crossing key.
-    fold_shards: usize,
     config: RateConfig,
-    inner: RefCell<HubInner>,
-}
-
-#[derive(Debug, Default)]
-struct HubInner {
-    counters: Vec<(&'static str, WindowedSketch)>,
-    distincts: Vec<(&'static str, WindowedDistinct)>,
-    latches: Vec<(&'static str, LatchSet)>,
-    delta: RateDelta,
+    delta: RefCell<RateDelta>,
 }
 
 impl Default for RateHub {
-    /// An empty hub with default dimensioning in exact mode — what a
-    /// default engine owns, and the convenient hub for tests and
-    /// benches that construct a [`crate::rules::RuleCtx`] by hand.
+    /// A local-evaluation hub with default dimensioning — what a default
+    /// engine owns, and the convenient hub for tests and benches that
+    /// construct a [`crate::rules::RuleCtx`] by hand.
     fn default() -> RateHub {
         RateHub::new(RateConfig::default(), true)
     }
 }
 
 impl RateHub {
-    /// Creates an empty hub. `exact` mirrors
-    /// [`crate::engine::ScidiveConfig::exact_rate_state`] so rules can
-    /// pick their backing store at event time.
-    pub fn new(config: RateConfig, exact: bool) -> RateHub {
+    /// Creates a hub for local evaluation (a single engine, or a shard
+    /// worker with the fold plane off). Only `config.seed` is consulted.
+    /// `_exact` is accepted for source compatibility and ignored:
+    /// threshold rules keep exact state in every mode, and
+    /// [`crate::engine::ScidiveConfig::exact_rate_state`] now selects
+    /// the identity plane's store only.
+    pub fn new(config: RateConfig, _exact: bool) -> RateHub {
         RateHub {
-            exact,
             aggregated: false,
-            fold_shards: 1,
             config,
-            inner: RefCell::new(HubInner::default()),
+            delta: RefCell::default(),
         }
     }
 
-    /// Creates a hub in aggregated (fold-plane) mode for one shard of a
-    /// `shards`-way pipeline: every counter/distinct observation also
-    /// feeds a plain-update delta twin, and threshold rules forward
-    /// candidates instead of latching locally. The sketch path is used
-    /// regardless of `exact` — global evaluation must see identical
-    /// deltas in both modes so the merged alert stream is a pure
-    /// function of the capture.
-    pub fn new_aggregated(config: RateConfig, exact: bool, shards: usize) -> RateHub {
+    /// Creates a hub in aggregated (fold-plane) mode for a shard
+    /// worker: threshold rules forward every observation to the
+    /// dispatcher's [`GlobalRatePlane`] instead of evaluating locally.
+    pub fn new_aggregated(config: RateConfig, exact: bool) -> RateHub {
         RateHub {
-            exact,
             aggregated: true,
-            fold_shards: shards.max(1),
-            config,
-            inner: RefCell::new(HubInner::default()),
+            ..RateHub::new(config, exact)
         }
     }
 
-    /// Whether this hub feeds a fold plane (observe-and-forward mode).
+    /// Whether this hub feeds a fold plane (forward-only mode).
     pub fn aggregated(&self) -> bool {
         self.aggregated
     }
 
-    /// Shard count of the owning pipeline (1 when unsharded) — the
-    /// divisor for candidate admission bars in aggregated mode.
-    pub fn fold_shards(&self) -> usize {
-        self.fold_shards
-    }
-
-    /// Whether rules should keep exact per-key state (the reference
-    /// mode) instead of the constant-memory sketches.
-    pub fn exact(&self) -> bool {
-        self.exact
-    }
-
-    /// The dimensioning in force.
-    pub fn config(&self) -> &RateConfig {
-        &self.config
-    }
-
-    /// Hashes identity parts into a tracker key with the hub's seed.
+    /// Hashes identity parts into a window key with the hub's seed.
     pub fn key(&self, parts: &[&[u8]]) -> u64 {
         hash_parts(self.config.seed, parts)
     }
 
-    /// Observes `key` in the named sliding-window counter and returns
-    /// the windowed estimate. The tracker is created on first use with
-    /// the given window.
-    pub fn observe_count(
-        &self,
-        name: &'static str,
-        window: SimDuration,
-        now: SimTime,
-        key: u64,
-    ) -> u32 {
-        let mut inner = self.inner.borrow_mut();
-        let seed = self.config.tracker_seed(name);
-        let config = &self.config;
-        if !inner.counters.iter().any(|(n, _)| *n == name) {
-            inner.counters.push((
-                name,
-                WindowedSketch::new(
-                    window,
-                    config.window_buckets,
-                    config.counter_width,
-                    config.counter_depth,
-                    seed,
-                ),
-            ));
-        }
-        let ws = &mut inner
-            .counters
-            .iter_mut()
-            .find(|(n, _)| *n == name)
-            .expect("just inserted")
-            .1;
-        let estimate = ws.observe(now, key);
-        if self.aggregated {
-            if !inner.delta.counters.iter().any(|(n, _)| *n == name) {
-                inner.delta.counters.push((
-                    name,
-                    WindowedSketch::new(
-                        window,
-                        self.config.window_buckets,
-                        self.config.counter_width,
-                        self.config.counter_depth,
-                        seed,
-                    ),
-                ));
-            }
-            inner
-                .delta
-                .counters
-                .iter_mut()
-                .find(|(n, _)| *n == name)
-                .expect("just inserted")
-                .1
-                .observe_plain(now, key);
-        }
-        estimate
-    }
-
-    /// Observes `item` under `key` in the named windowed distinct
-    /// estimator and returns the estimated distinct count for the key.
-    pub fn observe_distinct(
-        &self,
-        name: &'static str,
-        window: SimDuration,
-        now: SimTime,
-        key: u64,
-        item: u64,
-    ) -> u32 {
-        let mut inner = self.inner.borrow_mut();
-        let seed = self.config.tracker_seed(name);
-        let config = &self.config;
-        if !inner.distincts.iter().any(|(n, _)| *n == name) {
-            inner.distincts.push((
-                name,
-                WindowedDistinct::new(
-                    window,
-                    config.distinct_buckets,
-                    config.distinct_slots,
-                    config.distinct_registers,
-                    seed,
-                ),
-            ));
-        }
-        let wd = &mut inner
-            .distincts
-            .iter_mut()
-            .find(|(n, _)| *n == name)
-            .expect("just inserted")
-            .1;
-        let estimate = wd.observe(now, key, item);
-        if self.aggregated {
-            if !inner.delta.distincts.iter().any(|(n, _)| *n == name) {
-                inner.delta.distincts.push((
-                    name,
-                    WindowedDistinct::new(
-                        window,
-                        self.config.distinct_buckets,
-                        self.config.distinct_slots,
-                        self.config.distinct_registers,
-                        seed,
-                    ),
-                ));
-            }
-            inner
-                .delta
-                .distincts
-                .iter_mut()
-                .find(|(n, _)| *n == name)
-                .expect("just inserted")
-                .1
-                .observe(now, key, item);
-        }
-        estimate
-    }
-
-    /// Registers a fold-plane candidate (aggregated mode): the key's
-    /// local slice crossed its admission bar, so the next fold should
-    /// evaluate it globally. Deduplicated by `(clause, key)` within the
-    /// period, keeping the earliest sighting and the largest local
-    /// estimate.
-    pub fn push_candidate(
-        &self,
-        clause: &'static str,
-        key: u64,
-        first_time: SimTime,
-        local_estimate: u32,
-        display: &str,
-    ) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(c) = inner
-            .delta
-            .candidates
-            .iter_mut()
-            .find(|c| c.clause == clause && c.key == key)
-        {
-            c.first_time = c.first_time.min(first_time);
-            c.local_estimate = c.local_estimate.max(local_estimate);
-            return;
-        }
-        inner.delta.candidates.push(RateCandidate {
+    /// Queues one threshold-clause observation for the fold plane
+    /// (aggregated mode); shipped by the next [`RateHub::take_delta`].
+    pub fn forward(&self, clause: &'static str, key: u64, time: SimTime, item: u64, display: &str) {
+        self.delta.borrow_mut().observations.push(RateObservation {
             clause,
             key,
-            first_time,
-            local_estimate,
+            time,
+            item,
             display: display.to_string(),
         });
     }
 
-    /// Swaps out the accumulated [`RateDelta`] at a fold barrier,
-    /// leaving structurally identical *empty* twin trackers behind (so
-    /// the hub's byte footprint stays constant across folds, which the
-    /// capacity gates assert).
+    /// Swaps out the observations accumulated since the last fold
+    /// barrier.
     pub fn take_delta(&self) -> RateDelta {
-        let mut inner = self.inner.borrow_mut();
-        let taken = std::mem::take(&mut inner.delta);
-        for (name, ws) in &taken.counters {
-            let seed = self.config.tracker_seed(name);
-            inner.delta.counters.push((
-                name,
-                WindowedSketch::new(
-                    ws.window(),
-                    self.config.window_buckets,
-                    self.config.counter_width,
-                    self.config.counter_depth,
-                    seed,
-                ),
-            ));
-        }
-        for (name, wd) in &taken.distincts {
-            let seed = self.config.tracker_seed(name);
-            inner.delta.distincts.push((
-                name,
-                WindowedDistinct::new(
-                    wd.window(),
-                    self.config.distinct_buckets,
-                    self.config.distinct_slots,
-                    self.config.distinct_registers,
-                    seed,
-                ),
-            ));
-        }
-        taken
+        self.delta.take()
     }
 
-    /// Whether the key's latch in the named latch set is set.
-    pub fn latched(&self, name: &'static str, key: u64) -> bool {
-        let inner = self.inner.borrow();
-        inner
-            .latches
-            .iter()
-            .find(|(n, _)| *n == name)
-            .is_some_and(|(_, l)| l.get(key))
-    }
-
-    /// Sets or clears the key's latch in the named latch set, creating
-    /// the set on first use.
-    pub fn set_latch(&self, name: &'static str, key: u64, on: bool) {
-        let mut inner = self.inner.borrow_mut();
-        let seed = self.config.tracker_seed(name);
-        let bits = self.config.latch_bits;
-        if !inner.latches.iter().any(|(n, _)| *n == name) {
-            inner.latches.push((name, LatchSet::new(bits, seed)));
-        }
-        let l = &mut inner
-            .latches
-            .iter_mut()
-            .find(|(n, _)| *n == name)
-            .expect("just inserted")
-            .1;
-        l.put(key, on);
-    }
-
-    /// Telemetry snapshot: tracker count and bytes, including the
-    /// delta twins in aggregated mode (this hub records no divergence —
-    /// the identity plane's shadow mode owns that).
+    /// Telemetry snapshot: the bytes queued for the next fold (zero
+    /// outside aggregated mode).
     pub fn stats(&self) -> RateStats {
-        let inner = self.inner.borrow();
-        let mut s = RateStats::default();
-        for (_, ws) in &inner.counters {
-            s.trackers += 1;
-            s.bytes += ws.bytes() as u64;
+        let delta = self.delta.borrow();
+        let queued = delta.observations.capacity() * std::mem::size_of::<RateObservation>();
+        let text: usize = delta.observations.iter().map(|o| o.display.capacity()).sum();
+        RateStats {
+            bytes: (queued + text) as u64,
+            ..RateStats::default()
         }
-        for (_, wd) in &inner.distincts {
-            s.trackers += 1;
-            s.bytes += wd.bytes() as u64;
-        }
-        for (_, l) in &inner.latches {
-            s.trackers += 1;
-            s.bytes += l.bytes() as u64;
-        }
-        for (_, ws) in &inner.delta.counters {
-            s.trackers += 1;
-            s.bytes += ws.bytes() as u64;
-        }
-        for (_, wd) in &inner.delta.distincts {
-            s.trackers += 1;
-            s.bytes += wd.bytes() as u64;
-        }
-        s
     }
 }
 
@@ -685,14 +364,11 @@ mod tests {
     }
 
     #[test]
-    fn latch_set_sets_clears_and_merges() {
+    fn latch_set_sets_and_clears() {
         let mut a = LatchSet::new(128, 7);
-        let mut b = LatchSet::new(128, 7);
         a.put(1, true);
-        b.put(2, true);
         assert!(a.get(1) && !a.get(2));
-        a.merge(&b);
-        assert!(a.get(1) && a.get(2));
+        a.put(2, true);
         a.put(1, false);
         assert!(!a.get(1) && a.get(2));
         a.clear_all();
@@ -701,55 +377,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "latch set seed mismatch")]
-    fn latch_merge_checks_seed() {
-        let mut a = LatchSet::new(64, 1);
-        a.merge(&LatchSet::new(64, 2));
-    }
-
-    #[test]
-    fn latch_try_merge_returns_typed_errors_without_mutating() {
-        let mut a = LatchSet::new(64, 1);
-        a.put(3, true);
-        assert_eq!(
-            a.try_merge(&LatchSet::new(128, 1)),
-            Err(RateMergeError::ShapeMismatch {
-                tracker: "latch set"
-            })
-        );
-        assert_eq!(
-            a.try_merge(&LatchSet::new(64, 2)),
-            Err(RateMergeError::SeedMismatch {
-                tracker: "latch set"
-            })
-        );
-        assert!(a.get(3));
-    }
-
-    #[test]
-    fn hub_creates_trackers_lazily_and_reports_bytes() {
-        let hub = RateHub::new(RateConfig::default(), false);
-        assert!(!hub.exact());
-        assert_eq!(hub.stats().trackers, 0);
-        let w = SimDuration::from_secs(10);
+    fn hub_forwards_only_what_it_was_given_and_empties_on_take() {
+        let hub = RateHub::new_aggregated(RateConfig::default(), false);
+        assert!(hub.aggregated() && !RateHub::default().aggregated());
+        assert_eq!(hub.stats().bytes, 0);
         let k = hub.key(&[b"caller"]);
-        assert_eq!(hub.observe_count("c", w, SimTime::from_secs(1), k), 1);
-        assert_eq!(hub.observe_count("c", w, SimTime::from_secs(2), k), 2);
+        assert_eq!(k, RateHub::default().key(&[b"caller"]));
+        hub.forward("c", k, SimTime::from_secs(1), 9, "sip:a@lab");
+        assert!(hub.stats().bytes > 0);
+        let delta = hub.take_delta();
         assert_eq!(
-            hub.observe_distinct("d", w, SimTime::from_secs(2), k, hub.key(&[b"x"])),
-            1
+            delta.observations,
+            vec![RateObservation {
+                clause: "c",
+                key: k,
+                time: SimTime::from_secs(1),
+                item: 9,
+                display: "sip:a@lab".to_string(),
+            }]
         );
-        assert!(!hub.latched("l", k));
-        hub.set_latch("l", k, true);
-        assert!(hub.latched("l", k));
-        let s = hub.stats();
-        assert_eq!(s.trackers, 3);
-        assert!(s.bytes > 0);
-        // Constant memory: more keys never change the footprint.
-        for i in 0..10_000u64 {
-            hub.observe_count("c", w, SimTime::from_secs(3), i);
-        }
-        assert_eq!(hub.stats().bytes, s.bytes);
+        assert!(hub.take_delta().observations.is_empty());
+        assert_eq!(hub.stats().bytes, 0);
     }
 
     #[test]

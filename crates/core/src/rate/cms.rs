@@ -8,7 +8,7 @@
 //! well below the classical bound in practice while preserving the
 //! never-undercount guarantee.
 
-use crate::rate::{splitmix64, RateMergeError};
+use crate::rate::splitmix64;
 
 /// A count-min sketch (see module docs).
 ///
@@ -27,7 +27,6 @@ use crate::rate::{splitmix64, RateMergeError};
 pub struct CountMinSketch {
     width: usize,
     depth: usize,
-    seed: u64,
     row_seeds: Vec<u64>,
     counters: Vec<u32>,
 }
@@ -41,7 +40,6 @@ impl CountMinSketch {
         CountMinSketch {
             width,
             depth,
-            seed,
             row_seeds: (0..depth as u64).map(|r| splitmix64(seed ^ r)).collect(),
             counters: vec![0; width * depth],
         }
@@ -74,21 +72,6 @@ impl CountMinSketch {
         next
     }
 
-    /// Records one occurrence of `key` with the *plain* (non-conservative)
-    /// update: every one of the key's counters increments by exactly one.
-    /// Looser than [`CountMinSketch::observe`] for a single sketch, but
-    /// **partition-independent**: splitting a stream across sketches and
-    /// summing them ([`CountMinSketch::try_merge`]) yields cell-for-cell
-    /// the same grid as one sketch fed the whole stream — the property
-    /// the cross-shard fold plane is built on, and one conservative
-    /// update does not have.
-    pub fn observe_plain(&mut self, key: u64) {
-        for row in 0..self.depth {
-            let idx = row * self.width + self.slot(row, key);
-            self.counters[idx] = self.counters[idx].saturating_add(1);
-        }
-    }
-
     /// The estimated occurrence count of `key`: an upper bound on the
     /// true count.
     pub fn estimate(&self, key: u64) -> u32 {
@@ -96,48 +79,6 @@ impl CountMinSketch {
             .map(|row| self.counters[row * self.width + self.slot(row, key)])
             .min()
             .unwrap_or(0)
-    }
-
-    /// Checks that `other` can merge into this sketch: same grid
-    /// dimensions, same seed (otherwise the cells don't line up).
-    pub fn mergeable(&self, other: &CountMinSketch) -> Result<(), RateMergeError> {
-        if (self.width, self.depth) != (other.width, other.depth) {
-            return Err(RateMergeError::ShapeMismatch {
-                tracker: "count-min sketch",
-            });
-        }
-        if self.seed != other.seed {
-            return Err(RateMergeError::SeedMismatch {
-                tracker: "count-min sketch",
-            });
-        }
-        Ok(())
-    }
-
-    /// Folds another sketch (same dimensions and seed) into this one by
-    /// element-wise saturating addition. The merged sketch still never
-    /// undercounts the combined streams, though conservative update's
-    /// extra tightness degrades to the plain count-min bound.
-    ///
-    /// # Errors
-    ///
-    /// Refuses (mutating nothing) if the dimensions or seed differ.
-    pub fn try_merge(&mut self, other: &CountMinSketch) -> Result<(), RateMergeError> {
-        self.mergeable(other)?;
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            *a = a.saturating_add(*b);
-        }
-        Ok(())
-    }
-
-    /// [`CountMinSketch::try_merge`], panicking on mismatch — for
-    /// callers that construct both sides and a mismatch is a bug.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions or seed differ.
-    pub fn merge(&mut self, other: &CountMinSketch) {
-        self.try_merge(other).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Resets every counter to zero.
@@ -206,69 +147,6 @@ mod tests {
         assert_eq!(s.estimate(1), 100);
         assert_eq!(s.estimate(2), 3);
         assert_eq!(s.estimate(3), 0);
-    }
-
-    #[test]
-    fn merge_never_undercounts_combined_streams() {
-        let mut a = CountMinSketch::new(256, 4, 5);
-        let mut b = CountMinSketch::new(256, 4, 5);
-        for _ in 0..10 {
-            a.observe(42);
-        }
-        for _ in 0..7 {
-            b.observe(42);
-        }
-        b.observe(43);
-        a.merge(&b);
-        assert!(a.estimate(42) >= 17);
-        assert!(a.estimate(43) >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn merge_checks_shape() {
-        let mut a = CountMinSketch::new(16, 2, 1);
-        a.merge(&CountMinSketch::new(16, 3, 1));
-    }
-
-    #[test]
-    fn try_merge_returns_typed_errors_without_mutating() {
-        let mut a = CountMinSketch::new(16, 2, 1);
-        a.observe(9);
-        assert_eq!(
-            a.try_merge(&CountMinSketch::new(32, 2, 1)),
-            Err(RateMergeError::ShapeMismatch {
-                tracker: "count-min sketch"
-            })
-        );
-        assert_eq!(
-            a.try_merge(&CountMinSketch::new(16, 2, 2)),
-            Err(RateMergeError::SeedMismatch {
-                tracker: "count-min sketch"
-            })
-        );
-        assert_eq!(a.estimate(9), 1, "a failed merge must not mutate");
-    }
-
-    #[test]
-    fn plain_update_is_partition_independent() {
-        // One sketch fed the whole stream vs. the sum of two sketches fed
-        // an arbitrary split: cell-for-cell identical grids, hence
-        // identical estimates — the fold-plane invariant.
-        let mut whole = CountMinSketch::new(32, 3, 11);
-        let mut left = CountMinSketch::new(32, 3, 11);
-        let mut right = CountMinSketch::new(32, 3, 11);
-        for i in 0..500u64 {
-            let key = splitmix64(i) % 40;
-            whole.observe_plain(key);
-            if i % 3 == 0 {
-                left.observe_plain(key);
-            } else {
-                right.observe_plain(key);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(whole.counters, left.counters);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   window; both push the estimate up, never down — so a threshold
 //!   crossing is never missed, matching the count-min direction.
 
-use crate::rate::{splitmix64, RateMergeError};
+use crate::rate::splitmix64;
 use scidive_netsim::time::{SimDuration, SimTime};
 
 const EMPTY_EPOCH: u64 = u64::MAX;
@@ -39,7 +39,6 @@ const EMPTY_EPOCH: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct WindowedDistinct {
-    window: SimDuration,
     bucket_width_us: u64,
     slots: usize,
     registers: usize,
@@ -67,7 +66,6 @@ impl WindowedDistinct {
         let slots = slots.max(1);
         let registers = registers.next_power_of_two().max(16);
         WindowedDistinct {
-            window,
             bucket_width_us: window.as_micros().div_ceil(buckets as u64 - 1).max(1),
             slots,
             registers,
@@ -77,11 +75,6 @@ impl WindowedDistinct {
             epochs: vec![EMPTY_EPOCH; buckets],
             regs: vec![0; buckets * slots * registers],
         }
-    }
-
-    /// The configured window.
-    pub fn window(&self) -> SimDuration {
-        self.window
     }
 
     fn epoch_of(&self, now: SimTime) -> u64 {
@@ -180,75 +173,6 @@ impl WindowedDistinct {
         }
     }
 
-    /// Folds another estimator (same shape and seed) into this one.
-    /// Ring buckets align **by epoch**, not position: each of the other
-    /// side's live buckets unions (by register max — HLL unions are
-    /// lossless, so the merged estimate equals the estimate of the
-    /// combined streams) into the slot its epoch owns under the merged
-    /// clock; buckets behind the merged high-water mark are zeroed, and
-    /// a slot claimed by two different epochs keeps only the newer one.
-    ///
-    /// # Errors
-    ///
-    /// Refuses (mutating nothing) if the window, shape, or seed differ.
-    pub fn try_merge(&mut self, other: &WindowedDistinct) -> Result<(), RateMergeError> {
-        if (self.window, self.slots, self.registers, self.epochs.len())
-            != (other.window, other.slots, other.registers, other.epochs.len())
-        {
-            return Err(RateMergeError::ShapeMismatch {
-                tracker: "distinct estimator",
-            });
-        }
-        if self.seed != other.seed {
-            return Err(RateMergeError::SeedMismatch {
-                tracker: "distinct estimator",
-            });
-        }
-        let high = self.high_epoch.max(other.high_epoch);
-        let len = self.epochs.len() as u64;
-        let span = self.slots * self.registers;
-        // Zero every bucket the merged clock has left behind.
-        for b in 0..self.epochs.len() {
-            let epoch = self.epochs[b];
-            if epoch != EMPTY_EPOCH && !(epoch <= high && high - epoch < len) {
-                self.regs[b * span..(b + 1) * span].fill(0);
-                self.epochs[b] = EMPTY_EPOCH;
-            }
-        }
-        for ob in 0..other.epochs.len() {
-            let epoch = other.epochs[ob];
-            if !(epoch != EMPTY_EPOCH && epoch <= high && high - epoch < len) {
-                continue;
-            }
-            let b = (epoch % len) as usize;
-            let src = &other.regs[ob * span..(ob + 1) * span];
-            let dst = &mut self.regs[b * span..(b + 1) * span];
-            if self.epochs[b] == epoch {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    if *d < s {
-                        *d = s;
-                    }
-                }
-            } else if self.epochs[b] == EMPTY_EPOCH || self.epochs[b] < epoch {
-                dst.copy_from_slice(src);
-                self.epochs[b] = epoch;
-            }
-            // self.epochs[b] > epoch: theirs is the staler claim on this
-            // slot; dropping it keeps dead registers out of the window.
-        }
-        self.high_epoch = high;
-        Ok(())
-    }
-
-    /// [`WindowedDistinct::try_merge`], panicking on mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window, shape, or seed differ.
-    pub fn merge(&mut self, other: &WindowedDistinct) {
-        self.try_merge(other).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// Bytes pinned by the register file and ring bookkeeping.
     pub fn bytes(&self) -> usize {
         self.regs.len() + self.epochs.len() * std::mem::size_of::<u64>()
@@ -303,78 +227,6 @@ mod tests {
         }
         let err = (f64::from(est) - 5_000.0).abs() / 5_000.0;
         assert!(err < 0.15, "estimate {est} off by {err:.2}");
-    }
-
-    #[test]
-    fn merge_equals_union() {
-        let mut a = estimator();
-        let mut b = estimator();
-        let now = SimTime::from_secs(2);
-        for item in 0..6u64 {
-            a.observe(now, 5, item);
-        }
-        for item in 4..10u64 {
-            b.observe(now, 5, item);
-        }
-        a.merge(&b);
-        assert_eq!(a.estimate(now, 5), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn merge_checks_shape() {
-        let mut a = estimator();
-        a.merge(&WindowedDistinct::new(
-            SimDuration::from_secs(30),
-            6,
-            32,
-            512,
-            3,
-        ));
-    }
-
-    /// Two estimators advanced asymmetrically by well over `B` buckets,
-    /// merged both directions: the stale side's registers must be
-    /// zeroed, never unioned into the fresh window.
-    #[test]
-    fn asymmetric_clocks_merge_without_stale_registers() {
-        let mut old = estimator();
-        let t0 = SimTime::from_secs(1);
-        for item in 0..5u64 {
-            old.observe(t0, 7, item);
-        }
-        let mut fresh = estimator();
-        // 6 buckets of 6s: 600s is ~100 buckets ahead of t0.
-        let later = SimTime::from_secs(600);
-        fresh.observe(later, 7, 99);
-
-        let mut m = old.clone();
-        m.merge(&fresh);
-        assert_eq!(m.estimate(later, 7), 1, "stale registers leaked");
-
-        let mut m = fresh.clone();
-        m.merge(&old);
-        assert_eq!(m.estimate(later, 7), 1, "stale registers leaked");
-    }
-
-    #[test]
-    fn try_merge_rejects_mismatches_with_typed_errors() {
-        use crate::rate::RateMergeError;
-        let mut a = estimator();
-        a.observe(SimTime::from_secs(1), 7, 1);
-        assert_eq!(
-            a.try_merge(&WindowedDistinct::new(SimDuration::from_secs(30), 6, 32, 512, 3)),
-            Err(RateMergeError::ShapeMismatch {
-                tracker: "distinct estimator"
-            })
-        );
-        assert_eq!(
-            a.try_merge(&WindowedDistinct::new(SimDuration::from_secs(30), 6, 32, 1024, 4)),
-            Err(RateMergeError::SeedMismatch {
-                tracker: "distinct estimator"
-            })
-        );
-        assert_eq!(a.estimate(SimTime::from_secs(1), 7), 1);
     }
 
     #[test]

@@ -1,39 +1,26 @@
-//! The cross-shard fold plane: global rate evaluation above the shards.
+//! The cross-shard fold plane: global threshold evaluation above the shards.
 //!
-//! The sharded pipeline routes frames by session hash, so a flood whose
-//! sources (or a caller whose Call-IDs) hash across `N` shards is seen
-//! only in `1/N` slices by any per-shard `RateHub` — per-shard threshold
-//! evaluation undercounts it by up to `N×` and can miss it entirely.
-//! The fold plane restores the single-vantage-point semantics SCIDIVE's
-//! stateful rules assume: on a fixed capture-time cadence the dispatcher
-//! collects each shard's [`RateDelta`] (plain-update twin trackers plus
-//! candidate keys), folds the deltas into one [`GlobalRatePlane`] with
-//! the cell-wise / epoch-aligned / register-max / OR merges, and
-//! evaluates the threshold clauses against the **merged** trackers.
+//! The sharded pipeline routes frames by session hash, so a caller whose
+//! Call-IDs hash across `N` shards is seen only in `1/N` slices by any
+//! one worker — per-shard threshold evaluation undercounts it by up to
+//! `N×` and can miss it entirely. The fold plane restores the
+//! single-vantage-point semantics SCIDIVE's stateful rules assume:
+//! workers keep no window at all and forward each threshold observation
+//! raw in their [`RateDelta`]; on a fixed capture-time cadence the
+//! dispatcher collects the deltas into one [`GlobalRatePlane`] and
+//! replays their union, in `(time, clause, key, item)` order, through
+//! the same [`ThresholdTable`] a single engine's
+//! [`crate::rules::ThresholdRule`] feeds per event.
 //!
-//! Determinism is the design constraint everything here serves — the
-//! merged alert stream must be a pure function of the capture,
-//! independent of the shard count:
-//!
-//! * **Plain updates.** Delta twins use the non-conservative count-min
-//!   update ([`crate::rate::CountMinSketch::observe_plain`]), which is
-//!   partition-independent: summing per-shard grids cell-for-cell
-//!   equals one grid fed the whole stream. HLL register unions and
-//!   latch ORs are partition-independent by construction.
-//! * **Commutative absorbs.** Saturating add, register max, and OR are
-//!   commutative and associative, so the order shard deltas arrive in
-//!   cannot change the merged state.
-//! * **Canonical candidate order.** Candidates are evaluated sorted by
-//!   `(clause, display, key)` — quantities identical at every shard
-//!   count — never by arrival or admission order, which are not.
-//! * **Capture-time cadence.** Folds happen at fixed capture-time
-//!   boundaries (see `shard.rs`), so alert timestamps are boundary
-//!   times, not functions of batch sizes or thread scheduling.
+//! Same code, same order, same counts: the sharded decision *is* the
+//! single-engine decision on the time-sorted stream, under any
+//! partition of it, by construction. Only two things differ, and
+//! neither depends on the shard count: fold alerts carry the boundary
+//! time (boundaries are multiples of the fold interval in capture time,
+//! see `shard.rs`) and no session.
 
 use crate::alert::Alert;
-use crate::rate::{
-    LatchSet, RateCandidate, RateConfig, RateDelta, RateStats, WindowedDistinct, WindowedSketch,
-};
+use crate::rate::{RateDelta, RateObservation, ThresholdTable};
 use crate::rules::threshold::ThresholdSpec;
 use scidive_netsim::time::{SimDuration, SimTime};
 
@@ -71,182 +58,97 @@ pub struct FoldStats {
     pub folds: u64,
     /// Shard deltas absorbed across all folds.
     pub deltas_absorbed: u64,
-    /// Candidate keys received (pre-dedup) across all folds.
-    pub candidates: u64,
-    /// Tracker merges refused for shape/seed mismatch (a misconfigured
-    /// shard; its delta is skipped, the fold proceeds).
-    pub merge_rejected: u64,
+    /// Observations received across all folds.
+    pub observations: u64,
+    /// Observations dropped by cap eviction.
+    pub evicted: u64,
     /// Alerts the global evaluation emitted.
     pub alerts: u64,
 }
 
-/// The dispatcher-resident global hub: merged trackers, the candidate
-/// registry, and the global fired latches (see module docs).
-#[derive(Debug)]
+/// The dispatcher-resident threshold state: one [`ThresholdTable`] per
+/// installed clause (see module docs).
+#[derive(Debug, Default)]
 pub struct GlobalRatePlane {
-    config: RateConfig,
-    /// The threshold clauses this plane knows how to evaluate. Installed
-    /// at construction from the ruleset's [`ThresholdSpec`]s and
-    /// replaced on hot reload ([`GlobalRatePlane::set_clauses`]); a
-    /// candidate whose clause has no spec here is dropped rather than
-    /// guessed at.
-    clauses: Vec<ThresholdSpec>,
-    counters: Vec<(&'static str, WindowedSketch)>,
-    distincts: Vec<(&'static str, WindowedDistinct)>,
-    latches: Vec<(&'static str, LatchSet)>,
-    candidates: Vec<RateCandidate>,
+    clauses: Vec<(ThresholdSpec, ThresholdTable)>,
+    /// Observations absorbed since the last evaluation.
+    pending: Vec<RateObservation>,
     stats: FoldStats,
-    /// Global-estimate-vs-best-local-slice divergence, recorded per
-    /// alert — the direct measure of how much a per-shard evaluation
-    /// would have undercounted.
-    divergence: RateStats,
 }
 
 impl GlobalRatePlane {
-    /// Creates an empty plane knowing no clauses; trackers arrive with
-    /// the first absorbed deltas (and inherit their shapes), latches are
-    /// created lazily from `config` dimensions, and clauses are
-    /// installed via [`GlobalRatePlane::set_clauses`].
-    pub fn new(config: RateConfig) -> GlobalRatePlane {
+    /// Creates an empty plane knowing no clauses; they are installed via
+    /// [`GlobalRatePlane::set_clauses`].
+    pub fn new() -> GlobalRatePlane {
+        GlobalRatePlane::default()
+    }
+
+    /// A plane whose tables are bounded by `bytes` each instead of the
+    /// product's constant cap, so tests reach eviction cheaply.
+    #[cfg(test)]
+    pub(crate) fn with_table_cap(specs: Vec<ThresholdSpec>, bytes: usize) -> GlobalRatePlane {
         GlobalRatePlane {
-            config,
-            clauses: Vec::new(),
-            counters: Vec::new(),
-            distincts: Vec::new(),
-            latches: Vec::new(),
-            candidates: Vec::new(),
-            stats: FoldStats::default(),
-            divergence: RateStats::default(),
+            clauses: specs
+                .into_iter()
+                .map(|spec| (spec, ThresholdTable::with_cap(bytes)))
+                .collect(),
+            ..GlobalRatePlane::default()
         }
     }
 
     /// Installs (or, on hot reload, replaces) the threshold clauses the
-    /// global pass evaluates. Merged trackers, fired latches, and
-    /// pending candidates are all preserved: a clause that survives the
-    /// swap keeps its window history and its once-per-campaign latch; a
-    /// removed clause's candidates simply stop matching any spec and
-    /// evict on the next pass.
-    pub fn set_clauses(&mut self, clauses: Vec<ThresholdSpec>) {
-        self.clauses = clauses;
+    /// global pass evaluates. A clause that survives the swap unchanged
+    /// keeps its table — window history and fired flags; a changed or
+    /// new clause starts empty, like its worker-side rule.
+    pub fn set_clauses(&mut self, specs: Vec<ThresholdSpec>) {
+        let mut old = std::mem::take(&mut self.clauses);
+        self.clauses = specs
+            .into_iter()
+            .map(|spec| match old.iter().position(|(s, _)| *s == spec) {
+                Some(i) => old.swap_remove(i),
+                None => (spec, ThresholdTable::new()),
+            })
+            .collect();
     }
 
-    /// Folds one shard's delta into the plane. The first delta to carry
-    /// a tracker name donates the tracker wholesale; later deltas merge
-    /// into it. A tracker refusing to merge (shape or seed mismatch —
-    /// a misconfigured shard) bumps `merge_rejected` and is skipped;
-    /// the fold never wedges. Candidates dedup by `(clause, key)`,
-    /// keeping the earliest first-sighting and the largest local
-    /// estimate.
+    /// Queues one shard's observations for the next evaluation. Arrival
+    /// order is irrelevant: [`GlobalRatePlane::evaluate`] sorts.
     pub fn absorb(&mut self, delta: RateDelta) {
         self.stats.deltas_absorbed += 1;
-        for (name, theirs) in delta.counters {
-            match self.counters.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, mine)) => {
-                    if mine.try_merge(&theirs).is_err() {
-                        self.stats.merge_rejected += 1;
-                    }
-                }
-                None => self.counters.push((name, theirs)),
-            }
-        }
-        for (name, theirs) in delta.distincts {
-            match self.distincts.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, mine)) => {
-                    if mine.try_merge(&theirs).is_err() {
-                        self.stats.merge_rejected += 1;
-                    }
-                }
-                None => self.distincts.push((name, theirs)),
-            }
-        }
-        for c in delta.candidates {
-            self.stats.candidates += 1;
-            match self
-                .candidates
-                .iter_mut()
-                .find(|e| e.clause == c.clause && e.key == c.key)
-            {
-                Some(e) => {
-                    e.first_time = e.first_time.min(c.first_time);
-                    e.local_estimate = e.local_estimate.max(c.local_estimate);
-                }
-                None => self.candidates.push(c),
-            }
-        }
+        self.stats.observations += delta.observations.len() as u64;
+        self.pending.extend(delta.observations);
     }
 
-    fn latched(&self, name: &'static str, key: u64) -> bool {
-        self.latches
-            .iter()
-            .find(|(n, _)| *n == name)
-            .is_some_and(|(_, l)| l.get(key))
-    }
-
-    fn set_latch(&mut self, name: &'static str, key: u64) {
-        if !self.latches.iter().any(|(n, _)| *n == name) {
-            let seed = self.config.tracker_seed(name);
-            self.latches
-                .push((name, LatchSet::new(self.config.latch_bits, seed)));
-        }
-        self.latches
-            .iter_mut()
-            .find(|(n, _)| *n == name)
-            .expect("just inserted")
-            .1
-            .put(key, true);
-    }
-
-    /// Runs the global threshold pass at a fold boundary: advances every
-    /// tracker to `now`, evaluates each candidate's clause against the
-    /// merged estimates in canonical `(clause, display, key)` order, and
-    /// returns the alerts (timestamped `now`). A candidate that crosses
-    /// latches globally — one alert per campaign, like the local latch —
-    /// and candidates whose merged window has fully decayed are evicted.
+    /// Runs the global threshold pass at a fold boundary: replays the
+    /// pending observations in `(time, clause, key, item)` order — the
+    /// same at every shard count — through their clause's table and
+    /// returns the alerts, timestamped `now`. An observation whose
+    /// clause is not installed (a retired rule's) is dropped rather
+    /// than guessed at.
     pub fn evaluate(&mut self, now: SimTime) -> Vec<Alert> {
         self.stats.folds += 1;
-        for (_, ws) in &mut self.counters {
-            ws.advance(now);
-        }
-        for (_, wd) in &mut self.distincts {
-            wd.advance(now);
-        }
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.sort_by(|a, b| {
-            (a.clause, &a.display, a.key).cmp(&(b.clause, &b.display, b.key))
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable_by(|a, b| {
+            (a.time, a.clause, a.key, a.item).cmp(&(b.time, b.clause, b.key, b.item))
         });
+        let evicted_before = self.evicted();
         let mut alerts = Vec::new();
-        for c in candidates {
-            let Some(spec) = self.clauses.iter().find(|s| s.clause == c.clause).copied()
+        for o in &pending {
+            let Some((spec, table)) = self.clauses.iter_mut().find(|(s, _)| s.clause == o.clause)
             else {
-                // Unknown clause (a retired rule's candidate, or a
-                // future rule's reaching an older plane): drop rather
-                // than guess at semantics.
                 continue;
             };
-            let attempts = self
-                .counters
-                .iter()
-                .find(|(n, _)| *n == spec.count_tracker)
-                .map_or(0, |(_, ws)| ws.estimate(now, c.key));
-            let distinct = self
-                .distincts
-                .iter()
-                .find(|(n, _)| *n == spec.distinct_tracker)
-                .map_or(0, |(_, wd)| wd.estimate(now, c.key));
-            if spec.clause_met(attempts, distinct) && !self.latched(spec.clause, c.key) {
-                self.set_latch(spec.clause, c.key);
-                self.divergence.record_divergence(attempts, c.local_estimate);
-                self.stats.alerts += 1;
-                alerts.push(spec.alert_at(now, None, &c.display, attempts, distinct));
-            }
-            if attempts > 0 {
-                // Still live in the merged window: keep the candidate so
-                // a key admitted before its global crossing is
-                // re-evaluated at later folds without re-admission.
-                self.candidates.push(c);
+            if let Some((count, distinct)) = table.observe(o.time, o.key, o.item, spec) {
+                alerts.push(spec.alert_at(now, None, &o.display, count, distinct));
             }
         }
+        self.stats.alerts += alerts.len() as u64;
+        self.stats.evicted += self.evicted() - evicted_before;
         alerts
+    }
+
+    fn evicted(&self) -> u64 {
+        self.clauses.iter().map(|(_, t)| t.evicted()).sum()
     }
 
     /// Fold-plane telemetry counters.
@@ -254,23 +156,9 @@ impl GlobalRatePlane {
         self.stats
     }
 
-    /// Tracker footprint plus the per-alert global-vs-local divergence
-    /// samples, in the same shape the per-shard hubs report.
-    pub fn rate_stats(&self) -> RateStats {
-        let mut s = self.divergence;
-        for (_, ws) in &self.counters {
-            s.trackers += 1;
-            s.bytes += ws.bytes() as u64;
-        }
-        for (_, wd) in &self.distincts {
-            s.trackers += 1;
-            s.bytes += wd.bytes() as u64;
-        }
-        for (_, l) in &self.latches {
-            s.trackers += 1;
-            s.bytes += l.bytes() as u64;
-        }
-        s
+    /// Bytes the tables pin between folds.
+    pub fn bytes(&self) -> u64 {
+        self.clauses.iter().map(|(_, t)| t.bytes()).sum()
     }
 }
 
@@ -278,109 +166,116 @@ impl GlobalRatePlane {
 mod tests {
     use super::*;
     use crate::rate::RateHub;
-    use crate::rules::builtin::{rapid_spec, RAPID_ATTEMPTS, RAPID_WINDOW};
+    use crate::rules::builtin::{rapid_spec, RAPID_ATTEMPTS};
 
-    /// Drives `calls` fan-out calls from one caller through `shards`
-    /// aggregated hubs (round-robin, as a Call-ID router would) and
-    /// folds their deltas into a fresh plane, mirroring exactly what
-    /// [`crate::rules::threshold::ThresholdRule`] does in aggregated
-    /// mode (clause-prefixed caller key, `{clause}-count` /
-    /// `{clause}-distinct` trackers).
-    fn folded_plane(shards: usize, calls: u32) -> (GlobalRatePlane, SimTime) {
+    fn observation(caller: &str, time: SimTime, callee: u64) -> RateObservation {
         let spec = rapid_spec();
-        let config = RateConfig::default();
-        let hubs: Vec<RateHub> = (0..shards)
-            .map(|_| RateHub::new_aggregated(config.clone(), false, shards))
-            .collect();
-        let caller_key = hubs[0].key(&[spec.clause.as_bytes(), b"sip:spammer@lab"]);
-        let mut now = SimTime::ZERO;
-        for i in 0..calls {
-            now = SimTime::from_millis(u64::from(i) * 100);
-            let hub = &hubs[i as usize % shards];
-            let attempts = hub.observe_count(spec.count_tracker, RAPID_WINDOW, now, caller_key);
-            let callee = hub.key(&[b"callee", format!("sip:v{i}@lab").as_bytes()]);
-            hub.observe_distinct(spec.distinct_tracker, RAPID_WINDOW, now, caller_key, callee);
-            let bar = RAPID_ATTEMPTS.div_ceil(shards as u32);
-            if attempts >= bar {
-                hub.push_candidate(spec.clause, caller_key, now, attempts, "sip:spammer@lab");
-            }
+        RateObservation {
+            clause: spec.clause,
+            key: RateHub::default().key(&[spec.clause.as_bytes(), caller.as_bytes()]),
+            time,
+            item: callee << 1,
+            display: caller.to_string(),
         }
-        let mut plane = GlobalRatePlane::new(config);
-        plane.set_clauses(vec![spec]);
-        for hub in &hubs {
-            plane.absorb(hub.take_delta());
-        }
-        (plane, now)
     }
 
-    /// The fold-plane invariant end to end: a campaign split over 1, 2,
-    /// or 4 hubs produces the identical global alert.
+    fn plane() -> GlobalRatePlane {
+        let mut plane = GlobalRatePlane::new();
+        plane.set_clauses(vec![rapid_spec()]);
+        plane
+    }
+
+    /// `calls` fan-out calls from one caller, 100 ms apart.
+    fn campaign(caller: &str, start: SimTime, calls: u64) -> Vec<RateObservation> {
+        (0..calls)
+            .map(|i| observation(caller, start + SimDuration::from_millis(100 * i), i))
+            .collect()
+    }
+
+    /// Absorbs `observations` dealt round-robin over `shards` deltas,
+    /// as a Call-ID router would spread one caller's dialogs.
+    fn absorb_split(plane: &mut GlobalRatePlane, observations: &[RateObservation], shards: usize) {
+        let mut deltas: Vec<RateDelta> = (0..shards).map(|_| RateDelta::default()).collect();
+        for (i, o) in observations.iter().enumerate() {
+            deltas[i % shards].observations.push(o.clone());
+        }
+        // Reverse arrival order: absorbs must commute.
+        for delta in deltas.into_iter().rev() {
+            plane.absorb(delta);
+        }
+    }
+
+    /// The fold-plane invariant: a campaign split over 1, 2, 4 or 7
+    /// deltas produces the identical global alert, although at 4 shards
+    /// no slice comes near the threshold — and the alert carries the
+    /// counts the single engine would print, at the boundary's time.
     #[test]
     fn global_evaluation_is_shard_count_invariant() {
-        let boundary = SimTime::from_secs(2);
-        let mut streams = Vec::new();
-        for shards in [1usize, 2, 4] {
-            let (mut plane, _) = folded_plane(shards, 14);
-            let alerts = plane.evaluate(boundary);
-            assert_eq!(alerts.len(), 1, "{shards} shards");
-            streams.push(format!("{:?}", alerts));
-        }
-        assert_eq!(streams[0], streams[1]);
-        assert_eq!(streams[0], streams[2]);
-    }
-
-    /// Pre-fix behavior, pinned: 14 calls over 4 shards leave every
-    /// per-shard slice under the threshold — no shard could have fired
-    /// locally — yet the folded plane crosses.
-    #[test]
-    fn per_shard_slices_stay_sub_threshold_but_fold_crosses() {
-        let (mut plane, _) = folded_plane(4, 14);
-        // 14 calls round-robin over 4 shards: at most 4 per shard, well
-        // under RAPID_ATTEMPTS = 12.
         assert!(14u32.div_ceil(4) < RAPID_ATTEMPTS);
-        let alerts = plane.evaluate(SimTime::from_secs(2));
-        assert_eq!(alerts.len(), 1);
-        assert!(alerts[0].message.contains("sip:spammer@lab"));
-        let d = plane.rate_stats();
-        assert_eq!(d.divergence_samples, 1);
-        assert!(d.divergence_max > 0, "local slice equalled the global count");
+        let calls = campaign("sip:spammer@lab", SimTime::ZERO, 14);
+        let boundary = SimTime::from_secs(2);
+        let expected = rapid_spec().alert_at(
+            boundary,
+            None,
+            "sip:spammer@lab",
+            RAPID_ATTEMPTS,
+            RAPID_ATTEMPTS,
+        );
+        for shards in [1usize, 2, 4, 7] {
+            let mut plane = plane();
+            absorb_split(&mut plane, &calls, shards);
+            assert_eq!(plane.evaluate(boundary), vec![expected.clone()], "{shards} shards");
+        }
     }
 
-    /// The latch fires a campaign once across folds, and candidates are
-    /// evicted once the merged window decays to nothing.
+    /// One alert per campaign across folds, and an identity
+    /// `set_clauses` (a hot reload that keeps the clause) preserves the
+    /// window and the fired flag mid-campaign.
     #[test]
-    fn latch_once_then_evict_on_decay() {
-        let (mut plane, _) = folded_plane(2, 14);
+    fn fires_once_per_campaign_across_folds_and_swaps() {
+        let mut plane = plane();
+        absorb_split(&mut plane, &campaign("sip:spammer@lab", SimTime::ZERO, 8), 2);
+        assert!(plane.evaluate(SimTime::from_secs(1)).is_empty());
+        plane.set_clauses(vec![rapid_spec()]);
+        absorb_split(
+            &mut plane,
+            &campaign("sip:spammer@lab", SimTime::from_secs(1), 8),
+            2,
+        );
         assert_eq!(plane.evaluate(SimTime::from_secs(2)).len(), 1);
-        assert_eq!(plane.evaluate(SimTime::from_secs(3)).len(), 0, "re-alerted");
-        assert!(!plane.candidates.is_empty());
-        // Far past the window: trackers decay, the candidate evicts.
-        assert_eq!(plane.evaluate(SimTime::from_secs(500)).len(), 0);
-        assert!(plane.candidates.is_empty());
+        plane.set_clauses(vec![rapid_spec()]);
+        absorb_split(
+            &mut plane,
+            &campaign("sip:spammer@lab", SimTime::from_secs(2), 14),
+            2,
+        );
+        assert!(plane.evaluate(SimTime::from_secs(4)).is_empty(), "re-alerted");
+        assert!(plane.bytes() > 0);
         let s = plane.fold_stats();
-        assert_eq!((s.folds, s.alerts, s.merge_rejected), (3, 1, 0));
+        assert_eq!((s.folds, s.alerts, s.observations, s.evicted), (3, 1, 30, 0));
     }
 
-    /// A misconfigured shard's delta is skipped, counted, and the fold
-    /// proceeds with everyone else's.
+    /// A changed clause starts from an empty table; an observation for
+    /// a clause the plane does not know is dropped, not guessed at.
     #[test]
-    fn mismatched_delta_is_rejected_not_fatal() {
-        let (mut plane, _) = folded_plane(1, 14);
-        let rogue = RateHub::new_aggregated(
-            RateConfig {
-                seed: 0xbad_5eed,
-                ..RateConfig::default()
-            },
-            false,
+    fn changed_clause_starts_fresh_and_unknown_clause_is_dropped() {
+        let mut plane = plane();
+        absorb_split(&mut plane, &campaign("sip:spammer@lab", SimTime::ZERO, 11), 1);
+        assert!(plane.evaluate(SimTime::from_secs(2)).is_empty());
+        plane.set_clauses(vec![ThresholdSpec {
+            count_threshold: RAPID_ATTEMPTS + 1,
+            ..rapid_spec()
+        }]);
+        absorb_split(
+            &mut plane,
+            &campaign("sip:spammer@lab", SimTime::from_secs(2), 11),
             1,
         );
-        let spec = rapid_spec();
-        let k = rogue.key(&[spec.clause.as_bytes(), b"sip:spammer@lab"]);
-        rogue.observe_count(spec.count_tracker, RAPID_WINDOW, SimTime::ZERO, k);
-        rogue.observe_distinct(spec.distinct_tracker, RAPID_WINDOW, SimTime::ZERO, k, 9);
-        plane.absorb(rogue.take_delta());
-        assert_eq!(plane.fold_stats().merge_rejected, 2);
-        // The healthy shard's campaign still crosses.
-        assert_eq!(plane.evaluate(SimTime::from_secs(2)).len(), 1);
+        assert!(plane.evaluate(SimTime::from_secs(4)).is_empty());
+
+        let mut empty = GlobalRatePlane::new();
+        absorb_split(&mut empty, &campaign("sip:spammer@lab", SimTime::ZERO, 14), 1);
+        assert!(empty.evaluate(SimTime::from_secs(2)).is_empty());
+        assert_eq!(empty.bytes(), 0);
     }
 }

@@ -18,7 +18,6 @@
 //! arbitrary interleavings of observe and advance.
 
 use crate::rate::cms::CountMinSketch;
-use crate::rate::RateMergeError;
 use scidive_netsim::time::{SimDuration, SimTime};
 
 const EMPTY_EPOCH: u64 = u64::MAX;
@@ -133,24 +132,6 @@ impl WindowedSketch {
         self.estimate_at(e, key)
     }
 
-    /// Records one occurrence of `key` at `now` with the plain
-    /// (non-conservative) per-bucket update
-    /// ([`CountMinSketch::observe_plain`]). Used by the fold-plane delta
-    /// trackers, where partition independence matters more than the
-    /// conservative update's tightness: summing per-shard deltas yields
-    /// exactly the ring one tracker fed the whole stream would hold.
-    pub fn observe_plain(&mut self, now: SimTime, key: u64) {
-        self.advance(now);
-        let e = self.high_epoch;
-        let slot = (e % self.buckets.len() as u64) as usize;
-        let bucket = &mut self.buckets[slot];
-        if bucket.epoch != e {
-            bucket.sketch.clear();
-            bucket.epoch = e;
-        }
-        bucket.sketch.observe_plain(key);
-    }
-
     /// The windowed estimate of `key` as of `now` (read-only: stale
     /// buckets are excluded without mutating the ring).
     pub fn estimate(&self, now: SimTime, key: u64) -> u32 {
@@ -165,66 +146,6 @@ impl WindowedSketch {
             }
         }
         sum
-    }
-
-    /// Folds another windowed sketch (same window, ring size, and
-    /// per-bucket shape) into this one. Buckets align **by epoch**, not
-    /// by ring position: each of the other side's live buckets folds
-    /// into the slot its epoch owns under the merged clock, buckets
-    /// whose epoch fell behind the merged high-water mark are zeroed —
-    /// never folded — and a slot claimed by two different epochs keeps
-    /// only the newer one. Rings whose clocks advanced asymmetrically by
-    /// `≥ B` buckets therefore merge to exactly the fresher side's live
-    /// window, with no stale counts bleeding through.
-    ///
-    /// # Errors
-    ///
-    /// Refuses (mutating nothing) if the window, ring size, bucket
-    /// shape, or seed differ.
-    pub fn try_merge(&mut self, other: &WindowedSketch) -> Result<(), RateMergeError> {
-        if self.window != other.window || self.buckets.len() != other.buckets.len() {
-            return Err(RateMergeError::ShapeMismatch {
-                tracker: "windowed sketch",
-            });
-        }
-        // All buckets of a ring share one shape and seed; checking the
-        // first pair up front keeps the merge all-or-nothing.
-        self.buckets[0].sketch.mergeable(&other.buckets[0].sketch)?;
-        let high = self.high_epoch.max(other.high_epoch);
-        let len = self.buckets.len() as u64;
-        // Zero every bucket the merged clock has left behind.
-        for mine in &mut self.buckets {
-            if mine.epoch != EMPTY_EPOCH && !(mine.epoch <= high && high - mine.epoch < len) {
-                mine.sketch.clear();
-                mine.epoch = EMPTY_EPOCH;
-            }
-        }
-        for theirs in &other.buckets {
-            if theirs.epoch == EMPTY_EPOCH || !(theirs.epoch <= high && high - theirs.epoch < len)
-            {
-                continue;
-            }
-            let mine = &mut self.buckets[(theirs.epoch % len) as usize];
-            if mine.epoch == theirs.epoch {
-                mine.sketch.try_merge(&theirs.sketch)?;
-            } else if mine.epoch == EMPTY_EPOCH || mine.epoch < theirs.epoch {
-                mine.sketch.clone_from(&theirs.sketch);
-                mine.epoch = theirs.epoch;
-            }
-            // mine.epoch > theirs.epoch: theirs is the staler claim on
-            // this slot; dropping it keeps dead counts out of the window.
-        }
-        self.high_epoch = high;
-        Ok(())
-    }
-
-    /// [`WindowedSketch::try_merge`], panicking on mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window, ring, bucket shape, or seed differ.
-    pub fn merge(&mut self, other: &WindowedSketch) {
-        self.try_merge(other).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Bytes pinned by the ring.
@@ -309,24 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_aligns_epochs() {
-        let mut a = sketch();
-        let mut b = sketch();
-        a.observe(SimTime::from_secs(1), 7);
-        b.observe(SimTime::from_secs(2), 7);
-        b.observe(SimTime::from_secs(2), 8);
-        a.merge(&b);
-        assert_eq!(a.estimate(SimTime::from_secs(2), 7), 2);
-        assert_eq!(a.estimate(SimTime::from_secs(2), 8), 1);
-        // A merge with a far-future side drops this side's stale state.
-        let mut c = sketch();
-        c.observe(SimTime::from_secs(120), 9);
-        a.merge(&c);
-        assert_eq!(a.estimate(SimTime::from_secs(120), 7), 0);
-        assert_eq!(a.estimate(SimTime::from_secs(120), 9), 1);
-    }
-
-    #[test]
     fn bytes_are_constant() {
         let mut w = sketch();
         let before = w.bytes();
@@ -334,84 +237,5 @@ mod tests {
             w.observe(SimTime::from_millis(i), i);
         }
         assert_eq!(w.bytes(), before);
-    }
-
-    /// Two rings advanced asymmetrically by well over `B` buckets, then
-    /// merged in both directions: the stale side's counts must vanish
-    /// (zeroed, not folded into whatever epoch now owns their slots).
-    #[test]
-    fn asymmetric_clocks_merge_without_stale_counts() {
-        // The ring has 8 buckets of ~1.43s; 200s is > 100 buckets ahead.
-        let behind_then = |mut a: WindowedSketch, b: &WindowedSketch| {
-            a.merge(b);
-            a
-        };
-        let mut old = sketch();
-        for s in 0..5 {
-            old.observe(SimTime::from_secs(s), 7);
-        }
-        let mut new = sketch();
-        new.observe(SimTime::from_secs(200), 9);
-
-        // Stale side absorbs fresh side.
-        let m = behind_then(old.clone(), &new);
-        assert_eq!(m.estimate(SimTime::from_secs(200), 7), 0, "stale counts leaked");
-        assert_eq!(m.estimate(SimTime::from_secs(200), 9), 1);
-
-        // Fresh side absorbs stale side.
-        let m = behind_then(new.clone(), &old);
-        assert_eq!(m.estimate(SimTime::from_secs(200), 7), 0, "stale counts leaked");
-        assert_eq!(m.estimate(SimTime::from_secs(200), 9), 1);
-    }
-
-    #[test]
-    fn try_merge_rejects_mismatches_with_typed_errors() {
-        use crate::rate::RateMergeError;
-        let mut a = sketch();
-        a.observe(SimTime::from_secs(1), 5);
-        let wider = WindowedSketch::new(SimDuration::from_secs(20), 8, 256, 4, 77);
-        assert_eq!(
-            a.try_merge(&wider),
-            Err(RateMergeError::ShapeMismatch {
-                tracker: "windowed sketch"
-            })
-        );
-        let reseeded = WindowedSketch::new(SimDuration::from_secs(10), 8, 256, 4, 78);
-        assert_eq!(
-            a.try_merge(&reseeded),
-            Err(RateMergeError::SeedMismatch {
-                tracker: "count-min sketch"
-            })
-        );
-        assert_eq!(a.estimate(SimTime::from_secs(1), 5), 1);
-    }
-
-    /// Plain updates + merge across an arbitrary two-way split equal one
-    /// tracker fed the whole stream — including observations that land
-    /// on only one side of the split for several epochs.
-    #[test]
-    fn plain_split_merge_matches_whole_stream() {
-        let mut whole = sketch();
-        let mut a = sketch();
-        let mut b = sketch();
-        for i in 0..300u64 {
-            let t = SimTime::from_millis(i * 211);
-            let key = i % 13;
-            whole.observe_plain(t, key);
-            if key % 2 == 0 {
-                a.observe_plain(t, key);
-            } else {
-                b.observe_plain(t, key);
-            }
-        }
-        a.merge(&b);
-        let now = SimTime::from_millis(300 * 211);
-        for key in 0..13u64 {
-            assert_eq!(
-                a.estimate(now, key),
-                whole.estimate(now, key),
-                "split/merge diverged for key {key}"
-            );
-        }
     }
 }

@@ -181,22 +181,20 @@ pub(crate) const RAPID_ATTEMPTS: u32 = 12;
 /// legitimate line redials the *same* peer; a SPIT campaign fans out).
 pub(crate) const RAPID_DISTINCT: u32 = 8;
 
-/// Clause / latch name shared by the local rule and the fold plane.
+/// Clause name shared by the local rule and the fold plane.
 pub(crate) const RAPID_CLAUSE: &str = "rapid-connect";
 
 /// The built-in SPIT / war-dialing clause as a compiled
 /// [`ThresholdSpec`] — the single definition evaluated by the local
-/// [`ThresholdRule`] (exact or sketch) and by the dispatcher's
+/// [`ThresholdRule`] and by the dispatcher's
 /// [`crate::rate::GlobalRatePlane`] under sharding, so a campaign
 /// crosses at exactly the same counts regardless of where the
 /// evaluation runs. A DSL program declaring the same clause compiles to
-/// a spec `==` to this one (tracker names, hash prefixes, template and
-/// all), which is what makes the DSL twin byte-identical.
+/// a spec `==` to this one (hash prefixes, template and all), which is
+/// what makes the DSL twin byte-identical.
 pub fn rapid_spec() -> ThresholdSpec {
     ThresholdSpec {
         clause: RAPID_CLAUSE,
-        count_tracker: "rapid-connect-count",
-        distinct_tracker: "rapid-connect-distinct",
         class: EventClass::CallEstablished,
         key_field: "caller",
         distinct_field: Some("callee"),
@@ -561,23 +559,27 @@ mod tests {
     }
 
     #[test]
-    fn rapid_connect_fires_once_on_fanout_exact() {
+    fn rapid_connect_fires_once_on_fanout() {
         let rates = crate::rate::RateHub::default();
         let alerts = rapid_campaign(&rates);
-        assert_eq!(alerts.len(), 1, "latched: one alert for the campaign");
+        assert_eq!(alerts.len(), 1, "one alert for the campaign");
         assert_eq!(alerts[0].rule, "rapid-connect");
         assert!(alerts[0].message.contains("spitter@lab"));
         assert!(alerts[0].message.contains("12 calls"));
     }
 
+    /// A shard worker under the fold plane decides nothing: the same
+    /// campaign raises no local alert and every observation is shipped.
     #[test]
-    fn rapid_connect_fires_identically_in_sketch_mode() {
-        let exact = rapid_campaign(&crate::rate::RateHub::default());
-        let sketch = rapid_campaign(&crate::rate::RateHub::new(
-            crate::rate::RateConfig::default(),
-            false,
-        ));
-        assert_eq!(exact, sketch, "exact and sketch paths must agree");
+    fn rapid_connect_forwards_instead_of_judging_under_the_fold() {
+        let rates = crate::rate::RateHub::new_aggregated(crate::rate::RateConfig::default(), true);
+        assert!(rapid_campaign(&rates).is_empty());
+        let delta = rates.take_delta();
+        assert_eq!(delta.observations.len() as u32, RAPID_ATTEMPTS + 3);
+        assert!(delta
+            .observations
+            .iter()
+            .all(|o| o.clause == RAPID_CLAUSE && o.display == "spitter@lab"));
     }
 
     #[test]

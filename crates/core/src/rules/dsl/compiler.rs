@@ -53,11 +53,9 @@ fn matchers_of(specs: &[ClassSpec]) -> Vec<ClassMatcher> {
         .collect()
 }
 
-/// The fold-plane spec a `threshold` rule lowers to. Tracker names and
-/// the clause name derive from the rule id (`{id}-count`,
-/// `{id}-distinct`), so a DSL rule declaring the built-in rapid-connect
-/// shape compiles to a spec `==` to
-/// [`crate::rules::builtin::rapid_spec`].
+/// The spec a `threshold` rule lowers to. The clause name is the rule
+/// id, so a DSL rule declaring the built-in rapid-connect shape
+/// compiles to a spec `==` to [`crate::rules::builtin::rapid_spec`].
 fn threshold_spec_of(rule: &RuleDecl) -> Option<ThresholdSpec> {
     let Clause::Threshold(t) = &rule.clause else {
         return None;
@@ -69,8 +67,6 @@ fn threshold_spec_of(rule: &RuleDecl) -> Option<ThresholdSpec> {
     };
     Some(ThresholdSpec {
         clause: intern(id),
-        count_tracker: intern(&format!("{id}-count")),
-        distinct_tracker: intern(&format!("{id}-distinct")),
         class: class_of(&t.class.node),
         key_field: intern(&t.key_field.node),
         distinct_field: t.distinct.as_ref().map(|(f, _)| intern(&f.node)),
@@ -113,8 +109,8 @@ pub fn compile_program(program: &Program) -> Vec<Box<dyn Rule>> {
 }
 
 /// The [`ThresholdSpec`]s of a validated program's threshold clauses,
-/// declaration order — what the fold plane needs to evaluate their
-/// candidates globally under sharding.
+/// declaration order — what the fold plane needs to evaluate them
+/// globally under sharding.
 pub fn threshold_specs(program: &Program) -> Vec<ThresholdSpec> {
     program.rules.iter().filter_map(threshold_spec_of).collect()
 }

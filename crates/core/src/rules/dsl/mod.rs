@@ -204,7 +204,6 @@ rule ops-spit {
         let specs = threshold_specs(&program);
         assert_eq!(specs.len(), 1);
         assert_eq!(specs[0].clause, "ops-spit");
-        assert_eq!(specs[0].count_tracker, "ops-spit-count");
     }
 
     #[test]

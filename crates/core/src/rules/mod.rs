@@ -44,11 +44,9 @@ pub struct RuleCtx<'a> {
     pub now: SimTime,
     /// The trail store.
     pub trails: &'a TrailStore,
-    /// Constant-memory rate trackers (see [`crate::rate`]): any rule can
-    /// keep windowed counts, distinct estimates, and fired latches here
-    /// without per-key state. [`crate::rate::RateHub::exact`] reports
-    /// the engine's `exact_rate_state` switch so rules that offer both
-    /// paths can pick at event time.
+    /// The engine's rate hub (see [`crate::rate`]): the seeded key
+    /// hash, and under the sharded fold plane the outbox threshold
+    /// rules forward their observations into.
     pub rates: &'a crate::rate::RateHub,
 }
 
@@ -151,14 +149,20 @@ impl RuleInterest {
 /// time ([`Rule::set_state_timeout`]).
 pub const DEFAULT_STATE_TIMEOUT: SimDuration = SimDuration::from_secs(600);
 
-/// Live/expired entry counts of a rule's session-keyed state, summed
-/// into the engine's [`crate::observe::StateGauges`].
+/// Live/expired entry counts of a rule's keyed state, summed into the
+/// engine's [`crate::observe::StateGauges`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleStateStats {
-    /// Live session entries across the rule's state maps.
+    /// Live session entries across the rule's state maps (for a
+    /// threshold rule, the keys its table retains).
     pub sessions: u64,
     /// Entries dropped by idle expiry so far (monotonic).
     pub expired: u64,
+    /// Threshold observations dropped by cap eviction so far
+    /// (monotonic; see [`crate::rate::ThresholdTable`]).
+    pub evicted: u64,
+    /// Bytes pinned by threshold tables.
+    pub bytes: u64,
 }
 
 impl std::ops::Add for RuleStateStats {
@@ -167,6 +171,8 @@ impl std::ops::Add for RuleStateStats {
         RuleStateStats {
             sessions: self.sessions + rhs.sessions,
             expired: self.expired + rhs.expired,
+            evicted: self.evicted + rhs.evicted,
+            bytes: self.bytes + rhs.bytes,
         }
     }
 }
@@ -267,6 +273,7 @@ impl<V> SessionMap<V> {
         RuleStateStats {
             sessions: self.map.len() as u64,
             expired: self.expired,
+            ..RuleStateStats::default()
         }
     }
 
@@ -429,7 +436,7 @@ impl CompiledRuleset {
     /// identical parameters. The old instance is then moved wholesale
     /// into the new ruleset's slot (same signature ⇒ same interests, so
     /// the dispatch index stays valid) and keeps its `SessionMap`s,
-    /// partial sequences, fired latches, and exact threshold windows.
+    /// partial sequences, fired latches, and threshold tables.
     /// Rules that changed, are new, or report signature 0 start fresh —
     /// exactly the "new ruleset from the boundary onward" semantics.
     ///

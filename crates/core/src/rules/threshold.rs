@@ -1,18 +1,19 @@
-//! Generic threshold-clause rules over the [`crate::rate`] primitives.
+//! Generic threshold-clause rules over [`crate::rate::ThresholdTable`].
 //!
 //! A [`ThresholdSpec`] is the *compiled artifact* of a threshold clause:
 //! "events of class C, keyed by field K, crossing `count >= N` (and
 //! optionally `distinct(D) >= M`) within a window". The spec is plain
-//! data shared by the two evaluation planes —
+//! data, and exactly one state machine ever decides it —
+//! [`crate::rate::ThresholdTable`], an exact per-key window table:
 //!
-//! * [`ThresholdRule`] evaluates it locally (exact queues or
-//!   constant-memory sketches, mirroring the original hand-written
-//!   rapid-connect rule), and under the sharded pipeline feeds the
-//!   fold-plane delta twins and nominates candidates;
-//! * [`crate::rate::GlobalRatePlane`] evaluates the same spec against
-//!   the merged cross-shard trackers.
+//! * a single engine's [`ThresholdRule`] owns a table and feeds it per
+//!   event;
+//! * a shard worker under the fold plane keeps no window at all — its
+//!   [`ThresholdRule`] forwards each observation raw — and the
+//!   dispatcher's [`crate::rate::GlobalRatePlane`] replays every
+//!   shard's observations through the same table type in time order.
 //!
-//! The built-in rapid-connect (SPIT) rule is now just
+//! The built-in rapid-connect (SPIT) rule is just
 //! `ThresholdRule::new(rapid_spec())` — and a DSL program declaring the
 //! same clause compiles to a spec that is `==` to it, which is what
 //! makes the DSL-vs-hand-written byte-identity pin structural rather
@@ -20,15 +21,15 @@
 
 use crate::alert::{Alert, Severity};
 use crate::event::{Event, EventClass, FieldValue};
+use crate::rate::ThresholdTable;
 use crate::rules::{AlertSink, Rule, RuleCtx, RuleInterest, RuleStateStats};
 use scidive_netsim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Interns a string into a process-lifetime `&'static str`, deduplicated
 /// so repeated ruleset compiles (and hot-reload loops) never grow the
-/// table beyond the set of distinct names. The [`crate::rate::RateHub`]
-/// and fold-plane APIs key trackers by `&'static str`; DSL-compiled
+/// table beyond the set of distinct names. [`ThresholdSpec`] and the
+/// fold-plane observations name clauses by `&'static str`; DSL-compiled
 /// specs go through here to obtain those names.
 pub(crate) fn intern(s: &str) -> &'static str {
     use std::collections::HashSet;
@@ -51,13 +52,9 @@ pub(crate) fn intern(s: &str) -> &'static str {
 /// spec can cross threads inside a [`crate::rules::RulesetBlueprint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThresholdSpec {
-    /// Rule id, alert rule name, candidate clause name, and latch name —
-    /// one identity for the whole clause.
+    /// Rule id, alert rule name, and fold-plane clause name — one
+    /// identity for the whole clause.
     pub clause: &'static str,
-    /// Windowed count tracker name (`{clause}-count`).
-    pub count_tracker: &'static str,
-    /// Windowed distinct tracker name (`{clause}-distinct`).
-    pub distinct_tracker: &'static str,
     /// The triggering event class.
     pub class: EventClass,
     /// Field of `class` whose value keys the window (e.g. `caller`).
@@ -80,12 +77,6 @@ pub struct ThresholdSpec {
 }
 
 impl ThresholdSpec {
-    /// Whether the merged/observed estimates cross the clause.
-    pub fn clause_met(&self, count: u32, distinct: u32) -> bool {
-        count >= self.count_threshold
-            && (self.distinct_field.is_none() || distinct >= self.distinct_threshold)
-    }
-
     /// Renders the alert message from the template.
     pub fn render(&self, key: &str, count: u32, distinct: u32) -> String {
         let mut out = String::with_capacity(self.template.len() + key.len() + 8);
@@ -169,8 +160,7 @@ impl std::fmt::Write for KeyBuf {
 
 /// Renders a field value into `buf` (for Ip/Int) or borrows it directly
 /// (for Str), returning the canonical text used for both hashing and
-/// candidate display — the two must agree or the fold plane's canonical
-/// candidate order would depend on which shard rendered the display.
+/// the alert message.
 fn field_text<'a>(value: &FieldValue<'a>, buf: &'a mut KeyBuf) -> &'a str {
     match value {
         FieldValue::Str(s) => s,
@@ -185,70 +175,23 @@ fn field_text<'a>(value: &FieldValue<'a>, buf: &'a mut KeyBuf) -> &'a str {
     }
 }
 
-/// Exact per-key state: events within the window as (time, item-hash)
-/// pairs — one queue serves both the count and the distinct check, and
-/// hashing the item keeps the hot path allocation-free.
-#[derive(Debug, Default)]
-struct ThresholdState {
-    events: std::collections::VecDeque<(SimTime, u64)>,
-    emitted: bool,
-}
-
-/// Validator-enforced ceiling on `distinct_threshold`: the exact-mode
+/// Validator-enforced ceiling on `distinct_threshold`: the table's
 /// distinct probe is a fixed stack array of this many slots, so the
 /// per-event path stays allocation-free.
 pub const MAX_DISTINCT_THRESHOLD: u32 = 64;
 
-impl ThresholdState {
-    /// Whether the window holds at least `threshold` distinct items.
-    /// Early-exit linear probe over a fixed array: no allocation on the
-    /// per-event path (the full count for the alert message is only
-    /// taken when the clause fires).
-    fn fans_out(&self, threshold: u32) -> bool {
-        if threshold == 0 {
-            return true;
-        }
-        let want = threshold.min(MAX_DISTINCT_THRESHOLD) as usize;
-        let mut seen = [0u64; MAX_DISTINCT_THRESHOLD as usize];
-        let mut n = 0;
-        for &(_, item) in &self.events {
-            if !seen[..n].contains(&item) {
-                seen[n] = item;
-                n += 1;
-                if n == want {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    fn distinct(&self) -> u32 {
-        let set: std::collections::HashSet<u64> = self.events.iter().map(|&(_, i)| i).collect();
-        set.len() as u32
-    }
-}
-
 /// A threshold clause evaluated per event: one key fanning out `count`
-/// events (to `distinct` items) inside a sliding window. Generalizes the
-/// original hand-written rapid-connect rule — the same three modes:
-///
-/// * **exact** — reference queues in a key-hash-keyed map with the
-///   [`crate::rules::SessionMap`] staleness-at-access lifecycle;
-/// * **sketch** — no per-key state at all: a windowed count, a windowed
-///   distinct estimate, and a fired latch, all constant memory;
-/// * **aggregated** (sharded pipeline) — observes the fold-plane delta
-///   twins and nominates candidate keys whose local slice crosses
-///   `⌈threshold/shards⌉`; the clause and latch are evaluated globally
-///   by the dispatcher's [`crate::rate::GlobalRatePlane`] against this
-///   same [`ThresholdSpec`].
+/// events (to `distinct` items) inside a sliding window, decided on the
+/// rule's own [`ThresholdTable`]. Under the sharded pipeline's fold
+/// plane ([`crate::rate::RateHub::aggregated`]) the rule sees only a
+/// slice of each key's events, so it keeps no window and decides
+/// nothing: every observation is forwarded raw, and the dispatcher's
+/// [`crate::rate::GlobalRatePlane`] feeds the same table type with the
+/// whole stream.
 #[derive(Debug)]
 pub struct ThresholdRule {
     spec: ThresholdSpec,
-    exact: HashMap<u64, (ThresholdState, SimTime)>,
-    timeout: SimDuration,
-    last_sweep: SimTime,
-    expired: u64,
+    table: ThresholdTable,
 }
 
 impl ThresholdRule {
@@ -256,30 +199,8 @@ impl ThresholdRule {
     pub fn new(spec: ThresholdSpec) -> ThresholdRule {
         ThresholdRule {
             spec,
-            exact: HashMap::new(),
-            timeout: crate::rules::DEFAULT_STATE_TIMEOUT,
-            last_sweep: SimTime::ZERO,
-            expired: 0,
+            table: ThresholdTable::new(),
         }
-    }
-
-    /// The compiled clause, for fold-plane registration.
-    pub fn spec(&self) -> &ThresholdSpec {
-        &self.spec
-    }
-
-    /// Amortized reclamation of idle keys, mirroring
-    /// [`crate::rules::SessionMap`]: at most once per quarter-timeout.
-    fn maybe_sweep(&mut self, now: SimTime) {
-        if now.saturating_since(self.last_sweep) < self.timeout / 4 {
-            return;
-        }
-        self.last_sweep = now;
-        let timeout = self.timeout;
-        let before = self.exact.len();
-        self.exact
-            .retain(|_, (_, touched)| now.saturating_since(*touched) < timeout);
-        self.expired += (before - self.exact.len()) as u64;
     }
 }
 
@@ -310,8 +231,6 @@ impl Rule for ThresholdRule {
             0x7472_6573_686f_6c64, // "treshold" tag: distinguishes rule kinds
             &[
                 spec.clause.as_bytes(),
-                spec.count_tracker.as_bytes(),
-                spec.distinct_tracker.as_bytes(),
                 spec.class.name().as_bytes(),
                 spec.key_field.as_bytes(),
                 spec.distinct_field.unwrap_or("").as_bytes(),
@@ -336,10 +255,9 @@ impl Rule for ThresholdRule {
         if key_text.is_empty() {
             return;
         }
-        // Same seeded hash for every mode: the key field's text
-        // identifies the window, the distinct field's text is the
-        // distinct item. Cheap map keys in exact mode — no string
-        // allocation on the per-event path.
+        // The key field's text identifies the window, the distinct
+        // field's text is the distinct item; both travel as seeded
+        // hashes, so the per-event path allocates no strings.
         let key = ctx.rates.key(&[self.spec.clause.as_bytes(), key_text.as_bytes()]);
         let item = match self.spec.distinct_field {
             Some(field) => {
@@ -352,93 +270,23 @@ impl Rule for ThresholdRule {
             }
             None => 0,
         };
-        let spec = self.spec;
         if ctx.rates.aggregated() {
-            // Fold-plane mode (sharded pipeline, exact or sketch):
-            // observe — feeding the plain-update delta twins — and admit
-            // the key as a fold candidate once the local slice could be
-            // a 1/shards share of a global crossing. The conservative
-            // local estimate never undercounts this shard's true slice,
-            // and a global crossing forces *some* shard's slice to at
-            // least ⌈threshold/shards⌉, so every globally crossing key
-            // is admitted at every shard count; sub-threshold admissions
-            // just fail the identical global clause. The threshold
-            // itself and the fired latch belong to the global plane.
-            let count = ctx
-                .rates
-                .observe_count(spec.count_tracker, spec.window, ev.time, key);
-            if spec.distinct_field.is_some() {
-                ctx.rates
-                    .observe_distinct(spec.distinct_tracker, spec.window, ev.time, key, item);
-            }
-            let bar = spec.count_threshold.div_ceil(ctx.rates.fold_shards() as u32);
-            if count >= bar {
-                ctx.rates
-                    .push_candidate(spec.clause, key, ev.time, count, key_text);
-            }
-            return;
+            ctx.rates
+                .forward(self.spec.clause, key, ev.time, item, key_text);
+        } else if let Some((count, distinct)) = self.table.observe(ev.time, key, item, &self.spec) {
+            let alert = self
+                .spec
+                .alert_at(ev.time, ev.session.clone(), key_text, count, distinct);
+            sink.push(alert);
         }
-        if ctx.rates.exact() {
-            self.maybe_sweep(ev.time);
-            let timeout = self.timeout;
-            let entry = self
-                .exact
-                .entry(key)
-                .or_insert_with(|| (ThresholdState::default(), ev.time));
-            // Staleness-at-access, mirroring SessionMap::get_mut: an
-            // entry idle past the timeout reads as absent.
-            if ev.time.saturating_since(entry.1) >= timeout {
-                self.expired += 1;
-                *entry = (ThresholdState::default(), ev.time);
-            }
-            let (state, touched) = entry;
-            *touched = ev.time;
-            state.events.push_back((ev.time, item));
-            while let Some(&(t, _)) = state.events.front() {
-                if ev.time.saturating_since(t) > spec.window {
-                    state.events.pop_front();
-                } else {
-                    break;
-                }
-            }
-            let count = state.events.len() as u32;
-            if !state.emitted
-                && count >= spec.count_threshold
-                && state.fans_out(if spec.distinct_field.is_some() {
-                    spec.distinct_threshold
-                } else {
-                    0
-                })
-            {
-                state.emitted = true;
-                let distinct = state.distinct();
-                sink.push(spec.alert_at(ev.time, ev.session.clone(), key_text, count, distinct));
-            }
-        } else {
-            let count = ctx
-                .rates
-                .observe_count(spec.count_tracker, spec.window, ev.time, key);
-            let distinct = if spec.distinct_field.is_some() {
-                ctx.rates
-                    .observe_distinct(spec.distinct_tracker, spec.window, ev.time, key, item)
-            } else {
-                0
-            };
-            if spec.clause_met(count, distinct) && !ctx.rates.latched(spec.clause, key) {
-                ctx.rates.set_latch(spec.clause, key, true);
-                sink.push(spec.alert_at(ev.time, ev.session.clone(), key_text, count, distinct));
-            }
-        }
-    }
-
-    fn set_state_timeout(&mut self, timeout: SimDuration) {
-        self.timeout = timeout;
     }
 
     fn state_stats(&self) -> RuleStateStats {
         RuleStateStats {
-            sessions: self.exact.len() as u64,
-            expired: self.expired,
+            sessions: self.table.keys(),
+            evicted: self.table.evicted(),
+            bytes: self.table.bytes(),
+            ..RuleStateStats::default()
         }
     }
 }
@@ -459,8 +307,6 @@ mod tests {
     fn template_rendering_substitutes_all_placeholders() {
         let spec = ThresholdSpec {
             clause: "t",
-            count_tracker: "t-count",
-            distinct_tracker: "t-distinct",
             class: EventClass::CallEstablished,
             key_field: "caller",
             distinct_field: Some("callee"),
@@ -476,23 +322,46 @@ mod tests {
         );
     }
 
+    /// The engine-side plane at its cap: more distinct callers than the
+    /// table holds, then one real fan-out. Bytes stay under the cap,
+    /// every dropped observation is counted, and nobody but the real
+    /// campaign is accused.
     #[test]
-    fn clause_met_ignores_distinct_without_a_distinct_field() {
-        let spec = ThresholdSpec {
-            clause: "t",
-            count_tracker: "t-count",
-            distinct_tracker: "t-distinct",
-            class: EventClass::RegisterFlood,
-            key_field: "src",
-            distinct_field: None,
-            window: SimDuration::from_secs(10),
-            count_threshold: 3,
-            distinct_threshold: 0,
-            severity: Severity::Warning,
-            template: "{key}",
+    fn rule_over_its_cap_stays_bounded_counts_evictions_and_never_accuses() {
+        use crate::event::EventKind;
+        use crate::rules::collect_alerts;
+        use crate::trail::{TrailStore, TrailStoreConfig};
+        const CAP: usize = 24 * 1024;
+        let store = TrailStore::new(TrailStoreConfig::default());
+        let rates = crate::rate::RateHub::default();
+        let mut rule = ThresholdRule::new(crate::rules::builtin::rapid_spec());
+        rule.table = ThresholdTable::with_cap(CAP);
+        let mut alerts = Vec::new();
+        let mut call = |ms: u64, caller: String, callee: String| {
+            let ev = Event {
+                time: SimTime::from_millis(ms),
+                session: None,
+                kind: EventKind::CallEstablished { caller, callee },
+            };
+            let ctx = RuleCtx {
+                now: ev.time,
+                trails: &store,
+                rates: &rates,
+            };
+            alerts.extend(collect_alerts(&mut rule, &ev, &ctx));
+            assert!(rule.state_stats().bytes <= CAP as u64);
         };
-        assert!(spec.clause_met(3, 0));
-        assert!(!spec.clause_met(2, 99));
+        for i in 0..4_000u64 {
+            call(i, format!("c{i}@lab"), format!("peer{i}@lab"));
+        }
+        for i in 0..14u64 {
+            call(4_000 + 100 * i, "spitter@lab".into(), format!("victim{i}@lab"));
+        }
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert!(alerts[0].message.contains("spitter@lab"));
+        let stats = rule.state_stats();
+        assert!(stats.evicted > 3_000, "evicted only {}", stats.evicted);
+        assert!(stats.sessions > 0 && stats.sessions + stats.evicted <= 4_001);
     }
 
     #[test]

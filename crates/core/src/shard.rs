@@ -24,11 +24,12 @@
 //!   order;
 //! * rate-threshold rules whose key is *not* the routing key (SPIT /
 //!   rapid-connect: keyed by caller, routed by Call-ID) run in **two
-//!   planes**: workers observe into per-shard trackers and forward
-//!   candidates, and the dispatcher folds per-shard deltas into a
+//!   planes**: workers keep no window and forward each observation
+//!   raw, and the dispatcher folds the per-shard deltas into a
 //!   [`crate::rate::GlobalRatePlane`] on a capture-time cadence
-//!   ([`crate::rate::FoldConfig`]), evaluating the thresholds against
-//!   the merged — global — estimates. Fold alerts are injected into the
+//!   ([`crate::rate::FoldConfig`]), replaying them in time order
+//!   through the same exact per-key table a single engine's rule
+//!   feeds per event. Fold alerts are injected into the
 //!   merge stream with a stable tag, so the sharded pipeline's full
 //!   alert stream is a pure function of the capture, independent of the
 //!   shard count. (Identity-plane floods and guessing were always
@@ -160,7 +161,7 @@ struct FoldState {
     next_boundary: SimTime,
     /// Where workers reply with their deltas. Plain `mpsc` (not spsc):
     /// all shards answer one barrier, arrival order is irrelevant
-    /// because delta merges are commutative.
+    /// because the plane sorts what it absorbs.
     replies: std::sync::mpsc::Receiver<RateDelta>,
     /// Severity tally of the alerts injected by folds, added to the
     /// merged report alongside the worker severities.
@@ -193,6 +194,7 @@ struct ShardTelemetry {
     synthetic_expired: AtomicU64,
     interner_expired: AtomicU64,
     rule_state_expired: AtomicU64,
+    rule_state_evicted: AtomicU64,
     session_plane_expired: AtomicU64,
     rate_trackers: AtomicU64,
     rate_bytes: AtomicU64,
@@ -243,6 +245,8 @@ impl ShardTelemetry {
             .store(g.interner_expired, Ordering::Relaxed);
         self.rule_state_expired
             .store(g.rule_state_expired, Ordering::Relaxed);
+        self.rule_state_evicted
+            .store(g.rule_state_evicted, Ordering::Relaxed);
         self.session_plane_expired
             .store(g.session_plane_expired, Ordering::Relaxed);
         self.rate_trackers.store(g.rate_trackers, Ordering::Relaxed);
@@ -288,6 +292,7 @@ impl ShardTelemetry {
             synthetic_expired: self.synthetic_expired.load(Ordering::Relaxed),
             interner_expired: self.interner_expired.load(Ordering::Relaxed),
             rule_state_expired: self.rule_state_expired.load(Ordering::Relaxed),
+            rule_state_evicted: self.rule_state_evicted.load(Ordering::Relaxed),
             session_plane_expired: self.session_plane_expired.load(Ordering::Relaxed),
             router_media_index: 0,
             router_interner: 0,
@@ -299,11 +304,7 @@ impl ShardTelemetry {
             rate_divergence_max: self.rate_divergence_max.load(Ordering::Relaxed),
             // Fold gauges are dispatcher-side (router_gauges), not
             // per-worker telemetry.
-            fold_rate_trackers: 0,
             fold_rate_bytes: 0,
-            fold_divergence_samples: 0,
-            fold_divergence_sum: 0,
-            fold_divergence_max: 0,
             ruleset_generation: self.ruleset_generation.load(Ordering::Relaxed),
         }
     }
@@ -457,7 +458,7 @@ impl ShardedScidive {
             let shard_tel = tel.clone();
             let shard_fold_tx = fold_tx.clone();
             workers.push(std::thread::spawn(move || {
-                let mut ids = Scidive::data_plane_from_blueprint(cfg, &boot, shards);
+                let mut ids = Scidive::data_plane_from_blueprint(cfg, &boot);
                 while let Ok(msg) = rx.recv() {
                     let batch = match msg {
                         ShardMsg::Batch(batch) => batch,
@@ -504,9 +505,9 @@ impl ShardedScidive {
             telemetry.push(tel);
         }
         let fold = config.fold.enabled.then(|| {
-            let mut plane = GlobalRatePlane::new(config.rate.clone());
+            let mut plane = GlobalRatePlane::new();
             // The evaluation plane follows the ruleset: it knows exactly
-            // the threshold clauses the blueprint's rules observe into.
+            // the threshold clauses the blueprint's rules forward.
             plane.set_clauses(blueprint.threshold_specs());
             FoldState {
                 plane,
@@ -577,11 +578,11 @@ impl ShardedScidive {
     /// and the merged alert stream stays deterministic. Rules that
     /// survive the swap unchanged (same id and
     /// [`crate::rules::Rule::state_signature`]) adopt their session
-    /// state — partial sequences, fired latches, threshold windows —
+    /// state — partial sequences, fired latches, threshold tables —
     /// so no session is dropped; changed or new rules start fresh from
     /// the boundary. The dispatcher's fold plane swaps its threshold
-    /// clauses from the same blueprint, preserving merged trackers and
-    /// campaign latches.
+    /// clauses from the same blueprint on the same terms: an unchanged
+    /// clause keeps its table, a changed one starts empty.
     ///
     /// Returns the new ruleset generation.
     ///
@@ -912,9 +913,9 @@ impl ShardedScidive {
             queue_depths,
             folds: fold.folds,
             fold_deltas: fold.deltas_absorbed,
-            fold_candidates: fold.candidates,
+            fold_candidates: fold.observations,
             fold_alerts: fold.alerts,
-            rate_merge_rejected: fold.merge_rejected,
+            fold_evicted: fold.evicted,
             ruleset_swaps: self.ruleset_swaps,
             ruleset_compile_errors: self.ruleset_compile_errors,
         }
@@ -926,11 +927,6 @@ impl ShardedScidive {
     fn router_gauges(&self) -> StateGauges {
         let index = self.router.index();
         let rate = self.identity.rate_stats();
-        let fold = self
-            .fold
-            .as_ref()
-            .map(|f| f.plane.rate_stats())
-            .unwrap_or_default();
         StateGauges {
             router_media_index: index.len() as u64,
             router_interner: index.interner_len() as u64,
@@ -940,11 +936,7 @@ impl ShardedScidive {
             rate_divergence_samples: rate.divergence_samples,
             rate_divergence_sum: rate.divergence_sum,
             rate_divergence_max: rate.divergence_max,
-            fold_rate_trackers: fold.trackers,
-            fold_rate_bytes: fold.bytes,
-            fold_divergence_samples: fold.divergence_samples,
-            fold_divergence_sum: fold.divergence_sum,
-            fold_divergence_max: fold.divergence_max,
+            fold_rate_bytes: self.fold.as_ref().map_or(0, |f| f.plane.bytes()),
             ..StateGauges::default()
         }
     }
@@ -1151,6 +1143,88 @@ mod tests {
             report.shards.iter().map(|s| s.pipeline.frames).sum::<u64>(),
             30
         );
+    }
+
+    /// One established call on the wire: the INVITE at `at` and its
+    /// 200 OK ten milliseconds later, under Call-ID `{id}@lab`.
+    fn call_frames(caller: &str, callee: &str, id: &str, at: SimTime) -> [(SimTime, IpPacket); 2] {
+        use scidive_sip::prelude::*;
+        let mut b = RequestBuilder::new(Method::Invite, callee.parse().unwrap());
+        b.from(NameAddr::new(caller.parse().unwrap()).with_tag("t"))
+            .to(NameAddr::new(callee.parse().unwrap()))
+            .call_id(format!("{id}@lab"))
+            .cseq(CSeq::new(1, Method::Invite))
+            .via(Via::udp("10.0.0.2:5060", format!("z9hG4bK-{id}")));
+        let invite = b.build();
+        let ok = response_to(&invite, StatusCode::OK, Some("r"));
+        [
+            (at, sip_frame(&String::from_utf8_lossy(&invite.to_bytes()))),
+            (
+                at + SimDuration::from_millis(10),
+                sip_frame(&String::from_utf8_lossy(&ok.to_bytes())),
+            ),
+        ]
+    }
+
+    /// More distinct callers in one window than the fold plane's table
+    /// holds, then one real fan-out, through the whole pipeline at 1
+    /// and 4 shards: the table stays under its cap, every dropped
+    /// observation shows in the dispatch counter and the report line,
+    /// the survivors (hence the alerts) do not depend on the shard
+    /// count, and nobody but the real campaign is accused.
+    #[test]
+    fn fold_plane_over_its_cap_evicts_identically_at_any_shard_count() {
+        const CAP: usize = 24 * 1024;
+        let mut frames = Vec::new();
+        for i in 0..3_000u64 {
+            frames.extend(call_frames(
+                &format!("sip:c{i}@lab"),
+                &format!("sip:peer{i}@lab"),
+                &format!("crowd-{i}"),
+                SimTime::from_millis(i),
+            ));
+        }
+        for i in 0..14u64 {
+            frames.extend(call_frames(
+                "sip:spammer@lab",
+                &format!("sip:victim{i}@lab"),
+                &format!("fan-{i}"),
+                SimTime::from_millis(3_000 + 100 * i),
+            ));
+        }
+        frames.sort_by_key(|f| f.0);
+
+        let mut outcomes = Vec::new();
+        for shards in [1usize, 4] {
+            let config = ScidiveConfig::default();
+            let specs = config.blueprint().unwrap().threshold_specs();
+            let mut ids = ShardedScidive::new(config, shards, 64);
+            ids.fold.as_mut().unwrap().plane = GlobalRatePlane::with_table_cap(specs, CAP);
+            for (t, f) in &frames {
+                ids.submit(*t, f);
+                assert!(ids.router_gauges().fold_rate_bytes <= CAP as u64);
+            }
+            let report = ids.finish();
+            let accused: Vec<&Alert> = report
+                .alerts
+                .iter()
+                .filter(|a| a.rule == "rapid-connect")
+                .collect();
+            assert_eq!(accused.len(), 1, "{accused:?}");
+            assert!(accused[0].message.contains("spammer@lab"));
+            let obs = &report.observation;
+            assert_eq!(obs.dispatch.fold_candidates, 3_014);
+            assert!(obs.dispatch.fold_evicted > 2_000, "{:?}", obs.dispatch);
+            assert!(obs
+                .report()
+                .contains(&format!("evicted={} ", obs.dispatch.fold_evicted)));
+            outcomes.push((
+                report.alerts,
+                obs.dispatch.fold_evicted,
+                obs.gauges.fold_rate_bytes,
+            ));
+        }
+        assert_eq!(outcomes[0], outcomes[1]);
     }
 
     #[test]

@@ -705,6 +705,94 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
+// Threshold clauses: shard invariance, and histogram quantile order
+// ----------------------------------------------------------------------
+
+/// One established call on the wire: `caller`'s INVITE to `callee` at
+/// `at` and the 200 OK ten milliseconds later, under its own Call-ID so
+/// the shard router places each dialog independently.
+fn established_call(caller: u8, callee: u8, n: usize, at: SimTime) -> [(SimTime, IpPacket); 2] {
+    let (a, b) = (Ipv4Addr::new(10, 0, 0, 40), Ipv4Addr::new(10, 0, 0, 1));
+    let callee = format!("sip:callee-{callee}@lab");
+    let mut req = RequestBuilder::new(Method::Invite, callee.parse().unwrap());
+    req.from(NameAddr::new(format!("sip:caller-{caller}@lab").parse().unwrap()).with_tag("t"))
+        .to(NameAddr::new(callee.parse().unwrap()))
+        .call_id(format!("pop-{n}@lab"))
+        .cseq(CSeq::new(1, Method::Invite))
+        .via(Via::udp("10.0.0.40:5060", format!("z9hG4bK-pop-{n}")));
+    let invite = req.build();
+    let ok = response_to(&invite, StatusCode::OK, Some("r"));
+    [
+        (at, sip_frame(a, b, &invite)),
+        (at + SimDuration::from_millis(10), sip_frame(b, a, &ok)),
+    ]
+}
+
+/// The sorted `(rule, severity, message)` of every rapid-connect alert.
+fn rapid_verdicts(alerts: &[Alert]) -> Vec<(String, Severity, String)> {
+    let mut verdicts: Vec<_> = alerts
+        .iter()
+        .filter(|a| a.rule == "rapid-connect")
+        .map(|a| (a.rule.clone(), a.severity, a.message.clone()))
+        .collect();
+    verdicts.sort();
+    verdicts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whatever the caller population, call spacing and shard count,
+    /// the sharded pipeline reaches the single engine's rapid-connect
+    /// verdicts — same callers, same counts in the message — because
+    /// the fold plane replays the same observations through the same
+    /// table in the same order. (Only time and session may differ.)
+    #[test]
+    fn sharded_rapid_connect_verdicts_equal_the_single_engines(
+        calls in proptest::collection::vec((0u8..6, 0u8..12, 50u64..1_500), 20..160),
+        shards in 1usize..8,
+        exact in any::<bool>(),
+    ) {
+        let mut at = SimTime::ZERO;
+        let mut frames = Vec::new();
+        for (n, &(caller, callee, gap_ms)) in calls.iter().enumerate() {
+            at += SimDuration::from_millis(gap_ms);
+            frames.extend(established_call(caller, callee, n, at));
+        }
+        frames.sort_by_key(|f| f.0);
+        let config = ScidiveConfig { exact_rate_state: exact, ..ScidiveConfig::default() };
+        let mut single = Scidive::new(config.clone());
+        let mut sharded = ShardedScidive::new(config, shards, 64);
+        for (t, p) in &frames {
+            single.on_frame(*t, p);
+            sharded.submit(*t, p);
+        }
+        let report = sharded.finish();
+        prop_assert_eq!(report.observation.dispatch.fold_evicted, 0);
+        prop_assert_eq!(rapid_verdicts(&report.alerts), rapid_verdicts(single.alerts()));
+    }
+
+    /// Reported quantiles are ordered and never exceed the reported
+    /// maximum, for any samples and across merges.
+    #[test]
+    fn histogram_quantiles_are_ordered_and_bounded_by_max(
+        left in proptest::collection::vec(0u64..20_000, 0..60),
+        right in proptest::collection::vec(0u64..20_000, 1..60),
+    ) {
+        use scidive_core::observe::{Histogram, DETECTION_DELAY_BUCKETS_MS};
+        let mut h = Histogram::new(&DETECTION_DELAY_BUCKETS_MS);
+        let mut other = h.clone();
+        left.iter().for_each(|&v| h.record(v));
+        right.iter().for_each(|&v| other.record(v));
+        for _ in 0..2 {
+            let (p50, p95, p99) = (h.quantile(0.5), h.quantile(0.95), h.quantile(0.99));
+            prop_assert!(p50 <= p95 && p95 <= p99 && p99 <= h.max, "{p50} {p95} {p99} {}", h.max);
+            h.merge(&other);
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // Differential parsing: the SWAR fast path vs the retained reference
 // ----------------------------------------------------------------------
 

@@ -1,72 +1,61 @@
 #!/usr/bin/env bash
-# CI gate: release build, full test suite, lint wall, bench smoke.
+# CI gate: release build, full workspace test suite, lint wall, bench
+# smoke, then the measured gates and the repo benchmark's self-check.
 #
-# The test suite includes the sharded-pipeline differential harness
-# (tests/shard_equivalence.rs, crates/core/tests/properties.rs) and the
-# 2-shard smoke in scidive-bench, so a green run proves the parallel
-# deployment is byte-identical to the single engine. The allocation
-# regression gate (crates/bench/tests/alloc_budget.rs) runs under the
-# counting allocator feature, and the bench smoke runs every criterion
-# routine once so the benchmarks cannot silently rot. The observability
-# gates run last: the leak-plateau test proves the session-index
-# lifecycle keeps state bounded, and exp_observe_overhead fails the run
-# if observation at default settings costs more than 5% of pipeline
-# throughput (artifact: results/observability_overhead.txt). The rule
-# dispatch gates close out the run: the differential suite
-# (tests/rule_dispatch_equivalence.rs) proves the compiled event-class
-# dispatch table is byte-identical to the full-scan reference on benign
-# and attack traffic, and the rule_matching bench fails the run unless
-# compiled dispatch beats the full scan by at least 5x at 128 padding
-# rules (artifacts: BENCH_rules.json, results/rule_dispatch.txt).
-# The protocol-module gates (DESIGN SS12) prove the registry seam stays
-# clean: a dedicated clippy pass over scidive-core, a structural check
-# that no module under core/src/proto/ imports a sibling protocol
-# module (modules may only talk through the mod.rs contexts), the
-# registry-order classification property, and the registry differential
-# suite (tests/proto_registry_equivalence.rs) with the MGCP fifth
-# protocol at 1/2/4 shards.
-# The rate-primitive gates (DESIGN SS13) prove the constant-memory
-# rewiring of the flood rules is safe and actually constant-memory: the
-# sketch property tests pin count-min's (eps, delta) bound and the
-# sliding window's oracle equality, the differential suite
-# (tests/rate_equivalence.rs) requires byte-identical alerts with
-# exact_rate_state on vs off at 1/2/4 shards, a 100k-dialog release
-# soak (tests/soak.rs) gates the byte-for-byte rate-state plateau, and
-# exp_capacity regenerates BENCH_capacity.json, failing the run unless
-# rate bytes are constant across the full 10k -> 1M dialog ladder.
-# The cross-shard fold gates (DESIGN SS15) prove threshold clauses see
-# the global stream: the rate_equivalence cross-shard suite requires a
-# flood that hashes across every shard to raise byte-identical alerts
-# at 1/2/4 shards (and pins the pre-fold per-shard miss with the fold
-# disabled), and exp_capacity runs the ladder through the 4-shard
-# deployment so the gate also covers the global fold hub's footprint
-# (constant across rungs, under the same 2 MiB cap).
-# The distiller gates (DESIGN SS14) keep the zero-alloc fast path
-# honest: differential proptests (crates/core/tests/properties.rs) hold
-# the SWAR parser byte-identical to the byte-at-a-time reference, the
-# leak-plateau and soak runs above cover the session-plane idle expiry,
-# and exp_pipeline regenerates BENCH_pipeline.json, failing the run
-# unless the fast distiller beats the reference parser by at least 2x
-# (artifact: results/pipeline_stages.txt).
-# The operator-DSL gates (DESIGN SS16) keep the declarative rule layer
-# and its hot-reload path honest: the golden suite
-# (crates/core/tests/dsl_golden.rs) pins the span, message, and hint of
-# every lexer/parser/validator diagnostic, the DSL property tests prove
-# derived RuleInterest soundness and the parse -> print -> parse fixed
-# point, rule_dispatch_equivalence pins DSL rules byte-identical to
-# their hand-written Rust twins, the swap suite (tests/ruleset_swap.rs)
-# gates the deterministic barrier boundary / state adoption /
-# failed-compile isolation at 1/2/4 shards, the soak swap loop churns
-# the live ruleset through a 100k-dialog stream, and the .scid compile
+# `cargo test --workspace` is the whole differential harness in one
+# run: the sharded-pipeline suites (tests/shard_equivalence.rs,
+# tests/shard_batching.rs, the crates/core property tests), rule
+# dispatch vs full scan (tests/rule_dispatch_equivalence.rs), the
+# protocol registry with the MGCP fifth protocol at 1/2/4 shards
+# (tests/proto_registry_equivalence.rs), the hot-reload barrier suite
+# (tests/ruleset_swap.rs), the 48 DSL golden diagnostics and DSL
+# properties, the SWAR-vs-reference parser proptests, the leak-plateau
+# test (tests/chaos.rs) and every crate's unit tests. A green run proves
+# the parallel deployment is byte-identical to the single engine.
+# The rate gates (DESIGN SS13, SS15) are in that run too. The identity
+# plane's sketches keep their oracle properties (count-min's (eps,
+# delta) bound, the sliding window's queue equality) and must alert
+# byte-identically with exact_rate_state on vs off at 1/2/4 shards
+# (tests/rate_equivalence.rs). Threshold clauses are decided by one
+# exact per-key table in the engine and in the fold plane, and the
+# gates prove what that structure promises: no key's count moves with
+# another key's traffic, a key lives as long as its window, the merged
+# alert stream is invariant at 1/2/4/7 shards on a 10,000-caller
+# window and over random populations (the sharded verdicts equal the
+# single engine's), and past the byte cap whole keys are evicted in a
+# deterministic order, counted, never raising a false alert. The
+# 100k-dialog release soak (tests/soak.rs) then holds the sketches
+# byte-for-byte constant and the threshold table live, under its 2 MiB
+# cap and eviction-free, and exp_capacity regenerates
+# BENCH_capacity.json through the 4-shard deployment, failing the run
+# unless rate state and the fold plane stay under the cap on every rung
+# of the 10k -> 1M dialog ladder.
+# Beside the suite: the allocation regression gate
+# (crates/bench/tests/alloc_budget.rs) runs under the counting
+# allocator feature; the bench smoke runs every criterion routine once
+# so the benchmarks cannot silently rot; exp_observe_overhead fails the
+# run if observation at default settings costs more than 5% of pipeline
+# throughput (artifact: results/observability_overhead.txt); the
+# rule_matching bench fails the run unless compiled dispatch beats the
+# full scan by at least 5x at 128 padding rules (artifacts:
+# BENCH_rules.json, results/rule_dispatch.txt); exp_pipeline
+# regenerates BENCH_pipeline.json, failing the run unless the fast
+# distiller beats the reference parser by at least 2x (artifact:
+# results/pipeline_stages.txt); a structural check keeps protocol
+# modules from importing siblings (DESIGN SS12); and the .scid compile
 # gate (dsl_rules --check) denies warnings on every shipped rule file.
+# Last, the repo benchmark (benchmark/, its own workspace) runs its
+# generator/contract self-tests and its --quick pass, which exits
+# non-zero if any workload reports failed > 0 (a missed or late
+# detection, an unexplained Critical, a sharded/inline difference).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build (release) =="
 cargo build --release
 
-echo "== tests =="
-cargo test -q
+echo "== tests (whole workspace) =="
+cargo test -q --workspace
 
 echo "== allocation budget (counting allocator) =="
 cargo test -q -p scidive-bench --features count-allocs --test alloc_budget
@@ -81,14 +70,8 @@ cargo clippy --workspace --all-targets -- \
 echo "== bench smoke (one iteration per routine) =="
 cargo bench -q -- --test
 
-echo "== state-gauge leak plateau (index lifecycle) =="
-cargo test -q --test chaos state_gauges_plateau_across_idle_expiry
-
 echo "== observability overhead gate (<= 5%) =="
 cargo run --release -q -p scidive-bench --bin exp_observe_overhead -- --gate 5
-
-echo "== rule dispatch equivalence (compiled vs full scan) =="
-cargo test -q --test rule_dispatch_equivalence
 
 echo "== rule dispatch regression gate (>= 5x at 128 rules) =="
 cargo bench -q -p scidive-bench --bench rule_matching -- --gate 5
@@ -111,37 +94,6 @@ for f in crates/core/src/proto/*.rs; do
 done
 [ "$violations" -eq 0 ] || { echo "protocol modules must not import siblings" >&2; exit 1; }
 
-echo "== registry-order classification property =="
-cargo test -q -p scidive-core --test properties \
-  classification_is_total_deterministic_and_order_independent
-
-echo "== protocol registry equivalence (MGCP fifth protocol, 1/2/4 shards) =="
-cargo test -q --test proto_registry_equivalence
-
-echo "== rate primitive properties (count-min, sliding window vs oracles) =="
-cargo test -q -p scidive-core --test properties -- \
-  count_min_never_undercounts_and_meets_its_error_bound \
-  windowed_sketch_matches_quantized_queue_oracle
-
-echo "== rate equivalence (exact vs sketch, 1/2/4 shards) =="
-cargo test -q --test rate_equivalence
-
-echo "== cross-shard flood gate (global fold plane, 1/2/4 shards) =="
-cargo test --release -q --test rate_equivalence -- \
-  rapid_connect_fanout_is_shard_count_invariant \
-  per_shard_slices_miss_the_flood_without_the_fold
-
-echo "== DSL diagnostics golden suite (span/message/hint) =="
-cargo test -q -p scidive-core --test dsl_golden
-
-echo "== DSL properties (derived interests, print fixed point) =="
-cargo test -q -p scidive-core --test properties -- \
-  dsl_interests_are_exactly_the_named_classes \
-  dsl_print_is_a_semantic_fixed_point
-
-echo "== ruleset hot-reload gates (barrier, adoption, 1/2/4 shards) =="
-cargo test -q --test ruleset_swap
-
 echo "== operator .scid compile gate (deny warnings) =="
 cargo run -q --example dsl_rules -- --check
 
@@ -155,5 +107,11 @@ git diff --stat -- BENCH_capacity.json || true
 echo "== distiller speedup gate (fast parse >= 2x reference) =="
 cargo run --release -q -p scidive-bench --bin exp_pipeline -- --gate 2.0
 git diff --stat -- BENCH_pipeline.json || true
+
+echo "== repo benchmark: generator and contract self-tests =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "== repo benchmark: quick pass (non-zero exit on failed > 0) =="
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick
 
 echo "CI green."

@@ -10,6 +10,12 @@
 //! captures — so every scenario that fires in exact mode must fire
 //! identically in sketch mode, and benign traffic must stay silent in
 //! both.
+//!
+//! Threshold clauses (rapid-connect) keep the same exact per-key table
+//! in both modes; for them the suite pins what that buys: a key that
+//! lives as long as its window whatever the trail timeout, and an alert
+//! stream that is invariant under the shard count at a realistic
+//! (10,000-caller) population.
 
 use scidive::prelude::*;
 
@@ -174,11 +180,16 @@ fn non_rate_rules_are_untouched_by_the_mode_switch() {
 /// `calls` calls to distinct callees, 100ms apart, each with its own
 /// Call-ID so the shard router spreads the dialogs across every shard.
 fn fanout_capture(calls: u64) -> Vec<(SimTime, IpPacket)> {
+    fanout_capture_spaced(calls, SimDuration::from_millis(100))
+}
+
+/// [`fanout_capture`] with the calls `spacing` apart.
+fn fanout_capture_spaced(calls: u64, spacing: SimDuration) -> Vec<(SimTime, IpPacket)> {
     let caller_ip = std::net::Ipv4Addr::new(10, 0, 0, 40);
     let proxy_ip = std::net::Ipv4Addr::new(10, 0, 0, 1);
     let mut frames = Vec::new();
     for n in 0..calls {
-        let at = SimTime::from_millis(100 * n);
+        let at = SimTime::ZERO + spacing * n;
         let callee = format!("sip:victim-{n}@lab");
         let mut b = RequestBuilder::new(Method::Invite, callee.parse().unwrap());
         b.from(NameAddr::new("sip:spammer@lab".parse().unwrap()).with_tag("spam"))
@@ -315,4 +326,126 @@ fn per_shard_slices_miss_the_flood_without_the_fold() {
             four.alerts
         );
     }
+}
+
+/// The `(rule, severity, message)` of every rapid-connect alert, in
+/// stream order — what must not depend on where the clause was judged.
+fn rapid_verdicts(alerts: &[Alert]) -> Vec<(&str, Severity, &str)> {
+    alerts
+        .iter()
+        .filter(|a| a.rule == "rapid-connect")
+        .map(|a| (a.rule.as_str(), a.severity, a.message.as_str()))
+        .collect()
+}
+
+/// A threshold key lives as long as its *window*, not as long as the
+/// rule-state idle timeout: a fan-out whose calls arrive a second apart
+/// under a 300 ms trail timeout still accumulates over the 60-second
+/// rapid-connect window and fires once, at the 12th establishment, in
+/// both modes. (The exact arm used to reset the key between calls and
+/// never fired.)
+#[test]
+fn rapid_connect_key_outlives_the_rule_state_timeout() {
+    let frames = fanout_capture_spaced(14, SimDuration::from_secs(1));
+    // The 200 OK completing the 12th call.
+    let twelfth = SimTime::from_millis(11_010);
+    for exact in [true, false] {
+        let mut config = ScidiveConfig {
+            exact_rate_state: exact,
+            ..ScidiveConfig::default()
+        };
+        config.trails.idle_timeout = SimDuration::from_millis(300);
+        let mut ids = Scidive::new(config);
+        for (t, p) in &frames {
+            ids.on_frame(*t, p);
+        }
+        let rapid: Vec<&Alert> = ids
+            .alerts()
+            .iter()
+            .filter(|a| a.rule == "rapid-connect")
+            .collect();
+        assert_eq!(rapid.len(), 1, "exact={exact}: {:?}", ids.alerts());
+        assert_eq!(rapid[0].time, twelfth, "exact={exact}");
+        assert!(rapid[0].message.contains("12 calls to 12 distinct"));
+    }
+}
+
+/// The population the sketch-fed fold plane broke on: 10,000 distinct
+/// benign callers, one or two calls each to their own dedicated callee,
+/// all inside one 60-second rapid-connect window — and one real fan-out
+/// attacker among them. No key's count can be raised by another key's
+/// traffic, so the merged stream is byte-identical at 1/2/4/7 shards in
+/// both rate modes, carries exactly one rapid-connect, and that alert
+/// says what the single engine's says — at most one fold interval
+/// later. (With merged count-min / pooled-distinct estimators every
+/// global cell read past the clause at this population and each added
+/// shard lowered the nomination bar: 0 / 10 / 284 false Criticals at
+/// 1 / 2 / 4 shards.)
+#[test]
+fn crowded_window_accuses_only_the_attacker_at_every_shard_count() {
+    let crowd = scidive_voip::synth::SynthConfig {
+        callers: 10_000,
+        spacing: SimDuration::from_millis(5),
+        churn_every: 0,
+        start: SimTime::ZERO,
+        ..scidive_voip::synth::SynthConfig::load(10_500, 100)
+    };
+    assert!(crowd.span() < SimDuration::from_secs(60));
+    let mut frames: Vec<(SimTime, IpPacket)> = crowd.stream().collect();
+    frames.extend(fanout_capture(14));
+    frames.sort_by_key(|f| f.0);
+
+    // Short trail / session retention keeps the per-frame trail scan —
+    // and this test — cheap; threshold keys do not depend on it.
+    let config = |exact: bool| {
+        let mut config = ScidiveConfig {
+            exact_rate_state: exact,
+            ..ScidiveConfig::default()
+        };
+        config.trails.idle_timeout = SimDuration::from_secs(1);
+        config.events.session_timeout = SimDuration::from_secs(1);
+        config
+    };
+    let sharded = |exact: bool, shards: usize| {
+        let mut ids = ShardedScidive::new(config(exact), shards, 64);
+        for (t, p) in &frames {
+            ids.submit(*t, p);
+        }
+        ids.finish()
+    };
+
+    let mut single = Scidive::new(config(true));
+    for (t, p) in &frames {
+        single.on_frame(*t, p);
+    }
+    let truth = rapid_verdicts(single.alerts());
+    assert_eq!(truth.len(), 1, "{truth:?}");
+    assert!(truth[0].2.contains("spammer@lab"), "{truth:?}");
+    let truth_at = single
+        .alerts()
+        .iter()
+        .find(|a| a.rule == "rapid-connect")
+        .map(|a| a.time)
+        .expect("one rapid-connect");
+
+    let reference = sharded(true, 1);
+    for shards in [1usize, 2, 4, 7] {
+        for exact in [true, false] {
+            let report = sharded(exact, shards);
+            assert_eq!(
+                report.alerts, reference.alerts,
+                "alert stream diverged at {shards} shards (exact={exact})"
+            );
+            assert_eq!(report.observation.dispatch.fold_evicted, 0);
+        }
+    }
+    assert_eq!(rapid_verdicts(&reference.alerts), truth);
+    let folded_at = reference
+        .alerts
+        .iter()
+        .find(|a| a.rule == "rapid-connect")
+        .map(|a| a.time)
+        .expect("one rapid-connect");
+    let slack = ScidiveConfig::default().fold.interval;
+    assert!(truth_at <= folded_at && folded_at <= truth_at + slack);
 }

@@ -1,17 +1,19 @@
-//! Million-session soak: the constant-memory claim, gate-enforced.
+//! Million-session soak: the bounded-memory claim, gate-enforced.
 //!
 //! Drives hours of virtual time of template-stamped dialog load (see
 //! [`scidive_voip::synth`]) through one engine in sketch mode
 //! (`exact_rate_state = false`) and checks, from the observability
 //! gauges alone, that
 //!
-//! * the flood/guess rate-tracker footprint is **byte-for-byte
-//!   constant** from the first checkpoint on and under a hard cap,
-//!   regardless of how many dialogs or registration sources pass by;
+//! * the identity plane's flood/guess trackers are **byte-for-byte
+//!   constant** from the first checkpoint on, and the rapid-connect
+//!   threshold table beside them is live, under its hard cap at every
+//!   checkpoint, and evicts nothing — regardless of how many dialogs or
+//!   registration sources pass by;
 //! * every per-session gauge (trails, media index, interner, synthetic
-//!   keys, rule state) plateaus — the second half of the run leaves no
-//!   more state behind than its middle — and the expiry counters prove
-//!   the lifecycle actually ran;
+//!   keys, session plane) and the threshold table's key count plateau —
+//!   the second half of the run leaves no more state behind than its
+//!   middle — and the expiry counters prove the lifecycle actually ran;
 //! * the benign load raises no alerts.
 //!
 //! Scale via `SCIDIVE_SOAK_DIALOGS` (default 2 000 so debug `cargo
@@ -21,9 +23,10 @@
 use scidive::prelude::*;
 use scidive_voip::synth::SynthConfig;
 
-/// Hard bound on bytes pinned by all rate trackers. The default
-/// dimensioning (§13 of DESIGN.md) sits near 1.2 MiB; doubling it is
-/// regression headroom, not slack for growth-with-load.
+/// Hard bound on the bytes each rate structure may pin: the identity
+/// plane's sketches (constant, well under it at the default
+/// dimensioning of DESIGN.md §13) and each threshold table (whose own
+/// cap, `scidive_core::rate::TABLE_BYTES_CAP`, is this number).
 const RATE_BYTES_CAP: u64 = 2 * 1024 * 1024;
 
 fn soak_dialogs() -> u64 {
@@ -38,6 +41,9 @@ fn soak_rate_state_constant_and_gauges_plateau() {
     let dialogs = soak_dialogs();
     let concurrent = (dialogs / 4).max(64);
     let mut synth = SynthConfig::load(dialogs, concurrent);
+    // Every caller has dialled by the first checkpoint at any scale, so
+    // the threshold table's key count has a plateau to hold.
+    synth.callers = (dialogs / 8).clamp(64, 4_096) as u32;
     // Stretch the schedule tenfold so the run spans hours of virtual
     // time at the full scale (1M dialogs -> ~3.5 h) and comfortably
     // crosses every idle timeout at the debug scale.
@@ -56,14 +62,25 @@ fn soak_rate_state_constant_and_gauges_plateau() {
     config.events.identity_timeout = window;
     config.events.session_timeout = window;
 
-    let mut ids = Scidive::new(config);
+    let mut ids = Scidive::new(config.clone());
+    // The same engine minus its one threshold rule: what it reports as
+    // rate bytes is the identity plane's sketches alone, which isolates
+    // the threshold table's share of `ids`'s. Retention does not touch
+    // the sketches, so keep this one's short and its trail scans cheap.
+    config.rules.rapid_connect = false;
+    config.trails.idle_timeout = SimDuration::from_secs(1);
+    config.events.session_timeout = SimDuration::from_secs(1);
+    let mut sketches_only = Scidive::new(config);
     let total = synth.total_frames();
     let checkpoint_every = (total / 8).max(1);
     let mut gauges = Vec::new();
+    let mut sketch_bytes = Vec::new();
     for (n, (time, pkt)) in synth.stream().enumerate() {
         ids.on_frame(time, &pkt);
+        sketches_only.on_frame(time, &pkt);
         if (n as u64 + 1).is_multiple_of(checkpoint_every) {
             gauges.push(ids.gauges());
+            sketch_bytes.push(sketches_only.gauges().rate_bytes);
         }
     }
 
@@ -80,22 +97,27 @@ fn soak_rate_state_constant_and_gauges_plateau() {
         ids.alerts().first()
     );
 
-    // Rate state: constant bytes from the first checkpoint on (every
-    // tracker exists after the first churn pair and first dialog), and
-    // bounded by the hard cap.
-    let first = gauges.first().expect("at least one checkpoint");
-    assert!(first.rate_bytes > 0, "rate trackers never materialized");
-    for (i, g) in gauges.iter().enumerate() {
+    // Rate state. The sketches: constant bytes from the first
+    // checkpoint on (every tracker exists after the first churn pair).
+    // The threshold table: live, under its cap at every checkpoint, and
+    // never evicting — at the 100k-dialog scale that last one is what
+    // proves aged-out observations are reclaimed (unreclaimed, they
+    // would outgrow the cap).
+    let sketches = *sketch_bytes.first().expect("at least one checkpoint");
+    assert!(sketches > 0, "rate trackers never materialized");
+    assert!(sketches < RATE_BYTES_CAP);
+    for (i, (g, s)) in gauges.iter().zip(&sketch_bytes).enumerate() {
         assert_eq!(
-            g.rate_bytes, first.rate_bytes,
-            "rate tracker bytes moved at checkpoint {i}: {} -> {}",
-            first.rate_bytes, g.rate_bytes
+            *s, sketches,
+            "rate tracker bytes moved at checkpoint {i}: {sketches} -> {s}"
         );
+        let table = g.rate_bytes - sketches;
+        assert!(table > 0, "threshold table empty at checkpoint {i}");
         assert!(
-            g.rate_bytes < RATE_BYTES_CAP,
-            "rate tracker bytes {} broke the {RATE_BYTES_CAP} cap",
-            g.rate_bytes
+            table <= RATE_BYTES_CAP,
+            "threshold table bytes {table} broke the {RATE_BYTES_CAP} cap at checkpoint {i}"
         );
+        assert_eq!(g.rule_state_evicted, 0, "evicted at checkpoint {i}");
         assert_eq!(
             g.rate_divergence_samples, 0,
             "sketch mode must not run exact shadow comparisons"
@@ -112,13 +134,14 @@ fn soak_rate_state_constant_and_gauges_plateau() {
         let peak = mid.iter().map(f).max().unwrap_or(0);
         peak + peak / 10 + 64
     };
-    let checks: [(&str, Gauge); 6] = [
+    let checks: [(&str, Gauge); 7] = [
         ("trails", |g| g.trails),
         ("retained_footprints", |g| g.retained_footprints),
         ("media_index", |g| g.media_index),
         ("interner", |g| g.interner),
         ("synthetic_keys", |g| g.synthetic_keys),
         ("session_plane", |g| g.session_plane),
+        ("rule_state", |g| g.rule_state),
     ];
     for (name, f) in checks {
         assert!(
@@ -128,10 +151,10 @@ fn soak_rate_state_constant_and_gauges_plateau() {
             cap(f)
         );
     }
-    // Rule state: sketch mode keeps the flood detections out of rule
-    // maps entirely; only fired-once markers could exist, and nothing
-    // fires here.
-    assert_eq!(last.rule_state, 0, "benign sketch-mode run holds rule state");
+    // Rule state is the threshold table's keys (nothing fires here, so
+    // no fired-once markers exist): one per caller in the window.
+    assert!(last.rule_state > 0, "no caller ever entered the threshold table");
+    assert!(last.rule_state <= u64::from(synth.callers));
 
     // The lifecycle counters prove expiry ran rather than the load
     // being too small to matter.
@@ -144,12 +167,14 @@ fn soak_rate_state_constant_and_gauges_plateau() {
 }
 
 /// The sharded pipeline's global fold plane under sustained benign
-/// load: the dispatcher-side hub materializes once the first fold
-/// absorbs per-shard deltas, then its footprint is byte-for-byte
-/// constant and inside the same hard cap as the per-shard trackers —
-/// and the periodic folds raise no alerts on benign traffic.
+/// load: the dispatcher-side table materializes with the first fold,
+/// then follows the in-window call population — it is exact per-key
+/// state, so it is bounded rather than constant — and at every
+/// checkpoint stays inside the same hard cap. Under the cap nothing may
+/// be evicted, and the periodic folds raise no alerts on benign
+/// traffic.
 #[test]
-fn soak_sharded_fold_plane_bytes_stay_constant() {
+fn soak_sharded_fold_plane_bytes_stay_bounded() {
     let mut synth = SynthConfig::load(2_000, 256);
     // Stretch the schedule so the ~20s virtual span crosses the 1s fold
     // cadence dozens of times before the first checkpoint samples it.
@@ -175,29 +200,31 @@ fn soak_sharded_fold_plane_bytes_stay_constant() {
         "benign sharded load raised fold-plane alerts: {:?}",
         report.alerts.first()
     );
-    assert!(
-        report.observation.dispatch.folds > 0,
-        "the periodic fold cadence never ran"
+    let dispatch = &report.observation.dispatch;
+    assert!(dispatch.folds > 0, "the periodic fold cadence never ran");
+    assert_eq!(
+        dispatch.fold_candidates, 2_000,
+        "every established call is one fold-plane observation"
     );
-    assert_eq!(report.observation.dispatch.rate_merge_rejected, 0);
+    assert_eq!(
+        dispatch.fold_evicted, 0,
+        "2,000 observations are far under the cap: nothing may be evicted"
+    );
 
-    let first = *fold_bytes.first().expect("at least one checkpoint");
-    assert!(first > 0, "global fold hub never materialized");
+    assert!(!fold_bytes.is_empty(), "at least one checkpoint");
     for (i, b) in fold_bytes.iter().enumerate() {
-        assert_eq!(
-            *b, first,
-            "fold-plane bytes moved at checkpoint {i}: {first} -> {b}"
-        );
+        assert!(*b > 0, "fold table never materialized (checkpoint {i})");
         assert!(
-            *b < RATE_BYTES_CAP,
-            "fold-plane bytes {b} broke the {RATE_BYTES_CAP} cap"
+            *b <= RATE_BYTES_CAP,
+            "fold-plane bytes {b} broke the {RATE_BYTES_CAP} cap at checkpoint {i}"
         );
     }
-    // The per-shard tracker constancy gate still holds under sharding:
-    // worker hubs re-create their delta twins on every fold, so the
-    // summed per-shard footprint must not drift either.
-    assert!(report.observation.gauges.rate_bytes > 0);
-    assert!(report.observation.gauges.rate_bytes < 4 * RATE_BYTES_CAP);
+    // Workers keep no threshold state of their own under the fold —
+    // what they report is the dispatcher's sketches plus whatever sits
+    // in their outboxes — and evict nothing.
+    let gauges = &report.observation.gauges;
+    assert!(gauges.rate_bytes > 0 && gauges.rate_bytes < RATE_BYTES_CAP);
+    assert_eq!((gauges.rule_state, gauges.rule_state_evicted), (0, 0));
 }
 
 /// The same soak shape in exact mode at a fixed small scale: the
