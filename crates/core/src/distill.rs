@@ -28,12 +28,6 @@ pub struct DistillerConfig {
     pub acct_port: u16,
     /// How long to hold incomplete IP fragments.
     pub reassembly_timeout: SimDuration,
-    /// Run the retained reference implementations (naive SIP tokenizer,
-    /// scalar UDP checksum) instead of the SWAR fast paths. Behavior is
-    /// byte-identical either way — this exists so the pipeline bench can
-    /// measure the pre-optimization baseline on the same harness, and as
-    /// a live differential check.
-    pub reference_impl: bool,
 }
 
 impl Default for DistillerConfig {
@@ -42,7 +36,6 @@ impl Default for DistillerConfig {
             sip_ports: vec![5060],
             acct_port: 2427,
             reassembly_timeout: SimDuration::from_secs(30),
-            reference_impl: false,
         }
     }
 }
@@ -127,24 +120,18 @@ impl Distiller {
         // Whole datagrams — the overwhelming common case — skip the
         // reassembler's clone-and-return round trip; only the timeout
         // sweep it would have run still runs, so partial-drop timing is
-        // unchanged. The reference configuration keeps the
-        // pre-optimization structure (clone every frame, round-trip
-        // through `offer`) so the bench baseline pays the same costs the
-        // production path used to.
-        if !self.config.reference_impl && !pkt.frag.is_fragment() {
+        // unchanged.
+        if !pkt.frag.is_fragment() {
             self.reassembler.expire(time);
             let fp = self.decode(time, pkt);
             self.stats.footprints += 1;
             return Some(fp);
         }
-        let was_fragment = pkt.frag.is_fragment();
         let Some(whole) = self.reassembler.offer(time, pkt.clone()) else {
             self.stats.fragments_buffered += 1;
             return None;
         };
-        if was_fragment {
-            self.stats.reassembled += 1;
-        }
+        self.stats.reassembled += 1;
         let fp = self.decode(time, &whole);
         self.stats.footprints += 1;
         Some(fp)
@@ -174,12 +161,7 @@ impl Distiller {
             }
             IpProto::Udp => {}
         }
-        let decoded = if self.config.reference_impl {
-            pkt.decode_udp_reference()
-        } else {
-            pkt.decode_udp()
-        };
-        let udp = match decoded {
+        let udp = match pkt.decode_udp() {
             Ok(udp) => udp,
             Err(e) => {
                 self.stats.corrupt_udp += 1;

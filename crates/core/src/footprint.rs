@@ -192,9 +192,6 @@ thread_local! {
 pub struct PooledSip {
     /// `Some` until drop.
     msg: Option<Box<SipMessage>>,
-    /// `false` opts out of recycling (the reference configuration
-    /// allocates and frees per message, as the pre-pooling code did).
-    pooled: bool,
 }
 
 impl PooledSip {
@@ -208,20 +205,7 @@ impl PooledSip {
             }
             None => Box::new(msg),
         };
-        PooledSip {
-            msg: Some(boxed),
-            pooled: true,
-        }
-    }
-
-    /// Wraps a message in a box that will be freed, not recycled — the
-    /// allocation behavior the reference (pre-pooling) configuration
-    /// measures.
-    pub fn heap(msg: SipMessage) -> PooledSip {
-        PooledSip {
-            msg: Some(Box::new(msg)),
-            pooled: false,
-        }
+        PooledSip { msg: Some(boxed) }
     }
 
     fn get(&self) -> &SipMessage {
@@ -241,9 +225,6 @@ impl Drop for PooledSip {
         let Some(mut boxed) = self.msg.take() else {
             return;
         };
-        if !self.pooled {
-            return;
-        }
         // `try_with`: during thread teardown the pool may already be
         // gone, in which case the box just frees normally.
         let _ = SIP_BOX_POOL.try_with(|pool| {
@@ -269,12 +250,7 @@ impl Drop for PooledSip {
 
 impl Clone for PooledSip {
     fn clone(&self) -> PooledSip {
-        let msg = self.get().clone();
-        if self.pooled {
-            PooledSip::new(msg)
-        } else {
-            PooledSip::heap(msg)
-        }
+        PooledSip::new(self.get().clone())
     }
 }
 

@@ -29,13 +29,13 @@
 //!   raising [`alert::Alert`]s. The built-in ruleset covers all seven
 //!   attacks the paper discusses.
 //! * [`engine::Scidive`] assembles the pipeline; [`engine::IdsNode`]
-//!   deploys it as the paper's endpoint tap; [`online::OnlineScidive`]
-//!   runs it on a worker thread behind a channel.
+//!   deploys it as the paper's endpoint tap.
 //! * [`routing`] resolves any footprint to its session key up front (the
 //!   SDP-derived media-correlation index lives here) and
 //!   [`shard::ShardedScidive`] uses it to fan the pipeline out over `N`
-//!   worker engines whose merged output is byte-identical to one engine;
-//!   batches travel over per-shard [`spsc`] rings.
+//!   worker engines whose merged output is byte-identical to one engine
+//!   (`N = 1` is the plain threaded deployment); batches travel over
+//!   per-shard [`spsc`] rings.
 //! * [`observe`] watches the whole pipeline — monotonic counters, state
 //!   gauges, fixed-bucket histograms and an optional decision trace —
 //!   snapshottable as a serializable [`observe::PipelineObservation`].
@@ -70,7 +70,6 @@ pub mod event;
 pub mod footprint;
 pub mod metrics;
 pub mod observe;
-pub mod online;
 pub mod proto;
 pub mod rate;
 pub mod routing;
@@ -105,7 +104,6 @@ pub mod prelude {
         ObserveConfig, ObservedHistograms, PipelineObservation, RuleEval, SeverityCounts,
         StateGauges, TraceEntry, TraceStage,
     };
-    pub use crate::online::OnlineScidive;
     pub use crate::rate::{
         CountMinSketch, FoldConfig, FoldStats, GlobalRatePlane, LatchSet, RateConfig, RateDelta,
         RateHub, RateObservation, RateStats, ThresholdTable, WindowedDistinct, WindowedSketch,

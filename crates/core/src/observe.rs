@@ -681,10 +681,9 @@ impl EngineObserver {
 /// every stage's counters, the state gauges that must plateau, the
 /// latency histograms, and (when enabled) the decision trace.
 ///
-/// Returned by [`crate::engine::Scidive::observation`],
+/// Returned by [`crate::engine::Scidive::observation`] and
 /// [`crate::shard::ShardedScidive::observation`] /
-/// [`crate::shard::ShardedReport::observation`] and
-/// [`crate::online::OnlineScidive::finish`]; render it with
+/// [`crate::shard::ShardedReport::observation`]; render it with
 /// [`PipelineObservation::report`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineObservation {

@@ -59,33 +59,13 @@ impl ProtocolModule for SipModule {
         meta: &PacketMeta,
         cfg: &DistillerConfig,
     ) -> Option<FootprintBody> {
-        // Reference mode runs the retained naive tokenizer/sniffer so
-        // the pipeline bench can measure the pre-optimization baseline;
-        // results are byte-identical (property-tested).
-        let parse = if cfg.reference_impl {
-            SipMessage::parse_bytes_reference
-        } else {
-            SipMessage::parse_bytes
-        };
-        let sniff = if cfg.reference_impl {
-            scidive_sip::parse::looks_like_sip_reference
-        } else {
-            looks_like_sip
-        };
-        // The production path recycles message boxes through the pool;
-        // the reference pays one allocation per message, as it used to.
-        let wrap = if cfg.reference_impl {
-            PooledSip::heap
-        } else {
-            PooledSip::new
-        };
         let on_sip_port = cfg.sip_ports.contains(&meta.dst_port)
             || cfg.sip_ports.contains(&meta.src_port);
         if on_sip_port {
             // A signalling port consumes its traffic: what does not
             // parse is a malformed-SIP footprint, not someone else's.
-            return Some(match parse(payload.clone()) {
-                Ok(msg) => FootprintBody::Sip(wrap(msg)),
+            return Some(match SipMessage::parse_bytes(payload.clone()) {
+                Ok(msg) => FootprintBody::Sip(PooledSip::new(msg)),
                 Err(e) => FootprintBody::SipMalformed {
                     reason: e.to_string(),
                     prefix: payload.iter().take(32).copied().collect(),
@@ -93,9 +73,9 @@ impl ProtocolModule for SipModule {
             });
         }
         // Off-port SIP (attackers do not respect port conventions).
-        if sniff(payload) {
-            if let Ok(msg) = parse(payload.clone()) {
-                return Some(FootprintBody::Sip(wrap(msg)));
+        if looks_like_sip(payload) {
+            if let Ok(msg) = SipMessage::parse_bytes(payload.clone()) {
+                return Some(FootprintBody::Sip(PooledSip::new(msg)));
             }
         }
         None

@@ -168,40 +168,36 @@ struct FoldState {
     severity: SeverityCounts,
 }
 
-/// Lock-free telemetry one worker publishes after every batch, read by
-/// the dispatcher for mid-run [`ShardedScidive::observation`] snapshots.
-/// All loads/stores are `Relaxed`: these are monitoring values, not
-/// synchronization — slight staleness is fine, data races are not
-/// possible on atomics.
+/// The counters and gauges an observation sums over the workers and the
+/// dispatcher. Each worker publishes its engine's values as one `Tally`
+/// after every batch, so a new engine counter or gauge reaches the
+/// mid-run snapshot with no per-field mirroring here.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    pipeline: PipelineStats,
+    severity: SeverityCounts,
+    gauges: StateGauges,
+}
+
+impl std::ops::Add for Tally {
+    type Output = Tally;
+    fn add(self, rhs: Tally) -> Tally {
+        Tally {
+            pipeline: self.pipeline + rhs.pipeline,
+            severity: self.severity + rhs.severity,
+            gauges: self.gauges + rhs.gauges,
+        }
+    }
+}
+
+/// What one worker shares with the dispatcher. `tally` is monitoring:
+/// replaced whole after every batch and swap, read by mid-run
+/// [`ShardedScidive::observation`] snapshots (slight staleness is fine).
+/// The two atomics are synchronisation, not telemetry: together they are
+/// the [`ShardedScidive::alerts_snapshot`] prefix watermark.
 #[derive(Debug, Default)]
 struct ShardTelemetry {
-    frames: AtomicU64,
-    footprints: AtomicU64,
-    events: AtomicU64,
-    alerts: AtomicU64,
-    info: AtomicU64,
-    warning: AtomicU64,
-    critical: AtomicU64,
-    trails: AtomicU64,
-    retained: AtomicU64,
-    media_index: AtomicU64,
-    interner: AtomicU64,
-    synthetic_keys: AtomicU64,
-    rule_state: AtomicU64,
-    session_plane: AtomicU64,
-    expired_trails: AtomicU64,
-    media_expired: AtomicU64,
-    synthetic_expired: AtomicU64,
-    interner_expired: AtomicU64,
-    rule_state_expired: AtomicU64,
-    rule_state_evicted: AtomicU64,
-    session_plane_expired: AtomicU64,
-    rate_trackers: AtomicU64,
-    rate_bytes: AtomicU64,
-    rate_divergence_samples: AtomicU64,
-    rate_divergence_sum: AtomicU64,
-    rate_divergence_max: AtomicU64,
-    ruleset_generation: AtomicU64,
+    tally: Mutex<Tally>,
     /// Batches currently queued *or being processed* by this shard: the
     /// dispatcher increments on send, the worker decrements only after
     /// it has fully processed a batch (so `0` means the shard is truly
@@ -220,93 +216,12 @@ struct ShardTelemetry {
 impl ShardTelemetry {
     /// Publishes the worker engine's current counters and gauges.
     fn publish(&self, ids: &Scidive) {
-        let stats = ids.stats();
-        self.frames.store(stats.frames, Ordering::Relaxed);
-        self.footprints.store(stats.footprints, Ordering::Relaxed);
-        self.events.store(stats.events, Ordering::Relaxed);
-        self.alerts.store(stats.alerts, Ordering::Relaxed);
-        let sev = ids.severity_counts();
-        self.info.store(sev.info, Ordering::Relaxed);
-        self.warning.store(sev.warning, Ordering::Relaxed);
-        self.critical.store(sev.critical, Ordering::Relaxed);
-        let g = ids.gauges();
-        self.trails.store(g.trails, Ordering::Relaxed);
-        self.retained.store(g.retained_footprints, Ordering::Relaxed);
-        self.media_index.store(g.media_index, Ordering::Relaxed);
-        self.interner.store(g.interner, Ordering::Relaxed);
-        self.synthetic_keys.store(g.synthetic_keys, Ordering::Relaxed);
-        self.rule_state.store(g.rule_state, Ordering::Relaxed);
-        self.session_plane.store(g.session_plane, Ordering::Relaxed);
-        self.expired_trails.store(g.expired_trails, Ordering::Relaxed);
-        self.media_expired.store(g.media_expired, Ordering::Relaxed);
-        self.synthetic_expired
-            .store(g.synthetic_expired, Ordering::Relaxed);
-        self.interner_expired
-            .store(g.interner_expired, Ordering::Relaxed);
-        self.rule_state_expired
-            .store(g.rule_state_expired, Ordering::Relaxed);
-        self.rule_state_evicted
-            .store(g.rule_state_evicted, Ordering::Relaxed);
-        self.session_plane_expired
-            .store(g.session_plane_expired, Ordering::Relaxed);
-        self.rate_trackers.store(g.rate_trackers, Ordering::Relaxed);
-        self.rate_bytes.store(g.rate_bytes, Ordering::Relaxed);
-        self.rate_divergence_samples
-            .store(g.rate_divergence_samples, Ordering::Relaxed);
-        self.rate_divergence_sum
-            .store(g.rate_divergence_sum, Ordering::Relaxed);
-        self.rate_divergence_max
-            .store(g.rate_divergence_max, Ordering::Relaxed);
-        self.ruleset_generation
-            .store(g.ruleset_generation, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> PipelineStats {
-        PipelineStats {
-            frames: self.frames.load(Ordering::Relaxed),
-            footprints: self.footprints.load(Ordering::Relaxed),
-            events: self.events.load(Ordering::Relaxed),
-            alerts: self.alerts.load(Ordering::Relaxed),
-        }
-    }
-
-    fn severity(&self) -> SeverityCounts {
-        SeverityCounts {
-            info: self.info.load(Ordering::Relaxed),
-            warning: self.warning.load(Ordering::Relaxed),
-            critical: self.critical.load(Ordering::Relaxed),
-        }
-    }
-
-    fn gauges(&self) -> StateGauges {
-        StateGauges {
-            trails: self.trails.load(Ordering::Relaxed),
-            retained_footprints: self.retained.load(Ordering::Relaxed),
-            media_index: self.media_index.load(Ordering::Relaxed),
-            interner: self.interner.load(Ordering::Relaxed),
-            synthetic_keys: self.synthetic_keys.load(Ordering::Relaxed),
-            rule_state: self.rule_state.load(Ordering::Relaxed),
-            session_plane: self.session_plane.load(Ordering::Relaxed),
-            expired_trails: self.expired_trails.load(Ordering::Relaxed),
-            media_expired: self.media_expired.load(Ordering::Relaxed),
-            synthetic_expired: self.synthetic_expired.load(Ordering::Relaxed),
-            interner_expired: self.interner_expired.load(Ordering::Relaxed),
-            rule_state_expired: self.rule_state_expired.load(Ordering::Relaxed),
-            rule_state_evicted: self.rule_state_evicted.load(Ordering::Relaxed),
-            session_plane_expired: self.session_plane_expired.load(Ordering::Relaxed),
-            router_media_index: 0,
-            router_interner: 0,
-            router_synthetic_keys: 0,
-            rate_trackers: self.rate_trackers.load(Ordering::Relaxed),
-            rate_bytes: self.rate_bytes.load(Ordering::Relaxed),
-            rate_divergence_samples: self.rate_divergence_samples.load(Ordering::Relaxed),
-            rate_divergence_sum: self.rate_divergence_sum.load(Ordering::Relaxed),
-            rate_divergence_max: self.rate_divergence_max.load(Ordering::Relaxed),
-            // Fold gauges are dispatcher-side (router_gauges), not
-            // per-worker telemetry.
-            fold_rate_bytes: 0,
-            ruleset_generation: self.ruleset_generation.load(Ordering::Relaxed),
-        }
+        let tally = Tally {
+            pipeline: ids.stats(),
+            severity: ids.severity_counts(),
+            gauges: ids.gauges(),
+        };
+        *self.tally.lock() = tally;
     }
 }
 
@@ -399,7 +314,7 @@ pub struct ShardedScidive {
     buffers: Vec<Vec<ShardFrame>>,
     batch: usize,
     linger: SimDuration,
-    /// Per-shard atomics the workers publish into (see
+    /// Per-shard state the workers publish into (see
     /// [`ShardTelemetry`]).
     telemetry: Vec<Arc<ShardTelemetry>>,
     batches_sent: u64,
@@ -941,28 +856,40 @@ impl ShardedScidive {
         }
     }
 
-    /// A live observation snapshot, read from the telemetry the workers
+    /// The dispatcher's own contribution to an observation: the router
+    /// gauges, plus the alerts the fold plane raised (dispatcher-side,
+    /// so no worker counts them) — without which the totals would not
+    /// match the alert stream, nor a 1-shard report a 4-shard one.
+    fn dispatcher_tally(&self) -> Tally {
+        let mut tally = Tally {
+            gauges: self.router_gauges(),
+            ..Tally::default()
+        };
+        if let Some(fold) = &self.fold {
+            tally.pipeline.alerts = fold.plane.fold_stats().alerts;
+            tally.severity = fold.severity;
+        }
+        tally
+    }
+
+    /// A live observation snapshot, read from the tallies the workers
     /// publish after every batch (so counters may trail the submit side
     /// by up to one in-flight batch per shard). Worker histograms and
     /// traces are only collected at [`ShardedScidive::finish`]; the
     /// histogram section here carries the dispatcher's batch histograms.
     pub fn observation(&self) -> PipelineObservation {
-        let mut pipeline = PipelineStats::default();
-        let mut severity = SeverityCounts::default();
-        let mut gauges = self.router_gauges();
+        let mut tally = self.dispatcher_tally();
         let mut queue_depths = Vec::with_capacity(self.telemetry.len());
         for tel in &self.telemetry {
-            pipeline = pipeline + tel.stats();
-            severity = severity + tel.severity();
-            gauges = gauges + tel.gauges();
+            tally = tally + *tel.tally.lock();
             queue_depths.push(tel.queue_batches.load(Ordering::Relaxed));
         }
         PipelineObservation {
-            pipeline,
-            severity,
+            pipeline: tally.pipeline,
+            severity: tally.severity,
             distill: self.distiller.stats(),
             dispatch: self.dispatch_counters(queue_depths),
-            gauges,
+            gauges: tally.gauges,
             hist: ObservedHistograms {
                 batch_fill: self.batch_fill.clone(),
                 batch_linger_ms: self.batch_linger_ms.clone(),
@@ -994,14 +921,15 @@ impl ShardedScidive {
         if self.seq > 0 && self.fold.is_some() {
             self.run_fold(self.last_time);
         }
-        let dispatch_counters = self.dispatch_counters(Vec::new());
-        let router_gauges = self.router_gauges();
-        let base_hist = ObservedHistograms {
+        let mut dispatch_counters = self.dispatch_counters(Vec::new());
+        let mut tally = self.dispatcher_tally();
+        let mut hist = ObservedHistograms {
             batch_fill: self.batch_fill.clone(),
             batch_linger_ms: self.batch_linger_ms.clone(),
             ..ObservedHistograms::default()
         };
-        let route_trace = self.trace.clone().into_vec();
+        let mut rule_evals = Vec::new();
+        let mut trace = self.trace.clone().into_vec();
         let ShardedScidive {
             senders,
             workers,
@@ -1011,21 +939,10 @@ impl ShardedScidive {
             blocked,
             distiller,
             telemetry,
-            fold,
             ..
         } = self;
         drop(senders);
         let mut shards = Vec::with_capacity(workers.len());
-        let mut observation = PipelineObservation {
-            pipeline: PipelineStats::default(),
-            severity: SeverityCounts::default(),
-            distill: distiller.stats(),
-            dispatch: dispatch_counters,
-            gauges: router_gauges,
-            hist: base_hist,
-            rule_evals: Vec::new(),
-            trace: route_trace,
-        };
         for (shard, worker) in workers.into_iter().enumerate() {
             let (pipeline, engine) = worker.join().expect("shard worker panicked");
             shards.push(ShardStats {
@@ -1034,39 +951,39 @@ impl ShardedScidive {
                 dispatched: dispatched[shard],
                 enqueue_blocked: blocked[shard],
             });
-            observation.severity = observation.severity + engine.severity;
-            observation.gauges = observation.gauges + engine.gauges;
-            observation.hist.rule_eval_us.merge(&engine.rule_eval_us);
-            observation
-                .hist
-                .detection_delay_ms
-                .merge(&engine.detection_delay_ms);
-            merge_rule_evals(&mut observation.rule_evals, &engine.rule_evals);
+            tally = tally
+                + Tally {
+                    pipeline,
+                    severity: engine.severity,
+                    gauges: engine.gauges,
+                };
+            hist.rule_eval_us.merge(&engine.rule_eval_us);
+            hist.detection_delay_ms.merge(&engine.detection_delay_ms);
+            merge_rule_evals(&mut rule_evals, &engine.rule_evals);
             for mut entry in engine.trace {
                 entry.shard = shard;
-                observation.trace.push(entry);
+                trace.push(entry);
             }
         }
         // Queues are drained, so every shard's depth reads zero; record
         // the final snapshot anyway for report shape consistency.
-        observation.dispatch.queue_depths = telemetry
+        dispatch_counters.queue_depths = telemetry
             .iter()
             .map(|t| t.queue_batches.load(Ordering::Relaxed))
             .collect();
-        let mut stats = shards
-            .iter()
-            .fold(PipelineStats::default(), |acc, s| acc + s.pipeline);
-        // Fold-plane alerts were raised dispatcher-side; fold them into
-        // the merged counters so the report's totals match its alert
-        // stream (and a 1-shard report matches a 4-shard one exactly).
-        if let Some(f) = &fold {
-            stats.alerts += f.plane.fold_stats().alerts;
-            observation.severity = observation.severity + f.severity;
-        }
-        observation.pipeline = stats;
         // Interleave dispatcher route entries with worker match entries
         // by capture time (each component's entries are already ordered).
-        observation.trace.sort_by_key(|e| (e.time, e.seq));
+        trace.sort_by_key(|e| (e.time, e.seq));
+        let observation = PipelineObservation {
+            pipeline: tally.pipeline,
+            severity: tally.severity,
+            distill: distiller.stats(),
+            dispatch: dispatch_counters,
+            gauges: tally.gauges,
+            hist,
+            rule_evals,
+            trace,
+        };
         // Workers have all joined, so the Arc is normally unique; if a
         // stale handle keeps it alive, take the contents rather than
         // cloning the whole tagged vector.
@@ -1077,7 +994,7 @@ impl ShardedScidive {
         let alerts = tagged.into_iter().map(|(_, _, a)| a).collect();
         ShardedReport {
             alerts,
-            stats,
+            stats: tally.pipeline,
             shards,
             dispatch,
             observation,
@@ -1124,7 +1041,22 @@ mod tests {
             assert_eq!(report.alerts, single.alerts(), "shards={shards}");
             assert_eq!(report.stats, single.stats(), "shards={shards}");
             assert_eq!(report.dispatch.dropped, 0);
+            assert_eq!(report.observation.pipeline, report.stats);
+            assert_eq!(
+                report.observation.severity.total(),
+                report.alerts.len() as u64
+            );
         }
+    }
+
+    #[test]
+    fn snapshot_while_running() {
+        let mut ids = ShardedScidive::new(ScidiveConfig::default(), 1, 4);
+        ids.submit(SimTime::ZERO, &options("x"));
+        // Snapshots are best-effort; finish() is authoritative.
+        let _ = ids.alerts_snapshot();
+        assert!(ids.observation().dispatch.frames >= 1);
+        assert!(!ids.finish().alerts.is_empty());
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! shared condvar, and the opposite side wakes it only when the flag is
 //! set — the uncontended fast path never touches the condvar mutex.
 //!
-//! The API is the subset of `crossbeam_channel` the shard layer uses
+//! The API is the bounded-channel subset the shard layer uses
 //! ([`bounded`], [`Sender::try_send`], [`Sender::send`],
-//! [`Receiver::recv`], disconnect-on-drop), so it drops in without
-//! changing batching, linger, or backpressure semantics.
+//! [`Receiver::recv`], disconnect-on-drop), so batching, linger and
+//! backpressure semantics do not depend on the channel.
 
 use parking_lot::Mutex;
 use std::fmt;

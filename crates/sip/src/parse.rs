@@ -15,7 +15,7 @@
 //! * [`SipMessage::parse_bytes_reference`] — the retained naive
 //!   per-byte tokenizer. It is the *specification*: the fast path must
 //!   agree with it byte-for-byte on every input, which the differential
-//!   property tests (and the pipeline bench's speedup gate) enforce.
+//!   property tests enforce.
 
 use crate::bstr::ByteStr;
 use crate::header::{HeaderName, Headers};
@@ -201,8 +201,7 @@ impl SipMessage {
     /// The retained naive tokenizer: per-byte window search for the
     /// header terminator, linear scans for method and header-name
     /// matching. Kept as the behavioral specification the fast path is
-    /// differentially tested against, and as the `reference_impl`
-    /// baseline the pipeline bench's speedup gate measures.
+    /// differentially tested against.
     ///
     /// # Errors
     ///

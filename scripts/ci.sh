@@ -1,53 +1,52 @@
 #!/usr/bin/env bash
 # CI gate: release build, full workspace test suite, lint wall, bench
-# smoke, then the measured gates and the repo benchmark's self-check.
+# smoke, the remaining measured gates and the repo benchmark.
 #
 # `cargo test --workspace` is the whole differential harness in one
-# run: the sharded-pipeline suites (tests/shard_equivalence.rs,
-# tests/shard_batching.rs, the crates/core property tests), rule
-# dispatch vs full scan (tests/rule_dispatch_equivalence.rs), the
-# protocol registry with the MGCP fifth protocol at 1/2/4 shards
-# (tests/proto_registry_equivalence.rs), the hot-reload barrier suite
-# (tests/ruleset_swap.rs), the 48 DSL golden diagnostics and DSL
-# properties, the SWAR-vs-reference parser proptests, the leak-plateau
-# test (tests/chaos.rs) and every crate's unit tests. A green run proves
-# the parallel deployment is byte-identical to the single engine.
-# The rate gates (DESIGN SS13, SS15) are in that run too. The identity
-# plane's sketches keep their oracle properties (count-min's (eps,
-# delta) bound, the sliding window's queue equality) and must alert
-# byte-identically with exact_rate_state on vs off at 1/2/4 shards
-# (tests/rate_equivalence.rs). Threshold clauses are decided by one
-# exact per-key table in the engine and in the fold plane, and the
-# gates prove what that structure promises: no key's count moves with
-# another key's traffic, a key lives as long as its window, the merged
-# alert stream is invariant at 1/2/4/7 shards on a 10,000-caller
-# window and over random populations (the sharded verdicts equal the
-# single engine's), and past the byte cap whole keys are evicted in a
-# deterministic order, counted, never raising a false alert. The
-# 100k-dialog release soak (tests/soak.rs) then holds the sketches
-# byte-for-byte constant and the threshold table live, under its 2 MiB
-# cap and eviction-free, and exp_capacity regenerates
-# BENCH_capacity.json through the 4-shard deployment, failing the run
-# unless rate state and the fold plane stay under the cap on every rung
-# of the 10k -> 1M dialog ladder.
-# Beside the suite: the allocation regression gate
-# (crates/bench/tests/alloc_budget.rs) runs under the counting
-# allocator feature; the bench smoke runs every criterion routine once
-# so the benchmarks cannot silently rot; exp_observe_overhead fails the
-# run if observation at default settings costs more than 5% of pipeline
-# throughput (artifact: results/observability_overhead.txt); the
-# rule_matching bench fails the run unless compiled dispatch beats the
-# full scan by at least 5x at 128 padding rules (artifacts:
-# BENCH_rules.json, results/rule_dispatch.txt); exp_pipeline
-# regenerates BENCH_pipeline.json, failing the run unless the fast
-# distiller beats the reference parser by at least 2x (artifact:
-# results/pipeline_stages.txt); a structural check keeps protocol
-# modules from importing siblings (DESIGN SS12); and the .scid compile
-# gate (dsl_rules --check) denies warnings on every shipped rule file.
+# run, and a green run proves the parallel deployment is byte-identical
+# to the single engine:
+#   - the sharded pipeline at 1/2/4 shards, batching and backpressure
+#     (tests/shard_equivalence.rs, tests/shard_batching.rs,
+#     tests/online_mode.rs, the crates/core property tests);
+#   - rule dispatch against the full scan
+#     (tests/rule_dispatch_equivalence.rs), the protocol registry with
+#     the MGCP fifth protocol (tests/proto_registry_equivalence.rs) and
+#     hot reload (tests/ruleset_swap.rs);
+#   - the DSL golden diagnostics and properties, the SWAR-vs-reference
+#     SIP parser and sniffer proptests, the leak plateau (tests/chaos.rs)
+#     and every crate's unit tests;
+#   - the rate gates (DESIGN SS13, SS15): the identity plane's sketches
+#     keep their oracle properties and alert identically with
+#     exact_rate_state on and off (tests/rate_equivalence.rs); threshold
+#     clauses are decided by one exact, capped per-key table in the
+#     engine and in the fold plane, so no key's count moves with another
+#     key's traffic, the merged stream is invariant at 1/2/4/7 shards on
+#     a 10,000-caller window, and past the byte cap whole keys are
+#     evicted in a deterministic, counted order.
+# Beside the suite:
+#   - the allocation regression gate (crates/bench/tests/alloc_budget.rs)
+#     under the counting allocator feature;
+#   - the bench smoke runs every criterion routine once, so the
+#     benchmarks cannot silently rot;
+#   - exp_observe_overhead fails the run if observation at default
+#     settings costs more than 5% of pipeline throughput (artifact:
+#     results/observability_overhead.txt);
+#   - the rule_matching bench fails the run unless compiled dispatch
+#     beats the full scan by at least 5x at 128 padding rules
+#     (artifacts: BENCH_rules.json, results/rule_dispatch.txt);
+#   - a structural check keeps protocol modules from importing siblings
+#     (DESIGN SS12), and the .scid compile gate (dsl_rules --check)
+#     denies warnings on every shipped rule file;
+#   - the 100k-dialog release soak (tests/soak.rs) holds the identity
+#     sketches byte-for-byte constant, and the threshold table of one
+#     engine and of the 4-shard fold plane live, under their 2 MiB cap
+#     and eviction-free, with every session gauge on a plateau.
 # Last, the repo benchmark (benchmark/, its own workspace) runs its
 # generator/contract self-tests and its --quick pass, which exits
 # non-zero if any workload reports failed > 0 (a missed or late
-# detection, an unexplained Critical, a sharded/inline difference).
+# detection, an unexplained Critical, a sharded/inline difference). It
+# is the one performance instrument: end to end and per layer (distill,
+# trail, event, rules, rate, shard) on the same input.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,16 +96,8 @@ done
 echo "== operator .scid compile gate (deny warnings) =="
 cargo run -q --example dsl_rules -- --check
 
-echo "== million-session soak, short profile (100k dialogs, release) =="
+echo "== soak, short profile (100k dialogs, release; single engine and 4-shard fold plane) =="
 SCIDIVE_SOAK_DIALOGS=100000 cargo test --release -q --test soak
-
-echo "== capacity ladder gate (BENCH_capacity.json regeneration, 4-shard fold plane) =="
-cargo run --release -q -p scidive-bench --bin exp_capacity -- --gate --shards 4
-git diff --stat -- BENCH_capacity.json || true
-
-echo "== distiller speedup gate (fast parse >= 2x reference) =="
-cargo run --release -q -p scidive-bench --bin exp_pipeline -- --gate 2.0
-git diff --stat -- BENCH_pipeline.json || true
 
 echo "== repo benchmark: generator and contract self-tests =="
 cargo test --release --offline --manifest-path benchmark/Cargo.toml

@@ -1,5 +1,7 @@
-//! The online (threaded) deployment: identical verdicts to the offline
-//! engine over real attack captures, across all seven scenarios.
+//! The online (threaded) deployment — `ShardedScidive` with one worker
+//! or several behind bounded rings: identical verdicts to the offline
+//! engine over real attack captures, backpressure instead of drops, and
+//! live snapshots that account for every alert they show.
 
 use scidive::prelude::*;
 
@@ -38,11 +40,16 @@ fn online_engine_matches_offline_on_attack_capture() {
         offline.on_frame(f.time, &f.packet);
     }
 
-    let mut online = OnlineScidive::spawn(config, 128);
+    let mut online = ShardedScidive::new(config, 1, 128);
     for f in &frames {
-        online.submit(f.time, f.packet.clone());
+        online.submit(f.time, &f.packet);
     }
-    let (alerts, stats, observation) = online.finish();
+    let ShardedReport {
+        alerts,
+        stats,
+        observation,
+        ..
+    } = online.finish();
 
     assert_eq!(alerts, offline.alerts());
     assert_eq!(stats.frames, frames.len() as u64);
@@ -60,11 +67,11 @@ fn online_engine_with_tiny_queue_backpressures_correctly() {
     let mut config = ScidiveConfig::default();
     config.events.infrastructure_ips = vec![ep.proxy_ip, ep.acct_ip];
     // Queue depth 1: every submit contends with the worker.
-    let mut online = OnlineScidive::spawn(config.clone(), 1);
+    let mut online = ShardedScidive::new(config.clone(), 1, 1);
     for f in &frames {
-        online.submit(f.time, f.packet.clone());
+        online.submit(f.time, &f.packet);
     }
-    let (alerts, stats, _) = online.finish();
+    let ShardedReport { alerts, stats, .. } = online.finish();
     assert_eq!(stats.frames, frames.len() as u64);
 
     let mut offline = Scidive::new(config);
@@ -152,4 +159,80 @@ fn clean_run_keeps_drop_and_blocked_counters_honest() {
             shard.shard
         );
     }
+}
+
+/// One caller establishing `calls` calls to distinct callees, 100 ms
+/// apart, each under its own Call-ID so the dialogs spread over shards.
+fn fanout_capture(calls: u64) -> Vec<(SimTime, IpPacket)> {
+    let caller_ip = std::net::Ipv4Addr::new(10, 0, 0, 40);
+    let proxy_ip = std::net::Ipv4Addr::new(10, 0, 0, 1);
+    let mut frames = Vec::new();
+    for n in 0..calls {
+        let at = SimTime::from_millis(100 * n);
+        let callee = format!("sip:victim-{n}@lab");
+        let mut b = RequestBuilder::new(Method::Invite, callee.parse().unwrap());
+        b.from(NameAddr::new("sip:spammer@lab".parse().unwrap()).with_tag("spam"))
+            .to(NameAddr::new(callee.parse().unwrap()))
+            .call_id(format!("fan-{n}@lab"))
+            .cseq(CSeq::new(1, Method::Invite))
+            .via(Via::udp("10.0.0.40:5060", format!("z9hG4bK-fan-{n}")));
+        let invite = b.build();
+        let ok = response_to(&invite, StatusCode::OK, Some(&format!("vt-{n}")));
+        frames.push((
+            at,
+            IpPacket::udp(caller_ip, 5060, proxy_ip, 5060, invite.to_bytes().as_ref()),
+        ));
+        frames.push((
+            at + SimDuration::from_millis(10),
+            IpPacket::udp(proxy_ip, 5060, caller_ip, 5060, ok.to_bytes().as_ref()),
+        ));
+    }
+    frames
+}
+
+/// A live observation counts the alerts the dispatcher's fold plane
+/// raised, not only the workers': once the snapshot shows the
+/// `rapid-connect` fold alert, the observation's alert total and its
+/// severity tally both equal the snapshot's length.
+#[test]
+fn live_observation_counts_fold_plane_alerts() {
+    let mut frames = fanout_capture(14);
+    // A quiet frame past the 2 s fold boundary: submitting it runs the
+    // fold that judges the fan-out, which crossed its threshold at 1.1 s.
+    frames.push((
+        SimTime::from_millis(2_500),
+        IpPacket::udp(
+            std::net::Ipv4Addr::new(10, 0, 0, 7),
+            4444,
+            std::net::Ipv4Addr::new(10, 0, 0, 8),
+            8000,
+            vec![0u8; 40],
+        ),
+    ));
+    // Unit batches: nothing is left buffered at the dispatcher, so the
+    // snapshot's prefix watermark can reach the end of the capture.
+    let mut ids =
+        ShardedScidive::new(ScidiveConfig::default(), 2, 64).with_batching(1, SimDuration::ZERO);
+    for (t, p) in &frames {
+        ids.submit(*t, p);
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let mut seen = ids.alerts_snapshot();
+    while !seen.iter().any(|a| a.rule == "rapid-connect") {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "fold alert never reached the snapshot: {seen:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        seen = ids.alerts_snapshot();
+    }
+    let live = ids.observation();
+    assert_eq!(live.dispatch.fold_alerts, 1);
+    assert_eq!(live.pipeline.alerts, seen.len() as u64, "{seen:?}");
+    assert_eq!(live.severity.total(), seen.len() as u64);
+
+    let report = ids.finish();
+    assert_eq!(report.alerts, seen, "the snapshot already held every alert");
+    assert_eq!(report.observation.pipeline.alerts, live.pipeline.alerts);
+    assert_eq!(report.observation.severity, live.severity);
 }

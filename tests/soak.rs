@@ -17,8 +17,8 @@
 //! * the benign load raises no alerts.
 //!
 //! Scale via `SCIDIVE_SOAK_DIALOGS` (default 2 000 so debug `cargo
-//! test` stays fast; `scripts/ci.sh` runs a release profile at 100 000;
-//! `exp_capacity` ladders to a million).
+//! test` stays fast; `scripts/ci.sh` runs a release profile at 100 000,
+//! through one engine and through the 4-shard fold plane alike).
 
 use scidive::prelude::*;
 use scidive_voip::synth::SynthConfig;
@@ -170,13 +170,15 @@ fn soak_rate_state_constant_and_gauges_plateau() {
 /// load: the dispatcher-side table materializes with the first fold,
 /// then follows the in-window call population — it is exact per-key
 /// state, so it is bounded rather than constant — and at every
-/// checkpoint stays inside the same hard cap. Under the cap nothing may
-/// be evicted, and the periodic folds raise no alerts on benign
-/// traffic.
+/// checkpoint stays inside the same hard cap, however many dialogs pass
+/// by. Under the cap nothing may be evicted, and the periodic folds
+/// raise no alerts on benign traffic.
 #[test]
 fn soak_sharded_fold_plane_bytes_stay_bounded() {
-    let mut synth = SynthConfig::load(2_000, 256);
-    // Stretch the schedule so the ~20s virtual span crosses the 1s fold
+    let dialogs = soak_dialogs();
+    let mut synth = SynthConfig::load(dialogs, 256);
+    // Stretch the schedule so the virtual span (~20 s at the default
+    // scale, 100 calls a second at any scale) crosses the 1s fold
     // cadence dozens of times before the first checkpoint samples it.
     synth.spacing = SimDuration::from_millis(10);
     synth.hold = SimDuration::from_millis(10 * 256);
@@ -203,12 +205,12 @@ fn soak_sharded_fold_plane_bytes_stay_bounded() {
     let dispatch = &report.observation.dispatch;
     assert!(dispatch.folds > 0, "the periodic fold cadence never ran");
     assert_eq!(
-        dispatch.fold_candidates, 2_000,
+        dispatch.fold_candidates, dialogs,
         "every established call is one fold-plane observation"
     );
     assert_eq!(
         dispatch.fold_evicted, 0,
-        "2,000 observations are far under the cap: nothing may be evicted"
+        "one window's observations are far under the cap: nothing may be evicted"
     );
 
     assert!(!fold_bytes.is_empty(), "at least one checkpoint");
