@@ -90,16 +90,13 @@ pub struct ScidiveConfig {
     /// via [`crate::proto::ProtocolSetBuilder`]; the default covers
     /// SIP / RTP / RTCP / accounting plus the fallback.
     pub protocols: ProtocolSet,
-    /// Exact per-key queues (the reference) versus constant-memory
-    /// sketches for the **identity plane's** flood / password-guess
-    /// store — its one remaining job. Threshold rules (`rapid-connect`,
-    /// DSL `threshold` clauses) keep exact, capped per-key state in
-    /// every mode ([`crate::rate::ThresholdTable`]) and never consult
-    /// it. Copied into [`ScidiveConfig::events`] at build time.
+    /// Inert: every rate clause — the identity plane's flood and
+    /// password guessing, `rapid-connect`, DSL `threshold` clauses — is
+    /// decided on exact, capped per-key state
+    /// ([`crate::rate::ThresholdTable`]) whatever this says. Kept only
+    /// so existing configurations still build.
     pub exact_rate_state: bool,
-    /// Hash seed and sketch dimensioning for the identity plane's rate
-    /// trackers (also copied into the event config); threshold rules
-    /// use the seed only.
+    /// Hash seed for threshold-clause window keys.
     pub rate: RateConfig,
     /// Cross-shard rate aggregation (the fold plane). Consulted only by
     /// [`crate::shard::ShardedScidive`]; a single engine evaluates rate
@@ -130,15 +127,6 @@ impl Default for ScidiveConfig {
 }
 
 impl ScidiveConfig {
-    /// The event-generator config with the engine-level rate switches
-    /// folded in (both planes must agree on mode and dimensioning).
-    pub(crate) fn event_config(&self) -> EventGenConfig {
-        let mut events = self.events.clone();
-        events.exact_rate_state = self.exact_rate_state;
-        events.rate = self.rate.clone();
-        events
-    }
-
     /// Resolves [`ScidiveConfig::ruleset`] into a generation-0
     /// [`RulesetBlueprint`] — the sharded pipeline ships this to every
     /// worker so they all lower the identical ruleset.
@@ -281,16 +269,15 @@ impl Scidive {
 
     fn assemble(config: ScidiveConfig, blueprint: &RulesetBlueprint, data_plane: bool) -> Scidive {
         let rules = blueprint.build(config.full_scan_rules, config.trails.idle_timeout);
-        let events_cfg = config.event_config();
         let rates = if data_plane && config.fold.enabled {
             RateHub::new_aggregated(config.rate.clone(), config.exact_rate_state)
         } else {
             RateHub::new(config.rate.clone(), config.exact_rate_state)
         };
         let events = if data_plane {
-            EventGenerator::data_plane_with_protocols(events_cfg, &config.protocols)
+            EventGenerator::data_plane_with_protocols(config.events, &config.protocols)
         } else {
-            EventGenerator::with_protocols(events_cfg, &config.protocols)
+            EventGenerator::with_protocols(config.events, &config.protocols)
         };
         Scidive {
             distiller: Distiller::with_protocols(config.distiller, config.protocols.clone()),
@@ -507,11 +494,11 @@ impl Scidive {
         let index = self.trails.media_index();
         let lifecycle = index.lifecycle_stats();
         let rule_state = self.rules.state_stats();
-        // Rate bytes: the identity plane's sketches, the threshold
-        // rules' tables, and whatever is queued for the next fold.
-        let mut rate = self.rates.stats();
-        rate.absorb(self.events.rate_stats());
-        rate.bytes += rule_state.bytes;
+        // Rate bytes: the identity plane's tables, the threshold rules'
+        // tables, and whatever is queued for the next fold. Evictions:
+        // the identity plane's (the rules' are `rule_state_evicted`).
+        let identity = self.events.rate_stats();
+        let rate_bytes = self.rates.stats().bytes + identity.bytes + rule_state.bytes;
         StateGauges {
             trails: self.trails.trail_count() as u64,
             retained_footprints: self.trails.footprint_count() as u64,
@@ -530,11 +517,8 @@ impl Scidive {
             router_media_index: 0,
             router_interner: 0,
             router_synthetic_keys: 0,
-            rate_trackers: rate.trackers,
-            rate_bytes: rate.bytes,
-            rate_divergence_samples: rate.divergence_samples,
-            rate_divergence_sum: rate.divergence_sum,
-            rate_divergence_max: rate.divergence_max,
+            rate_bytes,
+            rate_evicted: identity.evicted,
             // The fold plane is dispatcher state; a lone engine (or one
             // shard worker) reports none.
             fold_rate_bytes: 0,

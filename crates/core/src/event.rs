@@ -503,15 +503,16 @@ pub struct EventGenConfig {
     /// Cross-protocol detection: correlate SIP/RTP/accounting trails.
     /// When disabled, no orphan-flow or billing-mismatch events exist.
     pub cross_protocol: bool,
-    /// Exact per-key rate state (timestamp queues) versus constant-memory
-    /// sketches ([`crate::rate`]). Exact is the reference; sketch mode
-    /// bounds identity-plane memory independent of the source population.
+    /// Inert: the identity plane decides floods and password guessing
+    /// on exact, capped per-key tables ([`crate::rate::ThresholdTable`])
+    /// whatever this says. Kept only so existing configurations still
+    /// build.
     pub exact_rate_state: bool,
-    /// Dimensioning for the sketch structures (used for shadow
-    /// divergence tracking even in exact mode).
+    /// Inert: the identity plane hashes its keys with
+    /// [`crate::rate::DEFAULT_RATE_SEED`]. Kept only so existing
+    /// configurations still build.
     pub rate: crate::rate::RateConfig,
-    /// Idle expiry for identity-plane bookkeeping (learned AOR→IP
-    /// bindings and drained rate windows). Far above
+    /// Idle expiry for identity-plane AOR→IP bindings. Far above
     /// `im_mobility_interval`, so expiring an idle binding never turns a
     /// plausible re-registration into a mismatch.
     pub identity_timeout: SimDuration,

@@ -105,8 +105,8 @@ pub mod prelude {
         StateGauges, TraceEntry, TraceStage,
     };
     pub use crate::rate::{
-        CountMinSketch, FoldConfig, FoldStats, GlobalRatePlane, LatchSet, RateConfig, RateDelta,
-        RateHub, RateObservation, RateStats, ThresholdTable, WindowedDistinct, WindowedSketch,
+        FoldConfig, FoldStats, GlobalRatePlane, RateConfig, RateDelta, RateHub, RateObservation,
+        RateStats, ThresholdTable,
     };
     pub use crate::routing::{
         stable_session_hash, MediaIndex, RouteDecision, SessionRouter,

@@ -1,68 +1,49 @@
-//! Rate state for flood-style detections: the identity plane's
-//! constant-memory sketches, and the exact per-key table that decides
-//! threshold clauses.
+//! Rate state for flood-style detections: one exact per-key window
+//! table decides every rate clause.
 //!
 //! SCIDIVE's §3.3 detections (REGISTER-flood DoS, password guessing)
 //! and the SPIT-style rapid-connection pattern are fundamentally *rate*
 //! questions: how many events keyed by some identity fell inside a
 //! sliding window, and how many of them were distinct.
 //!
-//! **Threshold clauses** (`rapid-connect` and every DSL `threshold`
-//! rule) are answered exactly, by one type: [`ThresholdTable`], a capped
-//! table of each key's in-window observations. A single engine's
-//! [`crate::rules::ThresholdRule`] owns one; under the sharded pipeline
-//! the workers forward observations raw through their [`RateHub`] and
-//! the dispatcher's [`GlobalRatePlane`] replays them through the same
-//! type, so the decision cannot depend on the shard count or on any
-//! other key's traffic.
+//! All of them are answered exactly, by one type: [`ThresholdTable`], a
+//! capped table of each key's in-window observations. No key's count
+//! can be raised by another key's traffic, and what the cap drops is
+//! counted.
 //!
-//! **The identity plane** ([`crate::event::IdentityPlane`]) keeps its
-//! flood/guess state behind the
-//! [`crate::engine::ScidiveConfig::exact_rate_state`] switch: exact
-//! per-key queues, or the sketch primitives below in memory
-//! independent of the key population:
-//!
-//! * [`CountMinSketch`] — point-frequency estimation with conservative
-//!   update. Never undercounts; overcounts by at most `ε·N` with
-//!   probability `1 − δ` when sized via [`CountMinSketch::with_error`].
-//! * [`WindowedSketch`] — a ring of `B` count-min buckets quantising a
-//!   sliding window. The live buckets always cover at least the full
-//!   window, so it never undercounts the exact windowed count; it may
-//!   overcount by events up to one bucket width (`⌈W/(B−1)⌉`) older
-//!   than the window, plus the sketch collision error.
-//! * [`WindowedDistinct`] — an HLL-style distinct estimator per key
-//!   slot, windowed by the same bucket ring. Small cardinalities use
-//!   linear counting, which is exact while registers stay collision
-//!   free — the regime the guess-threshold crossings live in.
-//! * [`LatchSet`] — a fixed bitset replacing per-key `emitted` flags.
+//! * **Threshold clauses** (`rapid-connect` and every DSL `threshold`
+//!   rule): a single engine's [`crate::rules::ThresholdRule`] owns one
+//!   table; under the sharded pipeline the workers forward observations
+//!   raw through their [`RateHub`] and the dispatcher's
+//!   [`GlobalRatePlane`] replays them through the same type, so the
+//!   decision cannot depend on the shard count.
+//! * **The identity plane** ([`crate::event::IdentityPlane`]) decides
+//!   the REGISTER flood (request/4xx alternations with hysteresis) and
+//!   password guessing (distinct digest responses) on two tables of its
+//!   own. It sees every SIP footprint in every deployment, so it needs
+//!   no fold.
 //!
 //! Everything is deterministic: hashing is seeded ([`RateConfig::seed`]),
 //! time is virtual ([`SimTime`]), and no structure ever consults a wall
 //! clock — so runs replay byte-identically and the differential suite
-//! (`tests/rate_equivalence.rs`) can pin the alert streams of both
-//! modes and every shard count against each other.
+//! (`tests/rate_equivalence.rs`) can pin the alert streams of every
+//! shard count against each other.
 
-pub mod cms;
-pub mod distinct;
 pub mod fold;
 pub mod table;
-pub mod window;
 
-pub use cms::CountMinSketch;
-pub use distinct::WindowedDistinct;
 pub use fold::{FoldConfig, FoldStats, GlobalRatePlane};
 pub use table::{ThresholdTable, TABLE_BYTES_CAP};
-pub use window::WindowedSketch;
 
 use scidive_netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
-/// The default deterministic hash seed for all rate trackers.
+/// The default deterministic hash seed for rate-table keys.
 pub const DEFAULT_RATE_SEED: u64 = 0x5c1d_0d1f_f00d_5eed;
 
 /// Finalising mixer (splitmix64): cheap, deterministic, and good enough
-/// avalanche for sketch indexing.
+/// avalanche for hashed window keys.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -73,7 +54,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// Seeded FNV-1a over byte parts with a part separator (so
 /// `["ab","c"]` and `["a","bc"]` hash differently), finished through
 /// [`splitmix64`]. The one way keys (addresses, AORs, digest responses)
-/// become the `u64`s every sketch in this module consumes.
+/// become the `u64` keys and items every table in this module stores.
 pub fn hash_parts(seed: u64, parts: &[&[u8]]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
     for part in parts {
@@ -87,146 +68,29 @@ pub fn hash_parts(seed: u64, parts: &[&[u8]]) -> u64 {
     splitmix64(h)
 }
 
-/// Dimensioning for the sketch structures, part of
-/// [`crate::engine::ScidiveConfig`]. The defaults hold every tracker a
-/// default engine creates under ~1 MiB total — constant, regardless of
-/// how many sources or dialogs the traffic carries.
+/// Rate-state settings, part of [`crate::engine::ScidiveConfig`].
 #[derive(Debug, Clone)]
 pub struct RateConfig {
-    /// Hash seed shared by every tracker (per-tracker seeds are derived
-    /// from it and the tracker name).
+    /// Hash seed for threshold-clause window keys and items.
     pub seed: u64,
-    /// Count-min sketch width (counters per row).
-    pub counter_width: usize,
-    /// Count-min sketch depth (rows).
-    pub counter_depth: usize,
-    /// Ring buckets per sliding window (`B`); the window is quantised
-    /// to `⌈W/(B−1)⌉`-wide epochs so the live ring always covers it.
-    pub window_buckets: usize,
-    /// Key slots per distinct estimator (keys hashing to the same slot
-    /// pool their distinct counts — an overestimate, never an
-    /// undercount).
-    pub distinct_slots: usize,
-    /// HLL registers per distinct slot (rounded up to a power of two).
-    pub distinct_registers: usize,
-    /// Ring buckets per distinct estimator window.
-    pub distinct_buckets: usize,
-    /// Bits per latch set (rounded up to a power of two).
-    pub latch_bits: usize,
 }
 
 impl Default for RateConfig {
     fn default() -> RateConfig {
         RateConfig {
             seed: DEFAULT_RATE_SEED,
-            counter_width: 1024,
-            counter_depth: 4,
-            window_buckets: 8,
-            distinct_slots: 32,
-            distinct_registers: 1024,
-            distinct_buckets: 6,
-            latch_bits: 8192,
         }
     }
 }
 
-impl RateConfig {
-    /// The derived seed for a named tracker.
-    pub fn tracker_seed(&self, name: &str) -> u64 {
-        splitmix64(self.seed ^ hash_parts(self.seed, &[name.as_bytes()]))
-    }
-}
-
-/// Telemetry snapshot of the rate trackers: how many exist, how many
-/// bytes they pin, and — in exact mode, where the sketches shadow the
-/// exact state — how far the estimates diverged from the truth.
+/// Telemetry snapshot of rate state: the bytes it pins and the
+/// observations table caps dropped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RateStats {
-    /// Live tracker structures (sketches, estimators, latch sets).
-    pub trackers: u64,
-    /// Total bytes pinned by tracker state.
+    /// Total bytes pinned by rate state.
     pub bytes: u64,
-    /// Estimate-vs-exact comparisons recorded (shadow mode only).
-    pub divergence_samples: u64,
-    /// Sum of absolute estimate-vs-exact differences.
-    pub divergence_sum: u64,
-    /// Largest single estimate-vs-exact difference.
-    pub divergence_max: u64,
-}
-
-impl RateStats {
-    /// Folds another snapshot into this one (shard merge): sizes and
-    /// sums add, the divergence maximum takes the max.
-    pub fn absorb(&mut self, other: RateStats) {
-        self.trackers += other.trackers;
-        self.bytes += other.bytes;
-        self.divergence_samples += other.divergence_samples;
-        self.divergence_sum += other.divergence_sum;
-        self.divergence_max = self.divergence_max.max(other.divergence_max);
-    }
-
-    /// Records one estimate-vs-exact comparison.
-    pub fn record_divergence(&mut self, estimated: u32, exact: u32) {
-        let d = u64::from(estimated.abs_diff(exact));
-        self.divergence_samples += 1;
-        self.divergence_sum += d;
-        self.divergence_max = self.divergence_max.max(d);
-    }
-}
-
-/// A fixed bitset of sticky per-key flags — the constant-memory stand-in
-/// for per-key `emitted` booleans. Two keys may share a bit (bounded by
-/// `bits`); a collision can only *suppress* a duplicate alert, never
-/// invent one.
-#[derive(Debug, Clone)]
-pub struct LatchSet {
-    words: Vec<u64>,
-    mask: u64,
-    seed: u64,
-}
-
-impl LatchSet {
-    /// Creates a latch set of at least `bits` bits (rounded up to a
-    /// power of two, minimum 64).
-    pub fn new(bits: usize, seed: u64) -> LatchSet {
-        let bits = bits.next_power_of_two().max(64);
-        LatchSet {
-            words: vec![0; bits / 64],
-            mask: bits as u64 - 1,
-            seed,
-        }
-    }
-
-    fn locate(&self, key: u64) -> (usize, u64) {
-        let bit = splitmix64(key ^ self.seed) & self.mask;
-        ((bit / 64) as usize, 1u64 << (bit % 64))
-    }
-
-    /// Whether the key's latch is set.
-    pub fn get(&self, key: u64) -> bool {
-        let (w, m) = self.locate(key);
-        self.words[w] & m != 0
-    }
-
-    /// Sets or clears the key's latch.
-    pub fn put(&mut self, key: u64, on: bool) {
-        let (w, m) = self.locate(key);
-        if on {
-            self.words[w] |= m;
-        } else {
-            self.words[w] &= !m;
-        }
-    }
-
-    /// Clears every latch.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Bytes pinned by the bitset.
-    pub fn bytes(&self) -> usize {
-        self.words.len() * 8
-    }
+    /// Observations dropped by table cap eviction (monotonic).
+    pub evicted: u64,
 }
 
 /// One threshold-clause observation a shard worker ships, raw, to the
@@ -284,11 +148,9 @@ impl Default for RateHub {
 
 impl RateHub {
     /// Creates a hub for local evaluation (a single engine, or a shard
-    /// worker with the fold plane off). Only `config.seed` is consulted.
-    /// `_exact` is accepted for source compatibility and ignored:
-    /// threshold rules keep exact state in every mode, and
-    /// [`crate::engine::ScidiveConfig::exact_rate_state`] now selects
-    /// the identity plane's store only.
+    /// worker with the fold plane off). `_exact` is inert — every rate
+    /// clause keeps exact state — and is accepted for source
+    /// compatibility only.
     pub fn new(config: RateConfig, _exact: bool) -> RateHub {
         RateHub {
             aggregated: false,
@@ -312,7 +174,7 @@ impl RateHub {
         self.aggregated
     }
 
-    /// Hashes identity parts into a window key with the hub's seed.
+    /// Hashes key parts into a window key with the hub's seed.
     pub fn key(&self, parts: &[&[u8]]) -> u64 {
         hash_parts(self.config.seed, parts)
     }
@@ -364,19 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn latch_set_sets_and_clears() {
-        let mut a = LatchSet::new(128, 7);
-        a.put(1, true);
-        assert!(a.get(1) && !a.get(2));
-        a.put(2, true);
-        a.put(1, false);
-        assert!(!a.get(1) && a.get(2));
-        a.clear_all();
-        assert!(!a.get(2));
-        assert_eq!(a.bytes(), 16);
-    }
-
-    #[test]
     fn hub_forwards_only_what_it_was_given_and_empties_on_take() {
         let hub = RateHub::new_aggregated(RateConfig::default(), false);
         assert!(hub.aggregated() && !RateHub::default().aggregated());
@@ -398,31 +247,5 @@ mod tests {
         );
         assert!(hub.take_delta().observations.is_empty());
         assert_eq!(hub.stats().bytes, 0);
-    }
-
-    #[test]
-    fn rate_stats_absorb_sums_and_maxes() {
-        let mut a = RateStats {
-            trackers: 1,
-            bytes: 100,
-            divergence_samples: 2,
-            divergence_sum: 3,
-            divergence_max: 2,
-        };
-        a.record_divergence(7, 4);
-        assert_eq!(a.divergence_max, 3);
-        let b = RateStats {
-            trackers: 2,
-            bytes: 50,
-            divergence_samples: 1,
-            divergence_sum: 9,
-            divergence_max: 9,
-        };
-        a.absorb(b);
-        assert_eq!(a.trackers, 3);
-        assert_eq!(a.bytes, 150);
-        assert_eq!(a.divergence_samples, 4);
-        assert_eq!(a.divergence_sum, 15);
-        assert_eq!(a.divergence_max, 9);
     }
 }

@@ -356,9 +356,6 @@ impl ShardedScidive {
     pub fn new(config: ScidiveConfig, shards: usize, queue_depth: usize) -> ShardedScidive {
         assert!(shards >= 1, "a sharded engine needs at least one shard");
         let blueprint = Arc::new(config.blueprint().expect("configured ruleset compiles"));
-        // The one shared identity plane gets the same rate switches the
-        // shard engines fold into their event configs.
-        let events_cfg = config.event_config();
         let sink: Arc<Mutex<Vec<TaggedAlert>>> = Arc::new(Mutex::new(Vec::new()));
         let (fold_tx, fold_rx) = std::sync::mpsc::channel::<RateDelta>();
         let mut senders = Vec::with_capacity(shards);
@@ -442,7 +439,7 @@ impl ShardedScidive {
                 config.trails.idle_timeout,
                 config.protocols,
             ),
-            identity: IdentityPlane::new(events_cfg),
+            identity: IdentityPlane::new(config.events),
             senders,
             workers,
             sink,
@@ -846,11 +843,8 @@ impl ShardedScidive {
             router_media_index: index.len() as u64,
             router_interner: index.interner_len() as u64,
             router_synthetic_keys: index.synthetic_key_count() as u64,
-            rate_trackers: rate.trackers,
             rate_bytes: rate.bytes,
-            rate_divergence_samples: rate.divergence_samples,
-            rate_divergence_sum: rate.divergence_sum,
-            rate_divergence_max: rate.divergence_max,
+            rate_evicted: rate.evicted,
             fold_rate_bytes: self.fold.as_ref().map_or(0, |f| f.plane.bytes()),
             ..StateGauges::default()
         }

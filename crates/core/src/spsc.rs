@@ -20,7 +20,9 @@
 //! Parking mirrors the classic two-flag scheme: each side publishes a
 //! `waiting` flag before re-checking the condition and sleeping on the
 //! shared condvar, and the opposite side wakes it only when the flag is
-//! set — the uncontended fast path never touches the condvar mutex.
+//! set — the uncontended fast path never touches the condvar mutex. A
+//! `SeqCst` fence on each side, between its store and its load, keeps
+//! the two from missing each other.
 //!
 //! The API is the bounded-channel subset the shard layer uses
 //! ([`bounded`], [`Sender::try_send`], [`Sender::send`],
@@ -29,7 +31,7 @@
 
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// Error from [`Sender::try_send`]: the value comes back to the caller.
@@ -98,6 +100,12 @@ impl<T> Ring<T> {
     /// Wakes any parked peer. Called after publishing a state change
     /// (slot filled, slot drained, side dropped).
     fn wake(&self, flag: &AtomicBool) {
+        // Pairs with the fence a waiter issues between raising its flag
+        // and re-checking the ring: either that re-check sees the change
+        // published before this call, or this swap sees the flag. Without
+        // both fences the two store-then-load sequences may each miss the
+        // other's store, and the waiter sleeps on a ring that has work.
+        fence(Ordering::SeqCst);
         if flag.swap(false, Ordering::AcqRel) {
             // The peer either holds `park` (about to sleep) or is
             // already asleep; taking the lock before notifying closes
@@ -190,6 +198,7 @@ impl<T> Sender<T> {
                     let ring = &*self.ring;
                     let guard = park_lock(&ring.park);
                     ring.tx_waiting.store(true, Ordering::Release);
+                    fence(Ordering::SeqCst);
                     // Re-check under the park lock: a drain (or receiver
                     // drop) that raced the flag store will have taken the
                     // lock in `wake` and be ordered after this check.
@@ -244,6 +253,7 @@ impl<T> Receiver<T> {
             }
             let guard = park_lock(&ring.park);
             ring.rx_waiting.store(true, Ordering::Release);
+            fence(Ordering::SeqCst);
             let empty = ring.head.load(Ordering::Relaxed) == ring.tail.load(Ordering::Acquire);
             if empty && !ring.tx_dropped.load(Ordering::Acquire) {
                 drop(ring.cond.wait(guard).unwrap_or_else(|e| e.into_inner()));

@@ -602,105 +602,188 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Rate primitives vs exact oracles
+// The identity plane's §3.3 clauses vs a naive per-key oracle
 // ----------------------------------------------------------------------
 
-use scidive_core::rate::{CountMinSketch, WindowedSketch};
+use scidive_core::event::{EventGenConfig, IdentityPlane};
 use scidive_netsim::time::SimDuration;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const ORACLE_FLOOD_WINDOW_MS: u64 = 2_000;
+const ORACLE_FLOOD_THRESHOLD: u32 = 4;
+const ORACLE_GUESS_WINDOW_MS: u64 = 3_000;
+const ORACLE_GUESS_THRESHOLD: u32 = 3;
+const ORACLE_REGISTRAR: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 
-    /// Count-min with conservative update against an exact `HashMap`
-    /// oracle over random event streams: estimates never undercount
-    /// (hard, per key), and the classical (ε, δ) bound — an estimate
-    /// exceeds its true count by more than ε·N with probability at most
-    /// δ — holds as a per-case violation budget over the probed keys.
-    #[test]
-    fn count_min_never_undercounts_and_meets_its_error_bound(
-        keys in proptest::collection::vec(0u64..512, 1..800),
-        seed in any::<u64>(),
-    ) {
-        let (epsilon, delta) = (0.01, 0.02);
-        let mut cms = CountMinSketch::with_error(epsilon, delta, seed);
-        let mut exact: HashMap<u64, u32> = HashMap::new();
-        for &k in &keys {
-            let est = cms.observe(k);
-            let e = exact.entry(k).or_insert(0);
-            *e += 1;
-            // observe() returns the post-increment estimate.
-            prop_assert!(est >= *e, "undercount for {}: {} < {}", k, est, *e);
-        }
-        let n = keys.len() as f64;
-        let mut violations = 0usize;
-        for (&k, &count) in &exact {
-            let est = cms.estimate(k);
-            prop_assert!(est >= count, "undercount for {}: {} < {}", k, est, count);
-            if f64::from(est - count) > epsilon * n {
-                violations += 1;
-            }
-        }
-        // Expected violations ≤ δ·keys; budget one extra for small
-        // populations so the test is a gate, not a coin flip.
-        let budget = (delta * exact.len() as f64).ceil() as usize + 1;
-        prop_assert!(
-            violations <= budget,
-            "{} of {} keys broke the ε-bound (budget {})",
-            violations,
-            exact.len(),
-            budget
-        );
+/// The identity plane's flood and password-guess clauses restated
+/// naively: every observation of every key kept in a plain list, each
+/// judged over the list entries inside its own `[t − window, t]` — for a
+/// late observation, nothing older than one window behind the newest
+/// time the clause has seen.
+///
+/// * Flood: `min(requests, 4xx)` (4xx alone when stateless) reaching the
+///   threshold fires unless the key is latched; a latched key releases
+///   when its count falls below half the threshold. The latch is read
+///   as the key's latest earlier in-window observation left it — for an
+///   in-order stream, simply the key's flag.
+/// * Guessing: distinct digest responses reaching the threshold fire
+///   once per campaign; the key re-arms when no fired observation is
+///   left in its window.
+#[derive(Default)]
+struct IdentityOracle {
+    stateful: bool,
+    /// Flood key → `(time ms, is 4xx, latched after)`.
+    floods: HashMap<Ipv4Addr, Vec<(u64, bool, bool)>>,
+    /// `(src, username)` → `(time ms, response, fired after)`.
+    guesses: HashMap<(Ipv4Addr, String), Vec<GuessSeen>>,
+    /// Newest time each clause has seen.
+    flood_newest: u64,
+    guess_newest: u64,
+}
+
+type GuessSeen = (u64, String, bool);
+
+/// Whether `t` is visible to an observation at `at`, given the newest
+/// time seen before it.
+fn in_window(t: u64, at: u64, newest: u64, window_ms: u64) -> bool {
+    at.max(newest).saturating_sub(window_ms) <= t && t <= at
+}
+
+impl IdentityOracle {
+    fn flood(&mut self, ip: Ipv4Addr, error: bool, at: u64) -> Option<EventKind> {
+        let src = if self.stateful { ip } else { Ipv4Addr::UNSPECIFIED };
+        let newest = self.flood_newest;
+        self.flood_newest = newest.max(at);
+        let seen = self.floods.entry(src).or_default();
+        let window: Vec<_> = seen
+            .iter()
+            .filter(|o| in_window(o.0, at, newest, ORACLE_FLOOD_WINDOW_MS))
+            .collect();
+        let errors = window.iter().filter(|o| o.1).count() + usize::from(error);
+        let requests = window.len() + 1 - errors;
+        let count = if self.stateful { requests.min(errors) } else { errors } as u32;
+        let last = window.iter().map(|o| o.0).max();
+        let latched = window.iter().any(|o| Some(o.0) == last && o.2);
+        let fire = count >= ORACLE_FLOOD_THRESHOLD && !latched;
+        let after = fire || (latched && count >= ORACLE_FLOOD_THRESHOLD / 2);
+        seen.push((at, error, after));
+        fire.then_some(EventKind::RegisterFlood { src, count })
     }
 
-    /// A single-key windowed sketch equals the quantized timestamp-queue
-    /// oracle exactly, for arbitrary interleavings of time advances,
-    /// observations, and read-only estimates. The retention rule under
-    /// test: an event in bucket epoch `e` is still counted at epoch
-    /// `e_now` iff `e_now - e < buckets` (never less than the exact
-    /// window; stale by at most one bucket width).
-    #[test]
-    fn windowed_sketch_matches_quantized_queue_oracle(
-        steps in proptest::collection::vec(
-            // (advance µs, observe?) — advances up to 3 windows.
-            (0u64..300_000, any::<bool>()),
-            1..120,
-        ),
-        seed in any::<u64>(),
-    ) {
-        const KEY: u64 = 0xfeed;
-        const BUCKETS: u64 = 8;
-        let window = SimDuration::from_millis(100);
-        let mut sketch = WindowedSketch::new(window, BUCKETS as usize, 64, 2, seed);
-        let bucket_us = sketch.bucket_width().as_micros();
-        prop_assert_eq!(bucket_us, window.as_micros().div_ceil(BUCKETS - 1));
+    fn guess(&mut self, src: Ipv4Addr, user: &str, response: &str, at: u64) -> Option<EventKind> {
+        let key = if self.stateful {
+            (src, user.to_string())
+        } else {
+            (Ipv4Addr::UNSPECIFIED, String::new())
+        };
+        let newest = self.guess_newest;
+        self.guess_newest = newest.max(at);
+        let seen = self.guesses.entry(key).or_default();
+        let window: Vec<_> = seen
+            .iter()
+            .filter(|o| in_window(o.0, at, newest, ORACLE_GUESS_WINDOW_MS))
+            .collect();
+        let latched = window.iter().any(|o| o.2);
+        let mut distinct: HashSet<&str> = window.iter().map(|o| o.1.as_str()).collect();
+        distinct.insert(response);
+        let distinct_responses = distinct.len() as u32;
+        let fire = !latched && distinct_responses >= ORACLE_GUESS_THRESHOLD;
+        seen.push((at, response.to_string(), latched || fire));
+        fire.then(|| EventKind::PasswordGuessing {
+            src,
+            username: user.to_string(),
+            distinct_responses,
+        })
+    }
+}
 
-        let mut t = 0u64;
-        let mut observed: Vec<u64> = Vec::new();
-        for &(advance, observe) in &steps {
-            t += advance;
-            let now = SimTime::from_micros(t);
-            let e_now = t / bucket_us;
-            if observe {
-                observed.push(t);
-                let oracle = observed
-                    .iter()
-                    .filter(|&&at| e_now - at / bucket_us < BUCKETS)
-                    .count() as u32;
-                prop_assert_eq!(sketch.observe(now, KEY), oracle);
-            } else {
-                let oracle = observed
-                    .iter()
-                    .filter(|&&at| e_now - at / bucket_us < BUCKETS)
-                    .count() as u32;
-                prop_assert_eq!(sketch.estimate(now, KEY), oracle);
-            }
-            // Never undercount the exact (unquantized) sliding window.
-            let exact_window = observed
-                .iter()
-                .filter(|&&at| t - at <= window.as_micros())
-                .count() as u32;
-            prop_assert!(sketch.estimate(now, KEY) >= exact_window);
+/// A REGISTER from `user`, with digest credentials when `response` is
+/// given.
+fn oracle_register(user: &str, n: usize, response: Option<&str>) -> SipMessage {
+    let aor: scidive_sip::uri::SipUri = format!("sip:{user}@lab").parse().unwrap();
+    let mut b = RequestBuilder::new(Method::Register, "sip:lab".parse().unwrap());
+    b.from(NameAddr::new(aor.clone()).with_tag("t"))
+        .to(NameAddr::new(aor))
+        .call_id(format!("reg-{n}"))
+        .cseq(CSeq::new(n as u32 + 1, Method::Register))
+        .via(Via::udp("10.0.0.9:5060", format!("z9hG4bK-{n}")));
+    let mut req = b.build();
+    if let Some(response) = response {
+        req.headers.set(
+            HeaderName::Authorization,
+            format!(
+                "Digest username=\"{user}\", realm=\"lab\", nonce=\"n\", uri=\"sip:lab\", response=\"{response}\""
+            ),
+        );
+    }
+    req
+}
+
+fn sip_footprint(at: u64, src: Ipv4Addr, dst: Ipv4Addr, msg: SipMessage) -> Footprint {
+    Footprint {
+        meta: PacketMeta {
+            time: SimTime::from_millis(at),
+            src,
+            src_port: 5060,
+            dst,
+            dst_port: 5060,
+        },
+        body: FootprintBody::Sip(msg.into()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random REGISTER / 4xx / `Authorization` streams over a few to a
+    /// few dozen sources, with timestamps that step backwards as well
+    /// as forwards: the identity plane raises exactly the oracle's
+    /// flood and guess events, in order, with the oracle's counts.
+    #[test]
+    fn identity_plane_matches_the_naive_per_key_oracle(
+        steps in proptest::collection::vec(
+            // (source, user, kind: 0 REGISTER / 1 4xx / 2 REGISTER +
+            // credentials, response, time step in ms)
+            (0u32..64, 0u8..2, 0u8..3, 0u8..5, -400i64..700),
+            1..400,
+        ),
+        sources in 1u32..40,
+        stateful in any::<bool>(),
+    ) {
+        let mut plane = IdentityPlane::new(EventGenConfig {
+            flood_window: SimDuration::from_millis(ORACLE_FLOOD_WINDOW_MS),
+            flood_threshold: ORACLE_FLOOD_THRESHOLD,
+            guess_window: SimDuration::from_millis(ORACLE_GUESS_WINDOW_MS),
+            guess_threshold: ORACLE_GUESS_THRESHOLD,
+            stateful,
+            ..EventGenConfig::default()
+        });
+        let mut oracle = IdentityOracle { stateful, ..IdentityOracle::default() };
+        let mut at = 10_000u64;
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (n, &(source, user, kind, response, step)) in steps.iter().enumerate() {
+            at = at.saturating_add_signed(step);
+            let client = Ipv4Addr::new(10, 1, 0, (source % sources) as u8 + 2);
+            let user = format!("user{user}");
+            let response = format!("{response:032x}");
+            let fp = match kind {
+                1 => {
+                    let req = oracle_register(&user, n, None);
+                    let challenge = response_to(&req, StatusCode::UNAUTHORIZED, None);
+                    want.extend(oracle.flood(client, true, at).map(|e| (n, e)));
+                    sip_footprint(at, ORACLE_REGISTRAR, client, challenge)
+                }
+                _ => {
+                    let creds = (kind == 2).then_some(response.as_str());
+                    want.extend(oracle.flood(client, false, at).map(|e| (n, e)));
+                    if let Some(response) = creds {
+                        want.extend(oracle.guess(client, &user, response, at).map(|e| (n, e)));
+                    }
+                    sip_footprint(at, client, ORACLE_REGISTRAR, oracle_register(&user, n, creds))
+                }
+            };
+            got.extend(plane.on_footprint(&fp).into_iter().map(|e| (n, e.kind)));
         }
+        prop_assert_eq!(got, want);
     }
 }
 

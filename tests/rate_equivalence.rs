@@ -1,18 +1,17 @@
-//! Differential tests for the rate-primitive rewiring: replay the same
-//! capture through the exact reference (`exact_rate_state = true`, the
-//! default — per-key timestamp windows) and through the sketch mode
-//! (`exact_rate_state = false` — constant-memory count-min /
-//! sliding-window / distinct estimators), single engine and sharded at
-//! 1/2/4, and require **byte-identical** alert streams.
+//! Differential tests for rate state: replay the same capture with
+//! `exact_rate_state` on (the default) and off — the setting the repo
+//! benchmark runs — single engine and sharded at 1/2/4, and require
+//! **byte-identical** alert streams.
 //!
-//! Swapping the rate representation may only change *how* flood and
-//! fan-out counts are stored — never whether a threshold trips on these
-//! captures — so every scenario that fires in exact mode must fire
-//! identically in sketch mode, and benign traffic must stay silent in
-//! both.
+//! The switch is inert: every rate clause is decided on exact, capped
+//! per-key tables (`ThresholdTable`) whatever it says, so every scenario
+//! must fire identically under both settings, and benign traffic must
+//! stay silent under both. The crowd cases pin what exact per-key state
+//! buys at realistic populations: no key's count or latch can be moved
+//! by another key's traffic, so honest neighbours neither raise a false
+//! alarm nor re-arm an attacker's latch.
 //!
-//! Threshold clauses (rapid-connect) keep the same exact per-key table
-//! in both modes; for them the suite pins what that buys: a key that
+//! Threshold clauses (rapid-connect) are pinned further: a key that
 //! lives as long as its window whatever the trail timeout, and an alert
 //! stream that is invariant under the shard count at a realistic
 //! (10,000-caller) population.
@@ -47,9 +46,9 @@ fn capture_scenario(
     (frames, ep)
 }
 
-/// Replays `frames` through the exact reference and the sketch mode —
-/// single engine, then both modes sharded at 1/2/4 — asserting
-/// identical alert streams everywhere. Returns the reference alerts for
+/// Replays `frames` with `exact_rate_state` on and off — single engine,
+/// then both settings sharded at 1/2/4 — asserting identical alert
+/// streams everywhere. Returns the reference alerts for
 /// scenario assertions.
 fn assert_rate_equivalence(frames: &[CapturedFrame], ep: &Endpoints) -> Vec<Alert> {
     let mut exact = Scidive::new(config_for(ep, true));
@@ -67,9 +66,6 @@ fn assert_rate_equivalence(frames: &[CapturedFrame], ep: &Endpoints) -> Vec<Aler
         "sketch-mode alerts diverged from the exact reference"
     );
     assert_eq!(sketch.stats(), exact.stats());
-    // Mode telemetry: the reference shadow-feeds the sketches and
-    // records divergence samples; sketch mode runs no comparisons.
-    assert_eq!(sketch.gauges().rate_divergence_samples, 0);
 
     for shards in [1usize, 2, 4] {
         for mode_exact in [true, false] {
@@ -448,4 +444,148 @@ fn crowded_window_accuses_only_the_attacker_at_every_shard_count() {
         .expect("one rapid-connect");
     let slack = ScidiveConfig::default().fold.interval;
     assert!(truth_at <= folded_at && folded_at <= truth_at + slack);
+}
+
+/// The registrar every crowd member talks to.
+const REGISTRAR: std::net::Ipv4Addr = std::net::Ipv4Addr::new(10, 0, 0, 1);
+
+/// The `n`th crowd source, `10.100.x.y`.
+fn crowd_ip(n: u32) -> std::net::Ipv4Addr {
+    std::net::Ipv4Addr::from(0x0a64_0000 + n + 1)
+}
+
+/// `user`'s `n`th REGISTER from `src`, carrying a digest `Authorization`
+/// with `response` when given.
+fn register_from(src: std::net::Ipv4Addr, user: &str, n: u32, response: Option<&str>) -> SipMessage {
+    let aor: SipUri = format!("sip:{user}@lab").parse().unwrap();
+    let mut b = RequestBuilder::new(Method::Register, "sip:lab".parse().unwrap());
+    b.from(NameAddr::new(aor.clone()).with_tag("t"))
+        .to(NameAddr::new(aor))
+        .call_id(format!("reg-{user}-{n}"))
+        .cseq(CSeq::new(n, Method::Register))
+        .via(Via::udp(format!("{src}:5060"), format!("z9hG4bK-{user}-{n}")));
+    let mut req = b.build();
+    if let Some(response) = response {
+        req.headers.set(
+            HeaderName::Authorization,
+            format!(
+                "Digest username=\"{user}\", realm=\"lab\", nonce=\"n1\", uri=\"sip:lab\", response=\"{response}\""
+            ),
+        );
+    }
+    req
+}
+
+fn sip_udp(src: std::net::Ipv4Addr, dst: std::net::Ipv4Addr, msg: &SipMessage) -> IpPacket {
+    IpPacket::udp(src, 5060, dst, 5060, msg.to_bytes().as_ref())
+}
+
+/// One honest registration from `src` at `at`: REGISTER, 401 challenge,
+/// REGISTER with digest credentials, 200 OK — one request/4xx
+/// alternation and one digest response.
+fn honest_registration(src: std::net::Ipv4Addr, user: &str, at: SimTime) -> Vec<(SimTime, IpPacket)> {
+    let ms = SimDuration::from_millis;
+    let first = register_from(src, user, 1, None);
+    let challenge = response_to(&first, StatusCode::UNAUTHORIZED, None);
+    let response = format!("{:032x}", u32::from(src));
+    let second = register_from(src, user, 2, Some(&response));
+    let ok = response_to(&second, StatusCode::OK, None);
+    vec![
+        (at, sip_udp(src, REGISTRAR, &first)),
+        (at + ms(1), sip_udp(REGISTRAR, src, &challenge)),
+        (at + ms(2), sip_udp(src, REGISTRAR, &second)),
+        (at + ms(3), sip_udp(REGISTRAR, src, &ok)),
+    ]
+}
+
+/// The single engine's alerts, then each shard count's, on `frames`
+/// with `exact_rate_state` off (the benchmark's setting).
+fn benchmark_setting_alerts(frames: &[(SimTime, IpPacket)]) -> Vec<(String, Vec<Alert>)> {
+    let mut single = Scidive::new(ScidiveConfig {
+        exact_rate_state: false,
+        ..ScidiveConfig::default()
+    });
+    for (t, p) in frames {
+        single.on_frame(*t, p);
+    }
+    let mut runs = vec![("single engine".to_string(), single.alerts().to_vec())];
+    for shards in [1usize, 2, 4] {
+        let report = run_sharded_fanout(frames, false, shards, true);
+        runs.push((format!("{shards} shard(s)"), report.alerts));
+    }
+    runs
+}
+
+/// 1,024 honest sources each authenticate once inside one 30-second
+/// guess window: one digest response per `(src, username)` key, so no
+/// key comes near the 3-distinct-response clause. (Pooled distinct
+/// estimators shared 32 slots among the keys and accused hundreds.)
+#[test]
+fn once_authenticating_crowd_raises_no_password_guess_at_every_shard_count() {
+    let mut frames = Vec::new();
+    for n in 0..1_024u32 {
+        let at = SimTime::ZERO + SimDuration::from_millis(20) * u64::from(n);
+        frames.extend(honest_registration(crowd_ip(n), &format!("user{n}"), at));
+    }
+    assert!(frames.last().unwrap().0 < SimTime::from_secs(30));
+    for (run, alerts) in benchmark_setting_alerts(&frames) {
+        assert!(alerts.is_empty(), "{run} raised {} alerts: {:?}", alerts.len(), alerts.first());
+    }
+}
+
+/// 64 REGISTER flooders among 1,024 honest clients' challenge round
+/// trips, all inside one 10-second flood window. Each flooder raises
+/// exactly one `register-dos`, at its own tenth alternation: its latch
+/// can only be released by its own count falling below half the
+/// threshold, never by a neighbour's sub-threshold churn. (Latch bits
+/// shared across keys were cleared by honest REGISTERs and re-fired
+/// floods; shared by two flooders, they suppressed one.)
+#[test]
+fn each_flooder_in_a_churning_crowd_alerts_exactly_once() {
+    const FLOODERS: u32 = 64;
+    const PAIRS: u64 = 24;
+    let mut frames = Vec::new();
+    for n in 0..1_024u32 {
+        // An honest client's challenge round trip: one alternation.
+        let (src, at) = (crowd_ip(n), SimTime::ZERO + SimDuration::from_micros(9_200) * u64::from(n));
+        let req = register_from(src, &format!("user{n}"), 1, None);
+        let challenge = response_to(&req, StatusCode::UNAUTHORIZED, None);
+        frames.push((at, sip_udp(src, REGISTRAR, &req)));
+        frames.push((at + SimDuration::from_millis(1), sip_udp(REGISTRAR, src, &challenge)));
+    }
+    for f in 0..FLOODERS {
+        let src = crowd_ip(2_000 + f);
+        for k in 0..PAIRS {
+            let at = SimTime::ZERO
+                + SimDuration::from_micros(100) * u64::from(f)
+                + SimDuration::from_millis(400) * k;
+            let req = register_from(src, &format!("flood{f}"), k as u32 + 1, None);
+            let challenge = response_to(&req, StatusCode::UNAUTHORIZED, None);
+            frames.push((at, sip_udp(src, REGISTRAR, &req)));
+            frames.push((at + SimDuration::from_millis(1), sip_udp(REGISTRAR, src, &challenge)));
+        }
+    }
+    frames.sort_by_key(|f| f.0);
+    assert!(frames.last().unwrap().0 < SimTime::from_secs(10));
+    for (run, alerts) in benchmark_setting_alerts(&frames) {
+        assert!(
+            alerts.iter().all(|a| a.rule == "register-dos"),
+            "{run}: {:?}",
+            alerts.iter().find(|a| a.rule != "register-dos")
+        );
+        // Every flooder's alerts, by the source its message names.
+        let off: Vec<(u32, Vec<&str>)> = (0..FLOODERS)
+            .map(|f| {
+                let from = format!(" alternations from {}", crowd_ip(2_000 + f));
+                let own = alerts.iter().filter(|a| a.message.ends_with(&from));
+                (f, own.map(|a| a.message.as_str()).collect::<Vec<_>>())
+            })
+            .filter(|(f, own)| {
+                let tenth = format!(": 10 request/4xx alternations from {}", crowd_ip(2_000 + f));
+                own.len() != 1 || !own[0].ends_with(&tenth)
+            })
+            .collect();
+        assert!(off.is_empty(), "{run}: flooders not alerted exactly once: {off:?}");
+        assert_eq!(alerts.len(), FLOODERS as usize, "{run}");
+    }
 }

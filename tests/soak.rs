@@ -1,14 +1,13 @@
 //! Million-session soak: the bounded-memory claim, gate-enforced.
 //!
 //! Drives hours of virtual time of template-stamped dialog load (see
-//! [`scidive_voip::synth`]) through one engine in sketch mode
-//! (`exact_rate_state = false`) and checks, from the observability
-//! gauges alone, that
+//! [`scidive_voip::synth`]) through one engine with
+//! `exact_rate_state = false` (the repo benchmark's setting) and checks,
+//! from the observability gauges alone, that
 //!
-//! * the identity plane's flood/guess trackers are **byte-for-byte
-//!   constant** from the first checkpoint on, and the rapid-connect
-//!   threshold table beside them is live, under its hard cap at every
-//!   checkpoint, and evicts nothing — regardless of how many dialogs or
+//! * the identity plane's flood/guess tables and the rapid-connect
+//!   threshold table beside them are live, under their hard cap at every
+//!   checkpoint, and evict nothing — regardless of how many dialogs or
 //!   registration sources pass by;
 //! * every per-session gauge (trails, media index, interner, synthetic
 //!   keys, session plane) and the threshold table's key count plateau —
@@ -21,13 +20,12 @@
 //! through one engine and through the 4-shard fold plane alike).
 
 use scidive::prelude::*;
+use scidive_core::rate::TABLE_BYTES_CAP;
 use scidive_voip::synth::SynthConfig;
 
-/// Hard bound on the bytes each rate structure may pin: the identity
-/// plane's sketches (constant, well under it at the default
-/// dimensioning of DESIGN.md §13) and each threshold table (whose own
-/// cap, `scidive_core::rate::TABLE_BYTES_CAP`, is this number).
-const RATE_BYTES_CAP: u64 = 2 * 1024 * 1024;
+/// Hard bound on the bytes each rate store may pin: the identity plane's
+/// two tables together, and each threshold table.
+const RATE_BYTES_CAP: u64 = TABLE_BYTES_CAP as u64;
 
 fn soak_dialogs() -> u64 {
     std::env::var("SCIDIVE_SOAK_DIALOGS")
@@ -37,7 +35,7 @@ fn soak_dialogs() -> u64 {
 }
 
 #[test]
-fn soak_rate_state_constant_and_gauges_plateau() {
+fn soak_rate_state_bounded_and_gauges_plateau() {
     let dialogs = soak_dialogs();
     let concurrent = (dialogs / 4).max(64);
     let mut synth = SynthConfig::load(dialogs, concurrent);
@@ -64,23 +62,24 @@ fn soak_rate_state_constant_and_gauges_plateau() {
 
     let mut ids = Scidive::new(config.clone());
     // The same engine minus its one threshold rule: what it reports as
-    // rate bytes is the identity plane's sketches alone, which isolates
-    // the threshold table's share of `ids`'s. Retention does not touch
-    // the sketches, so keep this one's short and its trail scans cheap.
+    // rate bytes is the identity plane's tables alone, which isolates
+    // the threshold table's share of `ids`'s. Trail and session
+    // retention do not touch the identity plane, so keep this one's
+    // short and its trail scans cheap.
     config.rules.rapid_connect = false;
     config.trails.idle_timeout = SimDuration::from_secs(1);
     config.events.session_timeout = SimDuration::from_secs(1);
-    let mut sketches_only = Scidive::new(config);
+    let mut identity_only = Scidive::new(config);
     let total = synth.total_frames();
     let checkpoint_every = (total / 8).max(1);
     let mut gauges = Vec::new();
-    let mut sketch_bytes = Vec::new();
+    let mut identity_bytes = Vec::new();
     for (n, (time, pkt)) in synth.stream().enumerate() {
         ids.on_frame(time, &pkt);
-        sketches_only.on_frame(time, &pkt);
+        identity_only.on_frame(time, &pkt);
         if (n as u64 + 1).is_multiple_of(checkpoint_every) {
             gauges.push(ids.gauges());
-            sketch_bytes.push(sketches_only.gauges().rate_bytes);
+            identity_bytes.push(identity_only.gauges().rate_bytes);
         }
     }
 
@@ -97,31 +96,26 @@ fn soak_rate_state_constant_and_gauges_plateau() {
         ids.alerts().first()
     );
 
-    // Rate state. The sketches: constant bytes from the first
-    // checkpoint on (every tracker exists after the first churn pair).
-    // The threshold table: live, under its cap at every checkpoint, and
-    // never evicting — at the 100k-dialog scale that last one is what
-    // proves aged-out observations are reclaimed (unreclaimed, they
-    // would outgrow the cap).
-    let sketches = *sketch_bytes.first().expect("at least one checkpoint");
-    assert!(sketches > 0, "rate trackers never materialized");
-    assert!(sketches < RATE_BYTES_CAP);
-    for (i, (g, s)) in gauges.iter().zip(&sketch_bytes).enumerate() {
-        assert_eq!(
-            *s, sketches,
-            "rate tracker bytes moved at checkpoint {i}: {sketches} -> {s}"
+    // Rate state. The identity plane's tables and the threshold table:
+    // live, under their cap at every checkpoint, and never evicting — at
+    // the 100k-dialog scale that last one is what proves aged-out
+    // observations are reclaimed (unreclaimed, they would outgrow the
+    // cap).
+    assert!(!identity_bytes.is_empty(), "at least one checkpoint");
+    for (i, (g, identity)) in gauges.iter().zip(&identity_bytes).enumerate() {
+        assert!(*identity > 0, "identity tables empty at checkpoint {i}");
+        assert!(
+            *identity <= RATE_BYTES_CAP,
+            "identity table bytes {identity} broke the {RATE_BYTES_CAP} cap at checkpoint {i}"
         );
-        let table = g.rate_bytes - sketches;
+        assert_eq!(g.rate_evicted, 0, "identity tables evicted at checkpoint {i}");
+        let table = g.rate_bytes - identity;
         assert!(table > 0, "threshold table empty at checkpoint {i}");
         assert!(
             table <= RATE_BYTES_CAP,
             "threshold table bytes {table} broke the {RATE_BYTES_CAP} cap at checkpoint {i}"
         );
         assert_eq!(g.rule_state_evicted, 0, "evicted at checkpoint {i}");
-        assert_eq!(
-            g.rate_divergence_samples, 0,
-            "sketch mode must not run exact shadow comparisons"
-        );
     }
 
     // Plateau: the last checkpoint retains no more per-session state
@@ -222,41 +216,12 @@ fn soak_sharded_fold_plane_bytes_stay_bounded() {
         );
     }
     // Workers keep no threshold state of their own under the fold —
-    // what they report is the dispatcher's sketches plus whatever sits
-    // in their outboxes — and evict nothing.
+    // what they report is the dispatcher's identity tables plus
+    // whatever sits in their outboxes — and nothing evicts.
     let gauges = &report.observation.gauges;
     assert!(gauges.rate_bytes > 0 && gauges.rate_bytes < RATE_BYTES_CAP);
     assert_eq!((gauges.rule_state, gauges.rule_state_evicted), (0, 0));
-}
-
-/// The same soak shape in exact mode at a fixed small scale: the
-/// reference keeps per-key windows, so its state is *not* constant —
-/// but the shadow sketches must track it (divergence telemetry runs)
-/// and the alert behavior must stay identical (none).
-#[test]
-fn soak_exact_mode_shadow_divergence_stays_zero() {
-    let synth = SynthConfig::load(1_500, 128);
-    let config = ScidiveConfig {
-        exact_rate_state: true,
-        ..ScidiveConfig::default()
-    };
-    let mut ids = Scidive::new(config);
-    for (time, pkt) in synth.stream() {
-        ids.on_frame(time, &pkt);
-    }
-    assert!(ids.alerts().is_empty());
-    let g = ids.gauges();
-    assert!(
-        g.rate_divergence_samples > 0,
-        "exact mode should shadow-compare against the sketches"
-    );
-    // Benign churn keeps every window tiny (2-3 entries), where the
-    // sliding-window sketch is exact: zero divergence end to end.
-    assert_eq!(
-        g.rate_divergence_max, 0,
-        "sketch diverged from exact windows under benign load (sum {})",
-        g.rate_divergence_sum
-    );
+    assert_eq!(gauges.rate_evicted, 0);
 }
 
 /// Hot reload under sustained load: swap the ruleset every ~6% of the
