@@ -499,6 +499,7 @@ impl Scidive {
         // the identity plane's (the rules' are `rule_state_evicted`).
         let identity = self.events.rate_stats();
         let rate_bytes = self.rates.stats().bytes + identity.bytes + rule_state.bytes;
+        let trail_stats = self.trails.stats();
         StateGauges {
             trails: self.trails.trail_count() as u64,
             retained_footprints: self.trails.footprint_count() as u64,
@@ -507,7 +508,8 @@ impl Scidive {
             synthetic_keys: index.synthetic_key_count() as u64,
             rule_state: rule_state.sessions,
             session_plane: self.events.session_count() as u64,
-            expired_trails: self.trails.stats().expired_trails,
+            expired_trails: trail_stats.expired_trails,
+            trails_evicted: trail_stats.evicted_trails,
             media_expired: lifecycle.media_expired,
             synthetic_expired: lifecycle.synthetic_expired,
             interner_expired: lifecycle.interner_expired,

@@ -263,6 +263,10 @@ pub struct StateGauges {
     pub session_plane: u64,
     /// Trails dropped by the idle timeout (monotonic).
     pub expired_trails: u64,
+    /// Trails evicted, oldest `last_active` first, at the live-trail cap
+    /// [`crate::trail::MAX_LIVE_TRAILS`] (monotonic; each a session whose
+    /// history the rules lose early).
+    pub trails_evicted: u64,
     /// Media mappings dropped by idle expiry (monotonic).
     pub media_expired: u64,
     /// Memoized synthetic keys dropped by idle expiry (monotonic).
@@ -318,6 +322,7 @@ impl std::ops::Add for StateGauges {
             rule_state: self.rule_state + rhs.rule_state,
             session_plane: self.session_plane + rhs.session_plane,
             expired_trails: self.expired_trails + rhs.expired_trails,
+            trails_evicted: self.trails_evicted + rhs.trails_evicted,
             media_expired: self.media_expired + rhs.media_expired,
             synthetic_expired: self.synthetic_expired + rhs.synthetic_expired,
             interner_expired: self.interner_expired + rhs.interner_expired,
@@ -752,8 +757,9 @@ impl PipelineObservation {
         );
         let _ = writeln!(
             out,
-            "lifecycle  expired_trails={} media_expired={} synthetic_expired={} interner_expired={} rule_state_expired={} rule_state_evicted={} session_plane_expired={}",
+            "lifecycle  expired_trails={} trails_evicted={} media_expired={} synthetic_expired={} interner_expired={} rule_state_expired={} rule_state_evicted={} session_plane_expired={}",
             self.gauges.expired_trails,
+            self.gauges.trails_evicted,
             self.gauges.media_expired,
             self.gauges.synthetic_expired,
             self.gauges.interner_expired,

@@ -10,12 +10,34 @@
 //! rules and the media correlation index itself live in
 //! [`crate::routing`] (they are shared with the sharded dispatcher);
 //! the store here applies them to file footprints into trails.
+//!
+//! Bounded state (paper §3.3). Before each insert the store drops every
+//! trail idle for at least [`TrailStoreConfig::idle_timeout`] — exactly
+//! the trails `retain(now - last_active < idle_timeout)` would drop, for
+//! any timestamp order. It finds them through a min-heap of deadline
+//! records rather than a scan, so a frame costs O(1) amortised plus
+//! O(log n) per expiry, independent of how many trails are live:
+//!
+//! * each trail remembers the time of its one pending record
+//!   (`queued ≤ last_active`); a new trail pushes one, and a touch pushes
+//!   one only when the capture steps back before `queued`;
+//! * expiry pops every due record, skips those no longer their trail's
+//!   `queued`, drops the trail if it is idle and otherwise re-queues it
+//!   at `last_active`.
+//!
+//! Past [`MAX_LIVE_TRAILS`] a new trail first evicts the one with the
+//! oldest `last_active`, through the same heap, counted in
+//! [`TrailStats::evicted_trails`]. Caps are per store, so the sharded
+//! pipeline agrees with one engine only while every shard stays below
+//! the cap.
 
 use crate::footprint::{Footprint, TrailProto};
 use crate::routing::MediaIndex;
 use scidive_netsim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -148,7 +170,7 @@ impl fmt::Display for SessionKey {
 }
 
 /// Identifies one trail: a session × protocol pair.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TrailKey {
     /// The owning session.
     pub session: SessionKey,
@@ -165,16 +187,23 @@ pub struct Trail {
     last_active: SimTime,
     /// Footprints evicted due to the per-trail cap.
     evicted: u64,
+    /// Store-unique creation number: tells this trail's deadline records
+    /// from those of an earlier trail under the same key.
+    id: u64,
+    /// Time of this trail's pending deadline record (≤ `last_active`).
+    queued: SimTime,
 }
 
 impl Trail {
-    fn new(key: TrailKey, now: SimTime) -> Trail {
+    fn new(key: TrailKey, now: SimTime, id: u64) -> Trail {
         Trail {
             key,
             footprints: VecDeque::new(),
             created: now,
             last_active: now,
             evicted: 0,
+            id,
+            queued: now,
         }
     }
 
@@ -222,7 +251,8 @@ impl Trail {
 pub struct TrailStoreConfig {
     /// Maximum footprints retained per trail.
     pub max_footprints_per_trail: usize,
-    /// Trails idle longer than this are dropped on the next insert.
+    /// Trails idle for this long or longer (`now - last_active ≥
+    /// idle_timeout`) are dropped on the next insert.
     pub idle_timeout: SimDuration,
 }
 
@@ -244,11 +274,20 @@ pub struct TrailStats {
     pub evicted: u64,
     /// Whole trails expired by the idle timeout.
     pub expired_trails: u64,
+    /// Whole trails evicted, oldest `last_active` first, to keep the
+    /// live count at [`MAX_LIVE_TRAILS`].
+    pub evicted_trails: u64,
 }
+
+/// One pending deadline record `(time, trail id, key)`: the trail is due
+/// for an idle check once `idle_timeout` has passed since `time`. Ids are
+/// unique, so records order by `(time, id)` alone; keys are never
+/// compared.
+type Deadline = (SimTime, u64, TrailKey);
 
 /// The trail store: all live trails plus the cross-protocol correlation
 /// indices.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TrailStore {
     config: TrailStoreConfig,
     trails: HashMap<TrailKey, Trail>,
@@ -261,12 +300,36 @@ pub struct TrailStore {
     /// retain/evict cycle then runs with zero allocator traffic per
     /// frame. Bounded by [`FOOTPRINT_POOL_CAP`].
     free: Vec<Arc<Footprint>>,
+    /// Min-heap of deadline records: exactly one valid record per live
+    /// trail (the one at its `queued`), plus stale ones skipped when
+    /// popped.
+    deadlines: BinaryHeap<Reverse<Deadline>>,
+    /// Id for the next trail created.
+    next_id: u64,
+    /// Footprints retained across all trails.
+    retained: usize,
+    /// Live-trail cap ([`MAX_LIVE_TRAILS`] outside unit tests).
+    trail_cap: usize,
 }
 
 /// Upper bound on pooled footprint slots. Enough to keep the
 /// evict-one-insert-one steady state allocation-free; beyond it, retired
 /// slots go back to the allocator so a burst can't pin memory.
 const FOOTPRINT_POOL_CAP: usize = 256;
+
+/// Hard cap on live trails per store. A new trail past it evicts the
+/// trail with the oldest `last_active` (counted in
+/// [`TrailStats::evicted_trails`]), so memory under a Call-ID-minting
+/// flood is bounded by this constant rather than by `idle_timeout ×
+/// link rate`. Each shard's store has its own cap: shard-count
+/// invariance holds only while no store reaches it.
+pub const MAX_LIVE_TRAILS: usize = 1 << 18;
+
+impl Default for TrailStore {
+    fn default() -> TrailStore {
+        TrailStore::new(TrailStoreConfig::default())
+    }
+}
 
 impl TrailStore {
     /// Creates a store with the default protocol registry.
@@ -287,7 +350,19 @@ impl TrailStore {
             media_index,
             stats: TrailStats::default(),
             free: Vec::new(),
+            deadlines: BinaryHeap::new(),
+            next_id: 0,
+            retained: 0,
+            trail_cap: MAX_LIVE_TRAILS,
         }
+    }
+
+    /// The same store with a smaller live-trail cap.
+    #[cfg(test)]
+    pub(crate) fn with_trail_cap(mut self, cap: usize) -> TrailStore {
+        assert!(cap >= 1, "the store must hold the trail being inserted");
+        self.trail_cap = cap;
+        self
     }
 
     /// Current counters.
@@ -302,7 +377,7 @@ impl TrailStore {
 
     /// Total retained footprints across all trails.
     pub fn footprint_count(&self) -> usize {
-        self.trails.values().map(Trail::len).sum()
+        self.retained
     }
 
     /// The session owning a media sink, if announced by any SDP seen.
@@ -335,14 +410,14 @@ impl TrailStore {
     /// Inserts a footprint, assigning it to a session trail. Returns the
     /// shared footprint and the trail key it landed in.
     pub fn insert(&mut self, fp: Footprint) -> (Arc<Footprint>, TrailKey) {
-        self.expire(fp.meta.time);
+        let now = fp.meta.time;
+        self.expire(now);
         let session = self.session_of(&fp);
         self.learn_media(&fp, &session);
         let key = TrailKey {
             session,
             proto: fp.proto(),
         };
-        let now = fp.meta.time;
         // Reuse a recycled slot when one is available: overwriting the
         // unique `Arc` in place drops the old footprint without touching
         // the allocator.
@@ -353,20 +428,43 @@ impl TrailStore {
             }
             None => Arc::new(fp),
         };
-        let trail = self
-            .trails
-            .entry(key.clone())
-            .or_insert_with(|| Trail::new(key.clone(), now));
+        let trail = match self.trails.get_mut(&key) {
+            Some(trail) => {
+                // A step back before the pending record would leave it
+                // late: queue the earlier deadline too.
+                if now < trail.queued {
+                    trail.queued = now;
+                    self.deadlines.push(Reverse((now, trail.id, key.clone())));
+                }
+                trail
+            }
+            None => {
+                if self.trails.len() >= self.trail_cap {
+                    self.evict_oldest();
+                }
+                let id = self.next_id;
+                self.next_id += 1;
+                self.deadlines.push(Reverse((now, id, key.clone())));
+                self.trails
+                    .entry(key.clone())
+                    .or_insert(Trail::new(key.clone(), now, id))
+            }
+        };
         trail.footprints.push_back(fp.clone());
         trail.last_active = now;
         self.stats.inserted += 1;
+        self.retained += 1;
         if trail.footprints.len() > self.config.max_footprints_per_trail {
             let evicted = trail.footprints.pop_front();
             trail.evicted += 1;
             self.stats.evicted += 1;
+            self.retained -= 1;
             if let Some(old) = evicted {
                 self.recycle(old);
             }
+        }
+        if self.deadlines.len() > 2 * self.trails.len() + STALE_DEADLINE_SLACK {
+            self.drop_stale_deadlines();
         }
         (fp, key)
     }
@@ -394,30 +492,77 @@ impl TrailStore {
         self.media_index.learn_from(fp, session);
     }
 
+    /// Drops every trail idle for at least the timeout at `now`. A trail
+    /// is idle only if its pending record is due (`queued ≤
+    /// last_active`), so popping due records finds them all.
     fn expire(&mut self, now: SimTime) {
         let timeout = self.config.idle_timeout;
-        let mut expired = 0u64;
-        let free = &mut self.free;
-        self.trails.retain(|_, t| {
-            if now.saturating_since(t.last_active) < timeout {
-                return true;
+        while let Some(Reverse((at, _, _))) = self.deadlines.peek() {
+            if now.saturating_since(*at) < timeout {
+                break;
             }
-            expired += 1;
-            // Recycle the dying trail's unique footprint slots (same
-            // policy as `recycle`, inlined for the disjoint borrow).
-            while let Some(slot) = t.footprints.pop_front() {
-                if free.len() < FOOTPRINT_POOL_CAP
-                    && Arc::strong_count(&slot) == 1
-                    && Arc::weak_count(&slot) == 0
-                {
-                    free.push(slot);
-                }
+            let Reverse(due) = self.deadlines.pop().expect("peeked");
+            if self.settle(due, |t| now.saturating_since(t.last_active) >= timeout) {
+                self.stats.expired_trails += 1;
             }
-            false
+        }
+    }
+
+    /// Evicts the trail with the oldest `last_active`. The heap's first
+    /// valid record that sits at its trail's `last_active` is that trail:
+    /// every other live trail's `last_active` is at or after its own
+    /// record.
+    fn evict_oldest(&mut self) {
+        while let Some(Reverse(due)) = self.deadlines.pop() {
+            if self.settle(due, |t| t.queued == t.last_active) {
+                self.stats.evicted_trails += 1;
+                return;
+            }
+        }
+    }
+
+    /// Resolves one popped deadline record. A stale record (its trail is
+    /// gone or has queued an earlier one since) is dropped. Otherwise the
+    /// trail is removed if `dies` holds, its footprint slots recycled,
+    /// and `true` returned; if not, it re-queues at its `last_active`.
+    fn settle(&mut self, (at, id, key): Deadline, dies: impl FnOnce(&Trail) -> bool) -> bool {
+        let Entry::Occupied(mut entry) = self.trails.entry(key) else {
+            return false;
+        };
+        let trail = entry.get_mut();
+        if trail.id != id || trail.queued != at {
+            return false;
+        }
+        if !dies(trail) {
+            trail.queued = trail.last_active;
+            let record = (trail.last_active, id, entry.key().clone());
+            self.deadlines.push(Reverse(record));
+            return false;
+        }
+        let mut trail = entry.remove();
+        self.retained -= trail.footprints.len();
+        while let Some(slot) = trail.footprints.pop_front() {
+            self.recycle(slot);
+        }
+        true
+    }
+
+    /// Drops the records no longer their trail's pending one. Only
+    /// captures that keep stepping back leave stale records behind; this
+    /// bounds them at about the number of live trails.
+    fn drop_stale_deadlines(&mut self) {
+        let trails = &self.trails;
+        self.deadlines.retain(|Reverse((at, id, key))| {
+            trails
+                .get(key)
+                .is_some_and(|t| t.id == *id && t.queued == *at)
         });
-        self.stats.expired_trails += expired;
     }
 }
+
+/// Stale deadline records tolerated beyond twice the live trail count
+/// before [`TrailStore::drop_stale_deadlines`] runs.
+const STALE_DEADLINE_SLACK: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -562,6 +707,116 @@ mod tests {
         store.insert(rtp_to([10, 0, 0, 9], 5678, 60_000));
         assert_eq!(store.trail_count(), 1);
         assert_eq!(store.stats().expired_trails, 1);
+    }
+
+    #[test]
+    fn a_step_back_moves_the_deadline_earlier() {
+        // `last_active` is the latest insert's time, even when the
+        // capture steps back: touched at 100 then 90 with a 50 ms
+        // timeout, the trail is idle from 140 on, not from 150.
+        let mut store = TrailStore::new(TrailStoreConfig {
+            idle_timeout: SimDuration::from_millis(50),
+            ..TrailStoreConfig::default()
+        });
+        let (_, key) = store.insert(rtp_to([10, 0, 0, 9], 1234, 100));
+        store.insert(rtp_to([10, 0, 0, 9], 1234, 90));
+        store.insert(rtp_to([10, 0, 0, 9], 5678, 139));
+        assert!(store.trail(&key).is_some(), "idle 49 ms: still live");
+        store.insert(rtp_to([10, 0, 0, 9], 5678, 140));
+        assert!(store.trail(&key).is_none(), "idle 50 ms: expired");
+        assert_eq!(store.stats().expired_trails, 1);
+        assert_eq!(store.trail_count(), 1);
+        assert_eq!(store.footprint_count(), 2);
+    }
+
+    #[test]
+    fn in_order_streams_keep_one_deadline_per_trail() {
+        // 10k in-order inserts over 1k sessions, with idle expiry and
+        // re-queueing both at work: a heap that queued a record on every
+        // insert would hold ~10k records here.
+        let mut store = TrailStore::new(TrailStoreConfig {
+            idle_timeout: SimDuration::from_millis(400),
+            ..TrailStoreConfig::default()
+        });
+        let mut x = 1u64;
+        for t in 0..10_000u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let port = 10_000 + ((x >> 33) % 1_000) as u16;
+            store.insert(rtp_to([10, 0, 0, 9], port, t));
+            assert!(
+                store.deadlines.len() <= store.trail_count() + 1,
+                "{} records for {} trails at t={t}",
+                store.deadlines.len(),
+                store.trail_count()
+            );
+        }
+        assert!(store.stats().expired_trails > 0);
+    }
+
+    #[test]
+    fn eviction_skips_stale_deadline_records() {
+        // Trail A opens at 10 and steps back to 5, leaving its record at
+        // 10 stale; then A is touched at 200. B opens at 50. At the cap,
+        // B (idle since 50) is the one to go, not A, though A's stale
+        // record at 10 pops first.
+        let mut store = TrailStore::new(TrailStoreConfig::default()).with_trail_cap(2);
+        let (_, a) = store.insert(rtp_to([10, 0, 0, 9], 1, 10));
+        store.insert(rtp_to([10, 0, 0, 9], 1, 5));
+        let (_, b) = store.insert(rtp_to([10, 0, 0, 9], 2, 50));
+        store.insert(rtp_to([10, 0, 0, 9], 1, 200));
+        store.insert(rtp_to([10, 0, 0, 9], 3, 210));
+        assert!(store.trail(&a).is_some());
+        assert!(store.trail(&b).is_none());
+        assert_eq!(store.stats().evicted_trails, 1);
+        assert_eq!(store.footprint_count(), 4);
+    }
+
+    #[test]
+    fn a_capture_that_keeps_stepping_back_leaves_bounded_records() {
+        let mut store = TrailStore::new(TrailStoreConfig::default());
+        for t in (0..1_000u64).rev() {
+            store.insert(rtp_to([10, 0, 0, 9], 1234, t));
+            assert!(store.deadlines.len() <= 2 * store.trail_count() + STALE_DEADLINE_SLACK);
+        }
+        assert_eq!(store.trail_count(), 1);
+    }
+
+    #[test]
+    fn call_id_minting_is_held_at_the_trail_cap() {
+        const CAP: usize = 8;
+        let mut store = TrailStore::new(TrailStoreConfig::default()).with_trail_cap(CAP);
+        let live = TrailKey {
+            session: SessionKey::new("live"),
+            proto: TrailProto::Sip,
+        };
+        let mut minted = 0u64;
+        for t in 0..2_000u64 {
+            // Every fourth frame keeps a real call busy; the rest each
+            // mint a fresh Call-ID.
+            let call_id = if t % 4 == 0 {
+                "live".to_string()
+            } else {
+                minted += 1;
+                format!("mint-{t}")
+            };
+            let mut fp = invite_with_sdp(&call_id, [10, 0, 0, 2], 8000);
+            fp.meta.time = SimTime::from_millis(t);
+            store.insert(fp);
+            assert!(store.trail_count() <= CAP);
+            let retained: usize = store.trails.values().map(Trail::len).sum();
+            assert_eq!(store.footprint_count(), retained);
+        }
+        let stats = store.stats();
+        // Every trail ever opened is live or was evicted; none expired.
+        assert_eq!(stats.expired_trails, 0);
+        assert_eq!(
+            stats.evicted_trails + store.trail_count() as u64,
+            minted + 1
+        );
+        assert_eq!(store.trail_count(), CAP);
+        let call = store.trail(&live).expect("the live call keeps its trail");
+        assert_eq!(call.created(), SimTime::ZERO);
+        assert_eq!(call.len(), 500);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use scidive_core::rate::RateHub;
 use scidive_core::routing::SessionRouter;
 use scidive_core::rules::{AlertSink, CompiledRuleset, Rule, RuleCtx, RuleInterest};
 use scidive_core::shard::ShardedScidive;
-use scidive_core::trail::{SessionKey, TrailStore, TrailStoreConfig};
+use scidive_core::trail::{SessionKey, TrailKey, TrailStats, TrailStore, TrailStoreConfig};
 use scidive_netsim::packet::IpPacket;
 use scidive_netsim::time::SimTime;
 use scidive_rtp::packet::{RtpHeader, RtpPacket};
@@ -784,6 +784,129 @@ proptest! {
             got.extend(plane.on_footprint(&fp).into_iter().map(|e| (n, e.kind)));
         }
         prop_assert_eq!(got, want);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Trail expiry: the deadline queue against a retain-on-every-insert model
+// ----------------------------------------------------------------------
+
+/// One model trail: what a store that scans every live trail on every
+/// insert would hold for it.
+struct ModelTrail {
+    created: SimTime,
+    last_active: SimTime,
+    len: usize,
+}
+
+/// The trail-store semantics the deadline queue must reproduce: before
+/// each insert, drop every trail with `now - last_active ≥ timeout`.
+#[derive(Default)]
+struct TrailModel {
+    trails: HashMap<TrailKey, ModelTrail>,
+    stats: TrailStats,
+}
+
+impl TrailModel {
+    fn expire(&mut self, now: SimTime, timeout: SimDuration) {
+        let before = self.trails.len();
+        self.trails
+            .retain(|_, t| now.saturating_since(t.last_active) < timeout);
+        self.stats.expired_trails += (before - self.trails.len()) as u64;
+    }
+
+    fn file(&mut self, key: TrailKey, now: SimTime, cap: usize) {
+        let trail = self.trails.entry(key).or_insert(ModelTrail {
+            created: now,
+            last_active: now,
+            len: 0,
+        });
+        trail.last_active = now;
+        trail.len += 1;
+        self.stats.inserted += 1;
+        if trail.len > cap {
+            trail.len -= 1;
+            self.stats.evicted += 1;
+        }
+    }
+}
+
+/// SIP with SDP for one of a few sessions, RTP to its announced sink,
+/// or RTP to a sink no SDP announces.
+fn trail_footprint(kind: u8, session: usize, at: SimTime) -> Footprint {
+    let rtp = |dst: Ipv4Addr, dst_port: u16| Footprint {
+        meta: PacketMeta {
+            time: at,
+            src: Ipv4Addr::new(10, 0, 3, 1),
+            src_port: 9000,
+            dst,
+            dst_port,
+        },
+        body: FootprintBody::Rtp {
+            header: RtpHeader::new(0, 1, 0, 7),
+            payload_len: 160,
+        },
+    };
+    match kind {
+        0 => Footprint {
+            meta: PacketMeta {
+                time: at,
+                src: caller_ip(session),
+                src_port: 5060,
+                dst: callee_ip(session),
+                dst_port: 5060,
+            },
+            body: FootprintBody::Sip(invite_msg(session).into()),
+        },
+        1 => rtp(caller_ip(session), caller_media_port(session)),
+        _ => rtp(Ipv4Addr::new(10, 9, 0, 1), 40_000 + session as u16),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random SIP and RTP footprints over several sessions, with time
+    /// steps from -timeout to +2 timeout (at least a millisecond either
+    /// way), through the store and through the naive model: after every
+    /// insert they hold the same trails with the same counters.
+    #[test]
+    fn trail_expiry_matches_the_retain_every_insert_model(
+        steps in proptest::collection::vec((0u8..3, 0usize..6, 0.0f64..1.0), 1..300),
+        timeout_us in prop_oneof![Just(0u64), Just(1u64), 2u64..200_000],
+        cap in 1usize..6,
+    ) {
+        let timeout = SimDuration::from_micros(timeout_us);
+        let mut store = TrailStore::new(TrailStoreConfig {
+            max_footprints_per_trail: cap,
+            idle_timeout: timeout,
+        });
+        let mut model = TrailModel::default();
+        let span = timeout_us.max(1_000) as f64;
+        let mut at = 1_000_000u64;
+        for &(kind, session, step) in &steps {
+            // step ∈ [0, 1) maps onto [-span, +2 span).
+            at = at.saturating_add_signed((step * 3.0 * span - span) as i64);
+            let now = SimTime::from_micros(at);
+            model.expire(now, timeout);
+            let (_, key) = store.insert(trail_footprint(kind, session, now));
+            model.file(key, now, cap);
+
+            prop_assert_eq!(store.stats(), model.stats);
+            prop_assert_eq!(store.trail_count(), model.trails.len());
+            prop_assert_eq!(
+                store.footprint_count(),
+                model.trails.values().map(|t| t.len).sum::<usize>()
+            );
+            for (key, want) in &model.trails {
+                let got = store.trail(key);
+                prop_assert!(got.is_some(), "{:?} missing", key);
+                let got = got.unwrap();
+                prop_assert_eq!(got.created(), want.created);
+                prop_assert_eq!(got.last_active(), want.last_active);
+                prop_assert_eq!(got.len(), want.len);
+            }
+        }
     }
 }
 

@@ -15,6 +15,12 @@
 #   - the DSL golden diagnostics and properties, the SWAR-vs-reference
 #     SIP parser and sniffer proptests, the leak plateau (tests/chaos.rs)
 #     and every crate's unit tests;
+#   - trail expiry: the trail store's deadline queue leaves, after every
+#     insert, exactly the trails and counters of a naive model that
+#     scans every live trail (the core property tests, with timestamps
+#     stepping back and idle timeouts of 0, 1 us and random), and its
+#     MAX_LIVE_TRAILS cap evicts oldest-first, counted in
+#     trails_evicted (trail.rs unit tests);
 #   - the rate gates (DESIGN SS13, SS15): every rate clause is decided
 #     by one exact, capped per-key table -- the identity plane's REGISTER
 #     flood and password guessing (equal to a naive per-key oracle in
@@ -43,7 +49,8 @@
 #   - the 100k-dialog release soak (tests/soak.rs) holds the identity
 #     plane's tables and the threshold table of one engine and of the
 #     4-shard fold plane live, under their 2 MiB cap and eviction-free,
-#     with every session gauge on a plateau.
+#     with every session gauge on a plateau and no trail evicted at the
+#     live-trail cap.
 # Last, the repo benchmark (benchmark/, its own workspace) runs its
 # generator/contract self-tests and its --quick pass, which exits
 # non-zero if any workload reports failed > 0 (a missed or late

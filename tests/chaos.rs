@@ -144,6 +144,7 @@ fn state_gauges_plateau_across_idle_expiry() {
     );
     // And the lifecycle counters prove expiry actually ran.
     assert!(later.expired_trails > 0);
+    assert_eq!(later.trails_evicted, 0, "far under the live-trail cap");
     assert!(later.media_expired > 0);
     assert!(later.synthetic_expired > 0);
     assert!(later.interner_expired > 0);

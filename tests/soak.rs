@@ -116,6 +116,7 @@ fn soak_rate_state_bounded_and_gauges_plateau() {
             "threshold table bytes {table} broke the {RATE_BYTES_CAP} cap at checkpoint {i}"
         );
         assert_eq!(g.rule_state_evicted, 0, "evicted at checkpoint {i}");
+        assert_eq!(g.trails_evicted, 0, "trails evicted at checkpoint {i}");
     }
 
     // Plateau: the last checkpoint retains no more per-session state
@@ -222,6 +223,7 @@ fn soak_sharded_fold_plane_bytes_stay_bounded() {
     assert!(gauges.rate_bytes > 0 && gauges.rate_bytes < RATE_BYTES_CAP);
     assert_eq!((gauges.rule_state, gauges.rule_state_evicted), (0, 0));
     assert_eq!(gauges.rate_evicted, 0);
+    assert_eq!(gauges.trails_evicted, 0);
 }
 
 /// Hot reload under sustained load: swap the ruleset every ~6% of the
