@@ -21,9 +21,11 @@ use scidive_bench::harness::{run_attack, run_benign_capture, AttackKind, Scenari
 use scidive_core::prelude::*;
 use scidive_netsim::packet::IpPacket;
 use scidive_netsim::time::SimTime;
+use scidive_voip::synth::SynthConfig;
 
-/// Heap allocations allowed per frame, end to end (distill → route →
-/// trails → events → rules). Measured ~3.2 after the interning/zero-copy
+/// Heap allocations allowed per frame on the RTP-heavy testbed
+/// captures, end to end (distill → route → trails → events → rules).
+/// Measured ~3.2 after the interning/zero-copy
 /// work, ~2.6 once sink-based rule emission removed the per-(event,
 /// rule) `Vec<Alert>` returns, and ~1.8/~1.4 (benign/bye) with pooled
 /// header vectors, recycled footprint slots, and the per-media-frame
@@ -31,6 +33,16 @@ use scidive_netsim::time::SimTime;
 /// per-frame allocation back into the distiller, router, trail store,
 /// or event generator.
 const ALLOCS_PER_FRAME_BUDGET: f64 = 2.0;
+
+/// Heap allocations allowed per frame on a signalling-only capture,
+/// where every frame is a SIP message. Measured 11.47 while the event
+/// generator re-parsed From/To/CSeq/Via and the SDP body per consumer,
+/// and 5.28 once every consumer reads the one view computed per
+/// message, parsed header vectors are sized once and the engine reuses
+/// its event buffer (DESIGN §14). What remains is per-session state,
+/// the footprints and message boxes live trails retain (the 2 s capture
+/// expires none, so the pools never refill), and AOR text in events.
+const SIGNALLING_ALLOCS_PER_FRAME_BUDGET: f64 = 6.0;
 
 /// The counter is process-global and `cargo test` runs tests on parallel
 /// threads, so each test holds this for its whole body — the other
@@ -43,7 +55,7 @@ fn counter() -> std::sync::MutexGuard<'static, ()> {
     COUNTER.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn assert_within_budget(label: &str, frames: &[(SimTime, IpPacket)]) {
+fn assert_within_budget(label: &str, frames: &[(SimTime, IpPacket)], budget: f64) {
     assert!(frames.len() > 200, "{label} capture too small: {}", frames.len());
     let mut ids = Scidive::new(ScidiveConfig::default());
     // Warm one frame so lazily initialized tables (rule set, interner
@@ -62,9 +74,9 @@ fn assert_within_budget(label: &str, frames: &[(SimTime, IpPacket)]) {
         used.bytes
     );
     assert!(
-        per_frame <= ALLOCS_PER_FRAME_BUDGET,
-        "allocation regression: {label} at {per_frame:.1} allocs/frame exceeds budget of \
-         {ALLOCS_PER_FRAME_BUDGET} — a hot-path allocation crept back in"
+        per_frame <= budget,
+        "allocation regression: {label} at {per_frame:.2} allocs/frame exceeds budget of \
+         {budget} — a hot-path allocation crept back in"
     );
 }
 
@@ -72,7 +84,7 @@ fn assert_within_budget(label: &str, frames: &[(SimTime, IpPacket)]) {
 fn benign_replay_stays_within_alloc_budget() {
     let _measuring = counter();
     let frames = run_benign_capture(42, &ScenarioOptions::default());
-    assert_within_budget("benign", &frames);
+    assert_within_budget("benign", &frames, ALLOCS_PER_FRAME_BUDGET);
 }
 
 /// The attack path allocates too: events, alerts, and rule session
@@ -87,5 +99,16 @@ fn bye_attack_replay_stays_within_alloc_budget() {
         .iter()
         .map(|r| (r.time, r.packet.clone()))
         .collect();
-    assert_within_budget("bye-attack", &frames);
+    assert_within_budget("bye-attack", &frames, ALLOCS_PER_FRAME_BUDGET);
+}
+
+/// Signalling only — INVITE/200/BYE dialogs, 100 concurrent, with
+/// REGISTER/401 churn — so every frame exercises the SIP event path:
+/// the format check, the session handlers, the identity plane and SDP
+/// media learning.
+#[test]
+fn signalling_replay_stays_within_alloc_budget() {
+    let _measuring = counter();
+    let frames: Vec<(SimTime, IpPacket)> = SynthConfig::load(2_000, 100).stream().collect();
+    assert_within_budget("signalling", &frames, SIGNALLING_ALLOCS_PER_FRAME_BUDGET);
 }

@@ -214,6 +214,9 @@ pub struct Scidive {
     /// `event_log_cap`; drained by [`Scidive::drain_events`].
     event_log: Vec<crate::event::Event>,
     event_log_cap: usize,
+    /// The per-footprint event buffer, reused: empty between
+    /// footprints, its capacity kept.
+    event_buf: Vec<Event>,
     /// The ruleset's rate hub (see [`crate::rate::RateHub`]).
     rates: RateHub,
     /// Generation of the installed ruleset (bumped by hot swaps).
@@ -289,6 +292,7 @@ impl Scidive {
             observer: EngineObserver::new(&config.observe),
             event_log: Vec::new(),
             event_log_cap: config.event_log_cap,
+            event_buf: Vec::new(),
             rates,
             ruleset_generation: blueprint.generation,
             retired_evals: Vec::new(),
@@ -394,7 +398,9 @@ impl Scidive {
     ) {
         self.stats.footprints += 1;
         let (fp, key) = self.trails.insert(fp);
-        let mut events = self.events.on_footprint(&fp, &key, &self.trails);
+        let mut events = std::mem::take(&mut self.event_buf);
+        self.events
+            .on_footprint_into(&fp, &key, &self.trails, &mut events);
         events.extend(injected);
         self.stats.events += events.len() as u64;
         let alerts_before = new_alerts.len();
@@ -435,8 +441,10 @@ impl Scidive {
             );
         }
         if self.event_log_cap == 0 || self.event_log.len() < self.event_log_cap {
-            self.event_log.extend(events);
+            self.event_log.append(&mut events);
         }
+        events.clear();
+        self.event_buf = events;
     }
 
     /// Replays a capture (time, packet) in order.

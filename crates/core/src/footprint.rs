@@ -14,7 +14,7 @@ use scidive_netsim::packet::PacketError;
 use scidive_netsim::time::SimTime;
 use scidive_rtp::packet::RtpHeader;
 use scidive_rtp::rtcp::RtcpPacket;
-use scidive_sip::msg::SipMessage;
+use scidive_sip::msg::{SipMessage, SipView};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -171,19 +171,31 @@ impl PartialEq for ExtBody {
 /// footprint of a distill batch, small enough to be irrelevant memory.
 const SIP_POOL_CAP: usize = 32;
 
+/// A parsed message and its view: the contents of a [`PooledSip`] box.
+struct ViewedSip {
+    msg: SipMessage,
+    view: SipView,
+}
+
 thread_local! {
     // The Box IS the pooled resource — its heap slot is what gets
-    // recycled — so clippy's `Vec<SipMessage>` suggestion would defeat
+    // recycled — so clippy's `Vec<ViewedSip>` suggestion would defeat
     // the pool (every pop would need a fresh `Box::new`).
     #[allow(clippy::vec_box)]
-    static SIP_BOX_POOL: std::cell::RefCell<Vec<Box<SipMessage>>> =
+    static SIP_BOX_POOL: std::cell::RefCell<Vec<Box<ViewedSip>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// A boxed [`SipMessage`] whose heap slot is recycled through a
-/// thread-local pool: dropping a SIP footprint returns the box for the
-/// next parsed message to reuse, so the steady-state distill path stops
-/// paying one `Box` allocation per signalling frame.
+/// A boxed [`SipMessage`] and its [`SipView`], in a heap slot recycled
+/// through a thread-local pool: dropping a SIP footprint returns the box
+/// for the next parsed message to reuse, so the steady-state distill
+/// path stops paying one `Box` allocation per signalling frame.
+///
+/// The view is computed once, here, and every consumer — the event
+/// generator, the identity plane, media learning in the trail store and
+/// the shard router, trail-reading rules — reads it instead of parsing
+/// headers again. The wrapper is immutable after construction, so the
+/// view crosses the shard ring with the message.
 ///
 /// Dereferences to [`SipMessage`]; equality, `Debug`, and `Clone` all
 /// follow the message, so the wrapper is invisible to rule code. Before
@@ -191,38 +203,60 @@ thread_local! {
 /// placeholder, so pooling never pins packet buffers alive.
 pub struct PooledSip {
     /// `Some` until drop.
-    msg: Option<Box<SipMessage>>,
+    slot: Option<Box<ViewedSip>>,
 }
 
 impl PooledSip {
-    /// Wraps a message in a recycled box (or a fresh one when the pool
-    /// is empty).
+    /// Computes the message's view and wraps both in a recycled box (or
+    /// a fresh one when the pool is empty).
     pub fn new(msg: SipMessage) -> PooledSip {
-        let boxed = match SIP_BOX_POOL.with_borrow_mut(|pool| pool.pop()) {
-            Some(mut b) => {
-                *b = msg;
-                b
-            }
-            None => Box::new(msg),
-        };
-        PooledSip { msg: Some(boxed) }
+        let view = msg.view();
+        PooledSip::boxed(ViewedSip { msg, view })
     }
 
-    fn get(&self) -> &SipMessage {
-        self.msg.as_ref().expect("present until drop")
+    fn boxed(contents: ViewedSip) -> PooledSip {
+        let boxed = match SIP_BOX_POOL.with_borrow_mut(|pool| pool.pop()) {
+            Some(mut b) => {
+                *b = contents;
+                b
+            }
+            None => Box::new(contents),
+        };
+        PooledSip { slot: Some(boxed) }
+    }
+
+    fn get(&self) -> &ViewedSip {
+        self.slot.as_ref().expect("present until drop")
+    }
+
+    /// The message's view, computed when the footprint was built.
+    pub fn view(&self) -> &SipView {
+        &self.get().view
+    }
+
+    /// The From header's address-of-record, if the header parses.
+    pub fn from_aor(&self) -> Option<&str> {
+        let ViewedSip { msg, view } = self.get();
+        view.from_aor(msg)
+    }
+
+    /// The To header's address-of-record, if the header parses.
+    pub fn to_aor(&self) -> Option<&str> {
+        let ViewedSip { msg, view } = self.get();
+        view.to_aor(msg)
     }
 }
 
 impl std::ops::Deref for PooledSip {
     type Target = SipMessage;
     fn deref(&self) -> &SipMessage {
-        self.get()
+        &self.get().msg
     }
 }
 
 impl Drop for PooledSip {
     fn drop(&mut self) {
-        let Some(mut boxed) = self.msg.take() else {
+        let Some(mut boxed) = self.slot.take() else {
             return;
         };
         // `try_with`: during thread teardown the pool may already be
@@ -234,7 +268,7 @@ impl Drop for PooledSip {
                 // retained. The placeholder is allocation-free and its
                 // empty header vector is below the header pool's
                 // recycling threshold.
-                *boxed = SipMessage {
+                boxed.msg = SipMessage {
                     start: scidive_sip::msg::StartLine::Response {
                         code: scidive_sip::status::StatusCode::OK,
                         reason: scidive_sip::bstr::ByteStr::EMPTY,
@@ -250,19 +284,23 @@ impl Drop for PooledSip {
 
 impl Clone for PooledSip {
     fn clone(&self) -> PooledSip {
-        PooledSip::new(self.get().clone())
+        let ViewedSip { msg, view } = self.get();
+        PooledSip::boxed(ViewedSip {
+            msg: msg.clone(),
+            view: *view,
+        })
     }
 }
 
 impl PartialEq for PooledSip {
     fn eq(&self, other: &PooledSip) -> bool {
-        self.get() == other.get()
+        **self == **other
     }
 }
 
 impl fmt::Debug for PooledSip {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.get(), f)
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -501,6 +539,14 @@ mod tests {
         // `&'static str`; deserialization reports them as unknown.
         let v = TrailProto::Ext("mgcp").to_value();
         assert!(TrailProto::from_value(&v).is_err());
+    }
+
+    /// The view rides in the pooled box, not in the enum: a footprint
+    /// stays 80 bytes, which the ~96k retained RTP footprints of a
+    /// media-heavy capture pay for.
+    #[test]
+    fn footprint_body_stays_eighty_bytes() {
+        assert_eq!(std::mem::size_of::<FootprintBody>(), 80);
     }
 
     #[test]

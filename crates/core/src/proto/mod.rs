@@ -599,13 +599,27 @@ impl EventGenerator {
         store: &TrailStore,
     ) -> Vec<Event> {
         let mut out = Vec::new();
+        self.on_footprint_into(fp, key, store, &mut out);
+        out
+    }
+
+    /// [`EventGenerator::on_footprint`], appending the events to `out`
+    /// instead: a caller that keeps one buffer across footprints pays
+    /// no allocation for the event list.
+    pub fn on_footprint_into(
+        &mut self,
+        fp: &Footprint,
+        key: &TrailKey,
+        store: &TrailStore,
+        out: &mut Vec<Event>,
+    ) {
         self.plane
             .maybe_sweep(fp.meta.time, self.config.session_timeout);
         let mut ctx = GenCtx {
             config: &self.config,
             plane: &mut self.plane,
             trails: store,
-            out: &mut out,
+            out,
             emitted: 0,
         };
         for m in &mut self.modules {
@@ -617,18 +631,7 @@ impl EventGenerator {
             self.events_emitted += extra.len() as u64;
             out.extend(extra);
         }
-        out
     }
-}
-
-/// Parses the SDP body of a SIP message, if it carries one.
-pub(crate) fn parse_sdp(
-    msg: &scidive_sip::msg::SipMessage,
-) -> Option<scidive_sip::sdp::SessionDescription> {
-    if msg.content_type()? != "application/sdp" {
-        return None;
-    }
-    std::str::from_utf8(&msg.body).ok()?.parse().ok()
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use crate::distill::DistillerConfig;
 use crate::alert::Severity;
 use crate::event::{Event, EventClass, EventGenConfig, EventKind, FlowKey};
 use crate::footprint::{Footprint, FootprintBody, PacketMeta, PooledSip};
-use crate::proto::{parse_sdp, AttributeCtx, GenCtx, ProtocolModule, Redirect, Teardown};
+use crate::proto::{AttributeCtx, GenCtx, ProtocolModule, Redirect, Teardown};
 use crate::rate::{hash_parts, RateStats, ThresholdTable, DEFAULT_RATE_SEED, TABLE_BYTES_CAP};
 use crate::rules::ThresholdSpec;
 use crate::trail::{SessionKey, TrailKey};
@@ -17,7 +17,6 @@ use scidive_sip::header::HeaderName;
 use scidive_sip::method::Method;
 use scidive_sip::msg::SipMessage;
 use scidive_sip::parse::looks_like_sip;
-use scidive_sip::sdp::SessionDescription;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -102,20 +101,11 @@ impl ProtocolModule for SipModule {
         let FootprintBody::Sip(msg) = &fp.body else {
             return false;
         };
-        if msg.content_type() != Some("application/sdp") {
-            return false;
-        }
-        let Ok(text) = std::str::from_utf8(&msg.body) else {
+        let Some((addr, port)) = msg.view().rtp_target() else {
             return false;
         };
-        let Ok(sdp) = text.parse::<SessionDescription>() else {
-            return false;
-        };
-        if let Some((addr, port)) = sdp.rtp_target() {
-            ctx.learn_target(addr, port, session);
-            return true;
-        }
-        false
+        ctx.learn_target(addr, port, session);
+        true
     }
 
     fn generate(&mut self, fp: &Footprint, key: &TrailKey, ctx: &mut GenCtx<'_>) {
@@ -136,18 +126,18 @@ impl ProtocolModule for SipModule {
     }
 }
 
-fn on_sip(fp: &Footprint, key: &TrailKey, msg: &SipMessage, ctx: &mut GenCtx<'_>) {
+fn on_sip(fp: &Footprint, key: &TrailKey, msg: &PooledSip, ctx: &mut GenCtx<'_>) {
     let time = fp.meta.time;
     let session = key.session.clone();
 
-    // Format discipline (billing-fraud condition 1).
-    let violations = msg.format_violations();
-    if !violations.is_empty() {
+    // Format discipline (billing-fraud condition 1): decided by the
+    // view; the violation text is rendered only for an unclean message.
+    if !msg.view().is_clean() {
         ctx.emit(
             time,
             Some(session.clone()),
             EventKind::SipMalformed {
-                violations,
+                violations: msg.format_violations(),
                 src: fp.meta.src,
             },
         );
@@ -166,20 +156,20 @@ fn on_sip(fp: &Footprint, key: &TrailKey, msg: &SipMessage, ctx: &mut GenCtx<'_>
 fn on_sip_invite(
     fp: &Footprint,
     session: &SessionKey,
-    msg: &SipMessage,
+    msg: &PooledSip,
     ctx: &mut GenCtx<'_>,
 ) {
     let time = fp.meta.time;
-    let (Ok(from), Ok(to)) = (msg.from_(), msg.to()) else {
+    let (Some(from_aor), Some(to_aor)) = (msg.from_aor(), msg.to_aor()) else {
         return;
     };
-    let sdp = parse_sdp(msg);
+    let sdp_target = msg.view().rtp_target();
     let state = ctx.session_entry(session, time);
     if state.caller_aor.is_none() {
         // New session: the INVITE defines the caller.
-        state.caller_aor = Some(from.uri.aor());
-        state.callee_aor = Some(to.uri.aor());
-        if let Some(target) = sdp.as_ref().and_then(SessionDescription::rtp_target) {
+        state.caller_aor = Some(from_aor.to_string());
+        state.callee_aor = Some(to_aor.to_string());
+        if let Some(target) = sdp_target {
             state.caller_media = Some(target);
         }
         return;
@@ -188,11 +178,10 @@ fn on_sip_invite(
         return; // retransmission / proxy copy of the initial INVITE
     }
     // Re-INVITE on an established session.
-    let claimed_aor = from.uri.aor();
-    let Some(new_target) = sdp.as_ref().and_then(SessionDescription::rtp_target) else {
+    let Some(new_target) = sdp_target else {
         return;
     };
-    let claimant_is_callee = Some(&claimed_aor) == state.callee_aor.as_ref();
+    let claimant_is_callee = Some(from_aor) == state.callee_aor.as_deref();
     let old_target = if claimant_is_callee {
         state.callee_media
     } else {
@@ -236,7 +225,7 @@ fn on_sip_invite(
         time,
         Some(session.clone()),
         EventKind::CallRedirected {
-            claimed_aor,
+            claimed_aor: from_aor.to_string(),
             old_target,
             new_target,
         },
@@ -246,21 +235,20 @@ fn on_sip_invite(
 fn on_sip_bye(
     fp: &Footprint,
     session: &SessionKey,
-    msg: &SipMessage,
+    msg: &PooledSip,
     ctx: &mut GenCtx<'_>,
 ) {
     let time = fp.meta.time;
-    let Ok(from) = msg.from_() else {
+    let Some(by_aor) = msg.from_aor() else {
         return;
     };
-    let by_aor = from.uri.aor();
     let Some(state) = ctx.session_mut(session, time) else {
         return;
     };
     if state.torn_down.is_some() {
         return; // proxy copy of the same BYE
     }
-    let by_media_ip = if Some(&by_aor) == state.callee_aor.as_ref() {
+    let by_media_ip = if Some(by_aor) == state.callee_aor.as_deref() {
         state.callee_media.map(|(ip, _)| ip)
     } else {
         state.caller_media.map(|(ip, _)| ip)
@@ -269,14 +257,17 @@ fn on_sip_bye(
     ctx.emit(
         time,
         Some(session.clone()),
-        EventKind::CallTornDown { by_aor, by_media_ip },
+        EventKind::CallTornDown {
+            by_aor: by_aor.to_string(),
+            by_media_ip,
+        },
     );
 }
 
 fn on_sip_response(
     fp: &Footprint,
     session: &SessionKey,
-    msg: &SipMessage,
+    msg: &PooledSip,
     ctx: &mut GenCtx<'_>,
 ) {
     let time = fp.meta.time;
@@ -288,23 +279,20 @@ fn on_sip_response(
         // session plane.
         return;
     }
-    let Ok(cseq) = msg.cseq() else {
-        return;
-    };
-    if cseq.method != Method::Invite {
+    let view = msg.view();
+    if view.cseq().is_none_or(|cseq| cseq.method != Method::Invite) {
         return;
     }
     // 2xx to an INVITE: learn the answering side's media and mark
     // established.
-    let sdp = parse_sdp(msg);
-    let from_aor = msg.from_().ok().map(|f| f.uri.aor());
     let Some(state) = ctx.session_mut(session, time) else {
         return;
     };
-    let answerer_is_callee = from_aor
-        .and_then(|aor| state.caller_aor.as_ref().map(|c| *c == aor))
+    let answerer_is_callee = msg
+        .from_aor()
+        .and_then(|aor| state.caller_aor.as_deref().map(|c| c == aor))
         .unwrap_or(true);
-    if let Some(target) = sdp.as_ref().and_then(SessionDescription::rtp_target) {
+    if let Some(target) = view.rtp_target() {
         if answerer_is_callee {
             if state.callee_media.is_none() || !state.established {
                 state.callee_media = Some(target);
@@ -457,15 +445,15 @@ impl IdentityPlane {
         });
     }
 
-    fn on_sip(&mut self, fp: &Footprint, msg: &SipMessage, out: &mut Vec<Event>) {
+    fn on_sip(&mut self, fp: &Footprint, msg: &PooledSip, out: &mut Vec<Event>) {
         let time = fp.meta.time;
         // Identity → IP learning from originating (non-relay) legs.
         let from_relay = self.config.infrastructure_ips.contains(&fp.meta.src);
         match msg.method() {
             Some(Method::Register) => {
                 if !from_relay {
-                    if let Ok(from) = msg.from_() {
-                        self.learn_identity(&from.uri.aor(), fp.meta.src, time);
+                    if let Some(aor) = msg.from_aor() {
+                        self.learn_identity(aor, fp.meta.src, time);
                     }
                 }
                 self.track_flood(fp.meta.src, false, time, out);
@@ -488,19 +476,18 @@ impl IdentityPlane {
         }
     }
 
-    fn on_im(&mut self, fp: &Footprint, msg: &SipMessage, out: &mut Vec<Event>) {
+    fn on_im(&mut self, fp: &Footprint, msg: &PooledSip, out: &mut Vec<Event>) {
         let time = fp.meta.time;
-        let Ok(from) = msg.from_() else {
+        let Some(claimed) = msg.from_aor() else {
             return;
         };
-        let claimed = from.uri.aor();
         let src = fp.meta.src;
         if let Ok(call_id) = msg.call_id() {
             self.emit(
                 out,
                 time,
                 EventKind::ImObserved {
-                    claimed_aor: claimed.clone(),
+                    claimed_aor: claimed.to_string(),
                     src_ip: src,
                     dst_ip: fp.meta.dst,
                     call_id: call_id.to_string(),
@@ -510,57 +497,50 @@ impl IdentityPlane {
         if !self.config.stateful {
             // Stateless approximation: only the last IP, no mobility
             // allowance — any change alarms.
-            match self.aor_ips.get(&claimed) {
+            match self.aor_ips.get(claimed) {
                 Some(&(known, _)) if known != src => {
                     self.emit(
                         out,
                         time,
                         EventKind::ImSourceMismatch {
-                            claimed_aor: claimed,
+                            claimed_aor: claimed.to_string(),
                             src_ip: src,
                             expected_ip: known,
                         },
                     );
                 }
-                _ => {
-                    self.aor_ips.insert(claimed, (src, time));
-                }
+                _ => self.learn_identity(claimed, src, time),
             }
             return;
         }
-        match self.aor_ips.get(&claimed) {
-            None => {
-                self.learn_identity(&claimed, src, time);
+        match self.aor_ips.get(claimed) {
+            // A new source inside the mobility interval is a spoof.
+            Some(&(known, last_change))
+                if known != src
+                    && time.saturating_since(last_change) < self.config.im_mobility_interval =>
+            {
+                self.emit(
+                    out,
+                    time,
+                    EventKind::ImSourceMismatch {
+                        claimed_aor: claimed.to_string(),
+                        src_ip: src,
+                        expected_ip: known,
+                    },
+                );
             }
-            Some(&(known, _)) if known == src => {
-                self.aor_ips.insert(claimed, (src, time));
-            }
-            Some(&(known, last_change)) => {
-                let elapsed = time.saturating_since(last_change);
-                if elapsed >= self.config.im_mobility_interval {
-                    // Plausible mobility: accept and re-learn.
-                    self.learn_identity(&claimed, src, time);
-                } else {
-                    self.emit(
-                        out,
-                        time,
-                        EventKind::ImSourceMismatch {
-                            claimed_aor: claimed,
-                            src_ip: src,
-                            expected_ip: known,
-                        },
-                    );
-                }
-            }
+            // First sighting, the known source, or plausible mobility:
+            // (re-)learn.
+            _ => self.learn_identity(claimed, src, time),
         }
     }
 
+    /// Binds `aor` to `ip` as of `time`, updating an existing binding in
+    /// place: only an AOR seen for the first time allocates its key.
     fn learn_identity(&mut self, aor: &str, ip: Ipv4Addr, time: SimTime) {
-        match self.aor_ips.get(aor) {
-            Some(&(known, _)) if known == ip => {
-                self.aor_ips.insert(aor.to_string(), (ip, time));
-            }
-            _ => {
+        match self.aor_ips.get_mut(aor) {
+            Some(binding) => *binding = (ip, time),
+            None => {
                 self.aor_ips.insert(aor.to_string(), (ip, time));
             }
         }

@@ -61,9 +61,9 @@ impl ByeAttackRule {
             unreachable!("filtered to SIP above");
         };
         Some(ByeOrigin {
-            claimed_aor: msg.from_().ok().map(|f| f.uri.aor()),
+            claimed_aor: msg.from_aor().map(str::to_string),
             src_ip: bye.meta.src,
-            cseq: msg.cseq().ok().map(|c| c.seq),
+            cseq: msg.view().cseq().map(|c| c.seq),
         })
     }
 }

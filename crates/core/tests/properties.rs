@@ -1145,6 +1145,298 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
+// The parse-once view: the accessor parsers and `format_violations` are
+// its oracles
+// ----------------------------------------------------------------------
+
+use scidive_core::footprint::PooledSip;
+
+/// Every read the pipeline takes from the view equals the allocating
+/// accessor it replaced, both on the bare [`SipView`] and through the
+/// footprint's [`PooledSip`].
+///
+/// [`SipView`]: scidive_sip::msg::SipView
+fn check_view_against_oracles(msg: &SipMessage) {
+    let view = msg.view();
+    let violations = msg.format_violations();
+    prop_assert_eq!(
+        view.is_clean(),
+        violations.is_empty(),
+        "{:?} on {}",
+        violations,
+        msg
+    );
+    let from = msg.from_().ok().map(|f| f.uri.aor());
+    let to = msg.to().ok().map(|t| t.uri.aor());
+    prop_assert_eq!(view.from_aor(msg), from.as_deref(), "From of {}", msg);
+    prop_assert_eq!(view.to_aor(msg), to.as_deref(), "To of {}", msg);
+    prop_assert_eq!(view.cseq(), msg.cseq().ok(), "CSeq of {}", msg);
+    let sdp = match msg.content_type() {
+        Some("application/sdp") => std::str::from_utf8(&msg.body)
+            .ok()
+            .and_then(|text| text.parse::<SessionDescription>().ok())
+            .and_then(|sdp| sdp.rtp_target()),
+        _ => None,
+    };
+    prop_assert_eq!(view.rtp_target(), sdp, "SDP of {}", msg);
+    let pooled = PooledSip::new(msg.clone());
+    prop_assert_eq!(pooled.view(), &view);
+    prop_assert_eq!(pooled.from_aor(), from.as_deref());
+    prop_assert_eq!(pooled.to_aor(), to.as_deref());
+}
+
+/// A From/To value at and around the `name-addr` grammar's edges:
+/// quoted, token and unterminated display names; `<` with and without
+/// `>`; wrong schemes; empty users and hosts; ports valid, out of range,
+/// signed and non-numeric; URI and header parameters; padding.
+fn name_addr_value() -> impl Strategy<Value = String> {
+    let display = prop_oneof![
+        Just(""),
+        Just("\"Alice W\" "),
+        Just("\"q\""),
+        Just("Bob "),
+        Just("\"unterminated "),
+    ];
+    let scheme = prop_oneof![Just("sip:"), Just("sip:"), Just("sips:"), Just("http://")];
+    let user = prop_oneof![
+        Just(String::new()),
+        Just("alice@".to_string()),
+        Just("@".to_string()),
+        "[a-z0-9.]{1,8}@",
+    ];
+    let host = prop_oneof![
+        Just(String::new()),
+        Just("lab".to_string()),
+        Just("10.0.0.7".to_string()),
+        "[a-z]{1,6}\\.[a-z]{2,3}",
+    ];
+    let port = prop_oneof![
+        Just(""),
+        Just(""),
+        Just(":5060"),
+        Just(":99999"),
+        Just(":+5"),
+        Just(":x"),
+        Just(":"),
+    ];
+    let uri_params = prop_oneof![Just(""), Just(";lr"), Just(";transport=udp;x=>")];
+    let brackets = 0u8..4; // 0: addr-spec, 1: <...>, 2: < without >, 3: > only
+    let tail = prop_oneof![
+        Just(""),
+        Just(";tag=a1"),
+        Just(" ;tag=b2;x"),
+        Just(" "),
+        Just(">")
+    ];
+    (
+        display, scheme, user, host, port, uri_params, brackets, tail,
+    )
+        .prop_map(
+            |(display, scheme, user, host, port, params, brackets, tail)| {
+                let uri = format!("{scheme}{user}{host}{port}{params}");
+                match brackets {
+                    0 => format!("{display}{uri}{tail}"),
+                    1 => format!("{display}<{uri}>{tail}"),
+                    2 => format!("{display}<{uri}{tail}"),
+                    _ => format!("{display}{uri}>{tail}"),
+                }
+            },
+        )
+}
+
+fn via_value() -> impl Strategy<Value = String> {
+    let prefix = prop_oneof![
+        Just("SIP/2.0/"),
+        Just("SIP/2.0/"),
+        Just("SIP/2.0"),
+        Just(" SIP/2.0/"),
+    ];
+    let sent_by = prop_oneof![Just("10.0.0.9:5060"), Just(""), Just("  "), Just("h")];
+    (
+        prefix,
+        prop_oneof![Just("UDP "), Just("UDP"), Just("TCP  ")],
+        sent_by,
+        any::<bool>(),
+    )
+        .prop_map(|(prefix, transport, sent_by, branch)| {
+            let branch = if branch { ";branch=z9hG4bK-1" } else { "" };
+            format!("{prefix}{transport}{sent_by}{branch}")
+        })
+}
+
+fn cseq_value() -> impl Strategy<Value = String> {
+    let seq = prop_oneof![
+        Just("1".to_string()),
+        Just("4294967296".to_string()),
+        Just("x".to_string()),
+        Just(String::new()),
+        "[0-9]{1,5}",
+    ];
+    let method = prop_oneof![
+        Just(" INVITE"),
+        Just(" BYE"),
+        Just(" REGISTER"),
+        Just(" MESSAGE"),
+        Just(" NOPE"),
+        Just(""),
+        Just(" INVITE extra"),
+    ];
+    (seq, method).prop_map(|(seq, method)| format!("{seq}{method}"))
+}
+
+/// An SDP body: a well-formed offer, one without audio, one with the
+/// connection or origin missing, or a broken line.
+fn sdp_body() -> impl Strategy<Value = String> {
+    let offer = SessionDescription::audio_offer("alice", Ipv4Addr::new(10, 0, 0, 2), 8000);
+    let mut silent = offer.clone();
+    silent.media[0].media = "video".to_string();
+    prop_oneof![
+        Just(offer.to_string()),
+        Just(offer.to_string()),
+        Just(
+            offer
+                .retargeted(Ipv4Addr::new(10, 0, 0, 66), 7000)
+                .to_string()
+        ),
+        Just(silent.to_string()),
+        Just(offer.to_string().replace("c=IN IP4", "c=IN IP6")),
+        Just(offer.to_string().replace("o=", "x=")),
+        Just(offer.to_string().replace("8000", "80000")),
+        Just(format!(
+            "{offer}m=audio 9 RTP/AVP 0\r\nc=IN IP4 10.0.0.9\r\n"
+        )),
+        Just("v=0\r\n".to_string()),
+    ]
+}
+
+/// How a mandatory header is set: the builder's well-formed value,
+/// removed, replaced by a generated value, or duplicated with a
+/// generated value after the well-formed one (only the first counts).
+#[derive(Debug, Clone)]
+enum HeaderEdit {
+    Keep,
+    Remove,
+    Replace(String),
+    Append(String),
+}
+
+fn header_edit<S: Strategy<Value = String> + 'static>(
+    value: fn() -> S,
+) -> impl Strategy<Value = HeaderEdit> {
+    // The vendored `prop_oneof!` ignores weights: repeated arms bias the
+    // draw towards kept (well-formed) headers.
+    prop_oneof![
+        Just(HeaderEdit::Keep),
+        Just(HeaderEdit::Keep),
+        Just(HeaderEdit::Keep),
+        Just(HeaderEdit::Keep),
+        Just(HeaderEdit::Remove),
+        value().prop_map(HeaderEdit::Replace),
+        value().prop_map(HeaderEdit::Replace),
+        Just(HeaderEdit::Append("<sip:second@lab>".to_string())),
+    ]
+}
+
+/// A builder-made INVITE, 200, BYE, REGISTER or MESSAGE (plus ACK and
+/// CANCEL, which the CSeq rule exempts, and a 401), with or without an
+/// SDP body, whose mandatory headers are then kept, removed, replaced
+/// or duplicated.
+fn built_sip_message() -> impl Strategy<Value = (SipMessage, bool)> {
+    let kind = 0u8..8;
+    let edits = (
+        header_edit(name_addr_value),
+        header_edit(name_addr_value),
+        header_edit(cseq_value),
+        header_edit(via_value),
+        (0u8..5).prop_map(|n| n > 0), // Call-ID kept
+        (0u8..5).prop_map(|n| n > 0), // Max-Forwards kept
+    );
+    let body = proptest::option::of((
+        prop_oneof![
+            Just("application/sdp"),
+            Just("application/sdp"),
+            Just("application/SDP"),
+            Just("text/plain"),
+        ],
+        sdp_body(),
+    ));
+    (kind, edits, body, any::<bool>()).prop_map(|(kind, edits, body, wire)| {
+        let method = match kind {
+            0 | 5 | 7 => Method::Invite,
+            1 => Method::Bye,
+            2 | 6 => Method::Register,
+            3 => Method::Message,
+            _ => [Method::Ack, Method::Cancel][usize::from(kind) % 2],
+        };
+        let alice: scidive_sip::uri::SipUri = "sip:alice@10.0.0.2:5060".parse().unwrap();
+        let mut b = RequestBuilder::new(method, "sip:bob@lab".parse().unwrap());
+        b.from(NameAddr::new(alice).with_display("Alice").with_tag("a1"))
+            .to(NameAddr::new("sip:bob@lab".parse().unwrap()))
+            .call_id("view-1@10.0.0.2")
+            .cseq(CSeq::new(7, method))
+            .via(Via::udp("10.0.0.2:5060", "z9hG4bK-v"));
+        let mut msg = b.build();
+        if kind == 5 {
+            msg = response_to(&msg, StatusCode::OK, Some("b1"));
+        } else if kind == 6 {
+            msg = response_to(&msg, StatusCode::UNAUTHORIZED, None);
+        }
+        let (from, to, cseq, via, call_id, max_forwards) = edits;
+        for (name, edit) in [
+            (HeaderName::From, from),
+            (HeaderName::To, to),
+            (HeaderName::CSeq, cseq),
+            (HeaderName::Via, via),
+        ] {
+            match edit {
+                HeaderEdit::Keep => {}
+                HeaderEdit::Remove => {
+                    msg.headers.remove(&name);
+                }
+                HeaderEdit::Replace(value) => msg.headers.set(name, value),
+                HeaderEdit::Append(value) => msg.headers.push(name, value),
+            }
+        }
+        if !call_id {
+            msg.headers.remove(&HeaderName::CallId);
+        }
+        if !max_forwards {
+            msg.headers.remove(&HeaderName::MaxForwards);
+        }
+        if let Some((content_type, sdp)) = body {
+            msg.headers.set(HeaderName::ContentType, content_type);
+            msg.body = Bytes::from(sdp);
+        }
+        (msg, wire)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On the adversarial wire generator, every message `parse_bytes`
+    /// accepts gets a view equal to its oracles.
+    #[test]
+    fn sip_view_matches_the_oracles_on_wire_input(input in sip_like_input()) {
+        if let Ok(msg) = SipMessage::parse_bytes(Bytes::from(input)) {
+            check_view_against_oracles(&msg);
+        }
+    }
+
+    /// On builder-made messages with edited headers and SDP bodies, as
+    /// built and after a trip over the wire, the view equals its
+    /// oracles.
+    #[test]
+    fn sip_view_matches_the_oracles_on_built_messages((msg, wire) in built_sip_message()) {
+        check_view_against_oracles(&msg);
+        if wire {
+            if let Ok(parsed) = SipMessage::parse_bytes(msg.to_bytes()) {
+                check_view_against_oracles(&parsed);
+            }
+        }
+    }
+}
+// ----------------------------------------------------------------------
 // The rule DSL: derived interests are sound, printing is a fixed point
 // ----------------------------------------------------------------------
 

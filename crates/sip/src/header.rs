@@ -239,13 +239,19 @@ impl Headers {
         Headers::default()
     }
 
-    /// Creates an empty collection backed by a recycled vector from the
-    /// thread-local pool when one is available. Behaviorally identical
-    /// to [`Headers::new`]; only the allocator traffic differs.
-    pub fn for_parse() -> Headers {
-        let fields = HEADER_POOL
-            .with_borrow_mut(|pool| pool.pop())
-            .unwrap_or_default();
+    /// Creates an empty collection with room for `fields` headers,
+    /// backed by a recycled vector from the thread-local pool when one
+    /// is available. Behaviorally identical to [`Headers::new`]; only
+    /// the allocator traffic differs: a parse that knows its line count
+    /// sizes a fresh vector once instead of growing it by doubling.
+    pub fn for_parse(fields: usize) -> Headers {
+        let fields = match HEADER_POOL.with_borrow_mut(|pool| pool.pop()) {
+            Some(mut recycled) => {
+                recycled.reserve(fields);
+                recycled
+            }
+            None => Vec::with_capacity(fields),
+        };
         Headers { fields }
     }
 
@@ -521,6 +527,35 @@ impl FromStr for NameAddr {
     }
 }
 
+impl NameAddr {
+    /// The address-of-record of the `name-addr` text `s` as a slice of
+    /// `s`, without allocating: `Some` exactly when
+    /// `s.parse::<NameAddr>()` succeeds, and then equal to its
+    /// `uri.aor()`. Display names and parameters never fail a parse, so
+    /// only the URI and the `<`/`>` and quote framing are checked.
+    pub fn aor_of(s: &str) -> Option<&str> {
+        // Mirrors `from_str` decision for decision.
+        let s = s.trim();
+        let rest = match s.strip_prefix('"') {
+            Some(stripped) => {
+                let end = stripped.find('"')?;
+                stripped[end + 1..].trim_start()
+            }
+            None => s,
+        };
+        match rest.find('<') {
+            Some(start) => {
+                let end = start + rest[start..].find('>')?;
+                SipUri::aor_of(&rest[start + 1..end])
+            }
+            None => {
+                let uri_part = rest.split_once(';').map_or(rest, |(u, _)| u);
+                SipUri::aor_of(uri_part.trim())
+            }
+        }
+    }
+}
+
 fn parse_params(s: &str) -> Vec<(ByteStr, ByteStr)> {
     parse_params_str(s.strip_prefix(';').unwrap_or(s))
 }
@@ -619,6 +654,19 @@ impl Via {
             .find(|(n, _)| n == "branch")
             .map(|(_, v)| v.as_str())
     }
+
+    /// Whether `s.parse::<Via>()` succeeds, decided without allocating.
+    pub fn is_valid(s: &str) -> bool {
+        // Mirrors `from_str` decision for decision.
+        let Some(rest) = s.trim().strip_prefix("SIP/2.0/") else {
+            return false;
+        };
+        let Some((_, rest)) = rest.split_once(' ') else {
+            return false;
+        };
+        let sent_by = rest.split_once(';').map_or(rest, |(sb, _)| sb);
+        !sent_by.trim().is_empty()
+    }
 }
 
 impl fmt::Display for Via {
@@ -714,11 +762,11 @@ mod tests {
         // Retire a populated collection, then reuse the pool: the
         // recycled vector must present as empty and equal to new().
         for _ in 0..3 {
-            let mut h = Headers::for_parse();
+            let mut h = Headers::for_parse(2);
             h.push(HeaderName::CallId, "x");
             h.push(HeaderName::Via, "SIP/2.0/UDP h;branch=z9");
             drop(h);
-            let reused = Headers::for_parse();
+            let reused = Headers::for_parse(0);
             assert!(reused.is_empty());
             assert_eq!(reused, Headers::new());
         }
@@ -806,6 +854,45 @@ mod tests {
         assert!("\"unterminated <sip:a@h>".parse::<NameAddr>().is_err());
         assert!("<sip:a@h".parse::<NameAddr>().is_err());
         assert!("<http://x>".parse::<NameAddr>().is_err());
+    }
+
+    /// The non-allocating scanners agree with the parsers on accepted
+    /// and rejected values alike.
+    #[test]
+    fn scanners_match_the_parsers() {
+        for s in [
+            "\"Alice W\" <sip:alice@h.com:5060>;tag=99;x",
+            "Bob <sip:bob@h.com>",
+            "  sip:bob@h.com;tag=7 ",
+            "<sip:@h.com>",
+            "<sip:h.com:5060;lr>",
+            "\"q\"<sip:a@b>",
+            "\"unterminated <sip:a@h>",
+            "<sip:a@h",
+            "<http://x>",
+            "<sip:a@h:99999>",
+            "<sip:a@h:+5>",
+            "sip:a@",
+            "\"x\" sip:a@h>;p",
+            "",
+        ] {
+            assert_eq!(
+                NameAddr::aor_of(s),
+                s.parse::<NameAddr>().ok().map(|n| n.uri.aor()).as_deref(),
+                "name-addr diverged on {s:?}"
+            );
+        }
+        for s in [
+            "SIP/2.0/UDP 10.0.0.1:5060;branch=z9",
+            " SIP/2.0/UDP h ",
+            "SIP/2.0/UDP ;branch=z9",
+            "SIP/2.0/UDP",
+            "UDP 10.0.0.1",
+            "SIP/2.0/ x",
+            "",
+        ] {
+            assert_eq!(Via::is_valid(s), s.parse::<Via>().is_ok(), "via diverged on {s:?}");
+        }
     }
 
     #[test]

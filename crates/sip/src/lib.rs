@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::dialog::{Dialog, DialogRole, DialogState};
     pub use crate::header::{CSeq, Header, HeaderName, Headers, NameAddr, Via};
     pub use crate::method::Method;
-    pub use crate::msg::{response_to, RequestBuilder, SipMessage, StartLine};
+    pub use crate::msg::{response_to, RequestBuilder, SipMessage, SipView, StartLine};
     pub use crate::parse::{looks_like_sip, SipParseError};
     pub use crate::sdp::{MediaDesc, SessionDescription};
     pub use crate::status::StatusCode;

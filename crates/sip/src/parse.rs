@@ -151,7 +151,7 @@ impl SipMessage {
         let mut cursor = LineCursor::new(head);
         let start = parse_start_line(cursor.next().ok_or(SipParseError::Empty)?)?;
 
-        let mut headers = Headers::for_parse();
+        let mut headers = Headers::for_parse(cursor.lines_left());
         let mut pending = cursor.next();
         while let Some(line) = pending.take() {
             // Header folding: continuation lines start with SP/HT. Only
@@ -381,6 +381,16 @@ impl<'a> LineCursor<'a> {
                 pos: 0,
             },
             None => LineCursor::Scan { head, pos: 0 },
+        }
+    }
+
+    /// An upper bound on the lines still to come, exact for a head
+    /// without empty or folded lines; 0 when the line breaks were not
+    /// pre-located.
+    fn lines_left(&self) -> usize {
+        match self {
+            LineCursor::Indexed { n, i, .. } => n - i + 1,
+            LineCursor::Scan { .. } => 0,
         }
     }
 

@@ -85,6 +85,53 @@ impl SessionDescription {
             .map(|m| (self.connection, m.port))
     }
 
+    /// The RTP target of the SDP text `s`, decided without allocating:
+    /// equal to `s.parse::<SessionDescription>().ok()` followed by
+    /// [`SessionDescription::rtp_target`].
+    pub fn rtp_target_of(s: &str) -> Option<(Ipv4Addr, u16)> {
+        // Mirrors `from_str` decision for decision: every line that
+        // would fail the parse returns `None`; the last `v=`/`c=` wins
+        // and the first audio `m=` is the target.
+        let mut version_seen = false;
+        let mut origin_seen = false;
+        let mut connection = None;
+        let mut audio_port = None;
+        for line in s.lines().map(|l| l.trim_end_matches('\r')) {
+            let Some((kind, value)) = line.split_once('=') else {
+                continue;
+            };
+            let mut parts = value.split_whitespace();
+            match kind {
+                "v" => version_seen = value.trim() == "0",
+                "o" => {
+                    let (_user, id, version) = (parts.next()?, parts.next()?, parts.next()?);
+                    id.parse::<u64>().ok()?;
+                    version.parse::<u64>().ok()?;
+                    origin_seen = true;
+                }
+                "c" => {
+                    let (net, family, addr) = (parts.next()?, parts.next()?, parts.next()?);
+                    if parts.next().is_some() || net != "IN" || family != "IP4" {
+                        return None;
+                    }
+                    connection = Some(addr.parse::<Ipv4Addr>().ok()?);
+                }
+                "m" => {
+                    let (media, port, _proto) = (parts.next()?, parts.next()?, parts.next()?);
+                    let port = port.parse::<u16>().ok()?;
+                    if media == "audio" && audio_port.is_none() {
+                        audio_port = Some(port);
+                    }
+                }
+                _ => {}
+            }
+        }
+        if !(version_seen && origin_seen) {
+            return None;
+        }
+        Some((connection?, audio_port?))
+    }
+
     /// Returns a copy re-targeted at a new address/port with the session
     /// version bumped — what a (genuine or forged) re-INVITE carries.
     pub fn retargeted(&self, addr: Ipv4Addr, rtp_port: u16) -> SessionDescription {
@@ -268,6 +315,32 @@ mod tests {
         assert_eq!(sdp.origin_user, "bob");
         assert_eq!(sdp.session_version, 4);
         assert_eq!(sdp.media[0].formats, vec![0, 8]);
+    }
+
+    #[test]
+    fn scanner_matches_the_parser() {
+        let good = SessionDescription::audio_offer("a", addr(), 9000).to_string();
+        for text in [
+            good.as_str(),
+            "v=0\r\no=bob 3 4 IN IP4 10.0.0.7\r\nc=IN IP4 10.0.0.7\r\nm=video 1 RTP/AVP\r\nm=audio 12000 RTP/AVP 0 8\r\nm=audio 2 RTP/AVP\r\n",
+            "v=0\no=a 1 1\nc=IN IP4 10.0.0.1\nc=IN IP4 10.0.0.2\nm=audio 5 x y\n",
+            "v=1\r\nv=0\r\no=a 1 1\r\nc=IN IP4 10.0.0.1\r\nm=audio 5 x\r\n",
+            "v=0\r\nv=1\r\no=a 1 1\r\nc=IN IP4 10.0.0.1\r\nm=audio 5 x\r\n",
+            "v=0\r\no=a 1\r\nc=IN IP4 10.0.0.1\r\nm=audio 5 x\r\n",
+            "v=0\r\no=a 1 x\r\nc=IN IP4 10.0.0.1\r\nm=audio 5 x\r\n",
+            "v=0\r\no=a 1 1\r\nc=IN IP4 10.0.0.1 extra\r\nm=audio 5 x\r\n",
+            "v=0\r\no=a 1 1\r\nc=IN IP4 10.0.0.1\r\nm=audio 70000 x\r\n",
+            "v=0\r\no=a 1 1\r\nc=IN IP4 10.0.0.1\r\nm=audio 5\r\n",
+            "v=0\r\no=a 1 1\r\nc=IN IP4 10.0.0.1\r\n",
+            "v=0\r\no=a 1 1\r\nm=audio 5 x\r\n",
+            "",
+        ] {
+            assert_eq!(
+                SessionDescription::rtp_target_of(text),
+                text.parse::<SessionDescription>().ok().and_then(|d| d.rtp_target()),
+                "diverged on {text:?}"
+            );
+        }
     }
 
     #[test]

@@ -90,6 +90,39 @@ impl SipUri {
         }
     }
 
+    /// The address-of-record of the URI text `s` as a slice of `s`,
+    /// without allocating: `Some` exactly when `s.parse::<SipUri>()`
+    /// succeeds, and then equal to that URI's [`SipUri::aor`]. The AOR
+    /// `user@host` is always contiguous in the URI text (the user part
+    /// ends at the first `@`, the host at the first `:` or `;` after it),
+    /// so a slice suffices.
+    pub fn aor_of(s: &str) -> Option<&str> {
+        // Mirrors `from_str` decision for decision; the property tests
+        // hold the two equal.
+        let rest = s.strip_prefix("sip:")?;
+        let core = match crate::scan::memchr(b';', rest.as_bytes()) {
+            Some(i) => &rest[..i],
+            None => rest,
+        };
+        let (user_len, hostport) = match core.split_once('@') {
+            Some((u, hp)) => (u.len(), hp),
+            None => (0, core),
+        };
+        let host = match hostport.split_once(':') {
+            Some((h, p)) => {
+                p.parse::<u16>().ok()?;
+                h
+            }
+            None => hostport,
+        };
+        if host.is_empty() {
+            return None;
+        }
+        let host_start = core.len() - hostport.len();
+        let start = if user_len == 0 { host_start } else { 0 };
+        Some(&rest[start..host_start + host.len()])
+    }
+
     /// The retained allocating parser: materializes the user, host, and
     /// parameter parts as owned `String`s before wrapping them, exactly
     /// as the pre-optimization `FromStr` did. Kept so the reference
@@ -331,6 +364,11 @@ mod tests {
                 s.parse::<SipUri>(),
                 SipUri::parse_reference(s),
                 "diverged on `{s}`"
+            );
+            assert_eq!(
+                SipUri::aor_of(s),
+                s.parse::<SipUri>().ok().map(|u| u.aor()).as_deref(),
+                "aor diverged on `{s}`"
             );
         }
     }

@@ -33,8 +33,14 @@
 #     observations are evicted in a deterministic, counted order (an
 #     outsized key is trimmed, keeping its latch, before whole keys go).
 # Beside the suite:
+#   - the paper's numbers: the seven experiment binaries rewrite
+#     results/exp_*.json (Table 1, false and missed alarms, delay,
+#     cooperative detection and the two ablations), and the step fails
+#     unless every file is byte-identical to the committed one (the .txt
+#     renderings and the timing artefacts are not gated);
 #   - the allocation regression gate (crates/bench/tests/alloc_budget.rs)
-#     under the counting allocator feature;
+#     under the counting allocator feature: RTP-heavy testbed captures
+#     and a signalling-only synthetic load;
 #   - the bench smoke runs every criterion routine once, so the
 #     benchmarks cannot silently rot;
 #   - exp_observe_overhead fails the run if observation at default
@@ -65,6 +71,13 @@ cargo build --release
 
 echo "== tests (whole workspace) =="
 cargo test -q --workspace
+
+echo "== paper results regenerate byte-identically (results/exp_*.json) =="
+for exp in exp_table1 exp_false_alarm exp_missed_alarm exp_delay exp_cooperative \
+           exp_crossproto_ablation exp_stateful_ablation; do
+  cargo run --release -q -p scidive-bench --bin "$exp" > /dev/null
+done
+git diff --exit-code -- 'results/*.json'
 
 echo "== allocation budget (counting allocator) =="
 cargo test -q -p scidive-bench --features count-allocs --test alloc_budget
