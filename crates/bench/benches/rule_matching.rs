@@ -169,7 +169,10 @@ fn main() {
     let frames = capture();
     // Harvest the event stream (and the trail store the rules consult)
     // once; the timed region is the matching stage alone.
-    let mut harvester = Scidive::new(ScidiveConfig::default());
+    let mut harvester = Scidive::new(ScidiveConfig {
+        event_log_cap: 100_000,
+        ..ScidiveConfig::default()
+    });
     harvester.process_capture(frames.iter().map(|(t, p)| (*t, p)));
     let events = harvester.drain_events();
     let trails = harvester.trails();

@@ -39,7 +39,8 @@ pub struct EndpointDetector {
 }
 
 impl EndpointDetector {
-    /// Creates a detector for one endpoint.
+    /// Creates a detector for one endpoint; its engine keeps up to
+    /// 100,000 undrained events for the exchange.
     pub fn new(
         name: impl Into<String>,
         monitored_ip: Ipv4Addr,
@@ -50,7 +51,10 @@ impl EndpointDetector {
             name: name.into(),
             monitored_ip,
             host_node: host_node.into(),
-            ids: Scidive::new(config),
+            ids: Scidive::new(ScidiveConfig {
+                event_log_cap: 100_000,
+                ..config
+            }),
         }
     }
 

@@ -21,7 +21,7 @@ use std::net::Ipv4Addr;
 pub use crate::proto::{EventGenerator, IdentityPlane};
 
 /// Identifies an RTP (or garbage) flow towards a media sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FlowKey {
     /// Claimed source address.
     pub src: Ipv4Addr,
@@ -512,14 +512,15 @@ pub struct EventGenConfig {
     /// [`crate::rate::DEFAULT_RATE_SEED`]. Kept only so existing
     /// configurations still build.
     pub rate: crate::rate::RateConfig,
-    /// Idle expiry for identity-plane AOR→IP bindings. Far above
+    /// Idle expiry for identity-plane AOR→IP bindings: a binding not
+    /// re-learned for longer than this reads as absent. Far above
     /// `im_mobility_interval`, so expiring an idle binding never turns a
     /// plausible re-registration into a mismatch.
     pub identity_timeout: SimDuration,
-    /// Idle expiry for per-session dialog state in the
-    /// [`crate::proto::SessionPlane`]. A session with no footprint for
-    /// this long reads as absent on its next access (and is reclaimed by
-    /// a quarter-timeout background sweep). Far above `monitor_window`,
+    /// Idle expiry for per-session dialog state and RTP flow history in
+    /// the [`crate::proto::SessionPlane`]: a session or flow with no
+    /// footprint for longer than this reads as absent, and starts fresh
+    /// when it resumes. Far above `monitor_window`,
     /// so expiry never races an armed orphan-media watch; a dialog
     /// genuinely idle this long has long since left every window the
     /// rules care about.

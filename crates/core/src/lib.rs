@@ -36,6 +36,10 @@
 //!   worker engines whose merged output is byte-identical to one engine
 //!   (`N = 1` is the plain threaded deployment); batches travel over
 //!   per-shard [`spsc`] rings.
+//! * [`idle::IdleMap`] is the one idle-expiring, capped map every
+//!   session store is built on: trails, the media index, the session
+//!   plane, identity bindings and rule state (paper §3.3's memory
+//!   bounds).
 //! * [`observe`] watches the whole pipeline — monotonic counters, state
 //!   gauges, fixed-bucket histograms and an optional decision trace —
 //!   snapshottable as a serializable [`observe::PipelineObservation`].
@@ -68,6 +72,7 @@ pub mod distill;
 pub mod engine;
 pub mod event;
 pub mod footprint;
+pub mod idle;
 pub mod metrics;
 pub mod observe;
 pub mod proto;
@@ -95,6 +100,7 @@ pub mod prelude {
     pub use crate::footprint::{
         CorruptReason, ExtBody, ExtData, Footprint, FootprintBody, PacketMeta, TrailProto,
     };
+    pub use crate::idle::{IdleMap, StoreGauge};
     pub use crate::metrics::{DetectionReport, InjectedAttack, RateAccumulator};
     pub use crate::proto::{
         AttributeCtx, GenCtx, ProtocolModule, ProtocolSet, ProtocolSetBuilder,

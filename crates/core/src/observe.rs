@@ -261,11 +261,16 @@ pub struct StateGauges {
     /// Per-session dialog states held by the event generators' session
     /// planes across all engines.
     pub session_plane: u64,
+    /// `(flow, SSRC)` sequence histories held by the session planes (the
+    /// per-flow SSRC sets never hold more flows than this).
+    pub rtp_flows: u64,
+    /// AOR → address bindings held by the identity plane.
+    pub identity_bindings: u64,
     /// Trails dropped by the idle timeout (monotonic).
     pub expired_trails: u64,
     /// Trails evicted, oldest `last_active` first, at the live-trail cap
-    /// [`crate::trail::MAX_LIVE_TRAILS`] (monotonic; each a session whose
-    /// history the rules lose early).
+    /// [`crate::idle::MAX_LIVE_ENTRIES`] (monotonic; each a session
+    /// whose history the rules lose early).
     pub trails_evicted: u64,
     /// Media mappings dropped by idle expiry (monotonic).
     pub media_expired: u64,
@@ -282,6 +287,15 @@ pub struct StateGauges {
     /// The fold plane's evictions are
     /// [`DispatchCounters::fold_evicted`].
     pub rule_state_evicted: u64,
+    /// Entries evicted at [`crate::idle::MAX_LIVE_ENTRIES`] from every
+    /// idle-expiring store other than the trails — media index, key
+    /// memos, session planes, RTP flow history, identity bindings, rule
+    /// state maps (monotonic; each a possible miss).
+    pub evicted_entries: u64,
+    /// Events generated but not kept for cooperative exchange because
+    /// the log was at [`crate::engine::ScidiveConfig::event_log_cap`]
+    /// (monotonic).
+    pub event_log_dropped: u64,
     /// The dispatcher router's media mappings (0 for a single engine).
     pub router_media_index: u64,
     /// The dispatcher router's interned keys (0 for a single engine).
@@ -321,6 +335,8 @@ impl std::ops::Add for StateGauges {
             synthetic_keys: self.synthetic_keys + rhs.synthetic_keys,
             rule_state: self.rule_state + rhs.rule_state,
             session_plane: self.session_plane + rhs.session_plane,
+            rtp_flows: self.rtp_flows + rhs.rtp_flows,
+            identity_bindings: self.identity_bindings + rhs.identity_bindings,
             expired_trails: self.expired_trails + rhs.expired_trails,
             trails_evicted: self.trails_evicted + rhs.trails_evicted,
             media_expired: self.media_expired + rhs.media_expired,
@@ -329,6 +345,8 @@ impl std::ops::Add for StateGauges {
             rule_state_expired: self.rule_state_expired + rhs.rule_state_expired,
             session_plane_expired: self.session_plane_expired + rhs.session_plane_expired,
             rule_state_evicted: self.rule_state_evicted + rhs.rule_state_evicted,
+            evicted_entries: self.evicted_entries + rhs.evicted_entries,
+            event_log_dropped: self.event_log_dropped + rhs.event_log_dropped,
             router_media_index: self.router_media_index + rhs.router_media_index,
             router_interner: self.router_interner + rhs.router_interner,
             router_synthetic_keys: self.router_synthetic_keys + rhs.router_synthetic_keys,
@@ -757,7 +775,7 @@ impl PipelineObservation {
         );
         let _ = writeln!(
             out,
-            "lifecycle  expired_trails={} trails_evicted={} media_expired={} synthetic_expired={} interner_expired={} rule_state_expired={} rule_state_evicted={} session_plane_expired={}",
+            "lifecycle  expired_trails={} trails_evicted={} media_expired={} synthetic_expired={} interner_expired={} rule_state_expired={} rule_state_evicted={} session_plane_expired={} rtp_flows={} identity_bindings={} evicted_entries={} event_log_dropped={}",
             self.gauges.expired_trails,
             self.gauges.trails_evicted,
             self.gauges.media_expired,
@@ -766,6 +784,10 @@ impl PipelineObservation {
             self.gauges.rule_state_expired,
             self.gauges.rule_state_evicted,
             self.gauges.session_plane_expired,
+            self.gauges.rtp_flows,
+            self.gauges.identity_bindings,
+            self.gauges.evicted_entries,
+            self.gauges.event_log_dropped,
         );
         let _ = writeln!(
             out,

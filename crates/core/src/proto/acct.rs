@@ -90,7 +90,7 @@ fn on_acct_start(
         .session_mut(&key.session, fp.meta.time)
         .and_then(|s| s.caller_aor.clone());
     let mismatch = observed_caller.as_deref() != Some(billed);
-    if let Some(state) = ctx.plane.sessions.get_mut(&key.session) {
+    if let Some(state) = ctx.session_mut(&key.session, fp.meta.time) {
         if state.acct_checked {
             return;
         }

@@ -356,7 +356,7 @@ impl Rule for MgcpTeardownRule {
     }
 
     fn state_stats(&self) -> RuleStateStats {
-        self.fired.state_stats()
+        self.fired.gauge().into()
     }
 
     fn state_signature(&self) -> u64 {

@@ -3,7 +3,7 @@
 //! registered module owns lands here — and generates the media-port
 //! garbage events behind the §4.2.4 RTP-attack correlation.
 
-use crate::event::{Event, EventKind};
+use crate::event::EventKind;
 use crate::footprint::{Footprint, FootprintBody};
 use crate::proto::{AttributeCtx, GenCtx, ProtocolModule};
 use crate::trail::{SessionKey, TrailKey};
@@ -71,32 +71,22 @@ impl ProtocolModule for OtherModule {
         {
             return;
         }
+        // Rate-limit to one event per 10 packets to bound event volume.
+        let state = ctx.session_entry(&key.session, fp.meta.time);
+        let first_of_ten = state.garbage_emitted.is_multiple_of(10);
+        state.garbage_emitted += 1;
+        if !first_of_ten {
+            return;
+        }
         let reason = match &fp.body {
             FootprintBody::UdpCorrupt { reason } => reason.as_str().to_string(),
             _ => "undecodable media".to_string(),
         };
-        let session_timeout = ctx.config.session_timeout;
-        let GenCtx {
-            plane,
-            out,
-            emitted,
-            ..
-        } = ctx;
-        let state = plane.session_entry(&key.session, fp.meta.time, session_timeout);
-        // Rate-limit to one event per 10 packets to bound event volume.
-        if state.garbage_emitted.is_multiple_of(10) {
-            state.garbage_emitted += 1;
-            *emitted += 1;
-            out.push(Event {
-                time: fp.meta.time,
-                session: Some(key.session.clone()),
-                kind: EventKind::MediaPortGarbage {
-                    sink: (fp.meta.dst, fp.meta.dst_port),
-                    reason,
-                },
-            });
-        } else {
-            state.garbage_emitted += 1;
-        }
+        let sink = (fp.meta.dst, fp.meta.dst_port);
+        ctx.emit(
+            fp.meta.time,
+            Some(key.session.clone()),
+            EventKind::MediaPortGarbage { sink, reason },
+        );
     }
 }

@@ -47,7 +47,7 @@ impl EventRule {
             severity,
             cross_protocol,
             stateful,
-            fired_sessions: SessionMap::new(),
+            fired_sessions: SessionMap::default(),
             global_fired: 0,
             global_cap: 0,
         }
@@ -104,7 +104,7 @@ impl Rule for EventRule {
     }
 
     fn state_stats(&self) -> RuleStateStats {
-        self.fired_sessions.state_stats()
+        self.fired_sessions.gauge().into()
     }
 
     fn state_signature(&self) -> u64 {

@@ -127,7 +127,7 @@ impl Rule for ByeAttackRule {
     }
 
     fn state_stats(&self) -> RuleStateStats {
-        self.fired.state_stats()
+        self.fired.gauge().into()
     }
 
     fn state_signature(&self) -> u64 {

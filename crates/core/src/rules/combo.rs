@@ -89,8 +89,8 @@ impl SequenceRule {
             steps,
             window,
             severity: Severity::Critical,
-            partial: SessionMap::new(),
-            fired: SessionMap::new(),
+            partial: SessionMap::default(),
+            fired: SessionMap::default(),
         }
     }
 
@@ -163,7 +163,7 @@ impl Rule for SequenceRule {
         let started = if next == 0 { ev.time } else { started };
         let next = next + 1;
         if next == self.steps.len() {
-            self.partial.remove(session);
+            self.partial.remove(session, ev.time);
             self.fired.insert(session.clone(), (), ev.time);
             sink.push(Alert::new(
                 self.id.clone(),
@@ -184,7 +184,7 @@ impl Rule for SequenceRule {
     }
 
     fn state_stats(&self) -> RuleStateStats {
-        self.partial.state_stats() + self.fired.state_stats()
+        RuleStateStats::from(self.partial.gauge()) + self.fired.gauge().into()
     }
 }
 
@@ -224,8 +224,8 @@ impl CombinationRule {
             required,
             window,
             severity: Severity::Critical,
-            partial: SessionMap::new(),
-            fired: SessionMap::new(),
+            partial: SessionMap::default(),
+            fired: SessionMap::default(),
         }
     }
 
@@ -284,7 +284,7 @@ impl Rule for CombinationRule {
         let mask = mask | (1u64 << bit);
         let full = (1u64 << self.required.len()) - 1;
         if mask == full {
-            self.partial.remove(session);
+            self.partial.remove(session, ev.time);
             self.fired.insert(session.clone(), (), ev.time);
             sink.push(Alert::new(
                 self.id.clone(),
@@ -304,7 +304,7 @@ impl Rule for CombinationRule {
     }
 
     fn state_stats(&self) -> RuleStateStats {
-        self.partial.state_stats() + self.fired.state_stats()
+        RuleStateStats::from(self.partial.gauge()) + self.fired.gauge().into()
     }
 }
 

@@ -150,7 +150,7 @@ impl PredicateRule {
             id,
             matchers,
             severity,
-            fired: SessionMap::new(),
+            fired: SessionMap::default(),
             global_fired: false,
         }
     }
@@ -227,7 +227,7 @@ impl Rule for PredicateRule {
     }
 
     fn state_stats(&self) -> RuleStateStats {
-        self.fired.state_stats()
+        self.fired.gauge().into()
     }
 }
 

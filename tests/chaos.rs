@@ -153,6 +153,7 @@ fn state_gauges_plateau_across_idle_expiry() {
         later.session_plane_expired > 0,
         "session-plane state never expired"
     );
+    assert_eq!(later.evicted_entries, 0, "far under every store's cap");
 }
 
 #[test]
@@ -210,4 +211,160 @@ fn call_and_ids_survive_random_byte_spray() {
             }
         }
     }
+}
+
+/// Minting frames: `MINT_RATE` RTP frames per capture second for
+/// `MINTED` frames, each with a fresh SSRC, over `MINT_PORTS`
+/// destination ports, so every frame opens a `(flow, SSRC)` history.
+const MINTED: u64 = 200_000;
+const MINT_RATE: u64 = 1_000;
+const MINT_PORTS: u64 = 50_000;
+/// Retention of trails and session-plane state, in seconds.
+const MINT_RETENTION_S: u64 = 2;
+const ALICE: std::net::Ipv4Addr = std::net::Ipv4Addr::new(10, 0, 0, 2);
+const BOB: std::net::Ipv4Addr = std::net::Ipv4Addr::new(10, 0, 0, 3);
+
+fn minted_rtp(i: u64) -> IpPacket {
+    let ssrc = i as u32;
+    let header = RtpHeader::new(0, (i % 65_536) as u16, 0, ssrc);
+    let payload = RtpPacket::new(header, vec![0u8; 20]).encode();
+    let port = 10_000 + (i % MINT_PORTS) as u16;
+    IpPacket::udp(
+        std::net::Ipv4Addr::new(10, 0, 5, 66),
+        7_000,
+        std::net::Ipv4Addr::new(10, 0, 5, 1),
+        port,
+        payload,
+    )
+}
+
+/// One real call, alice ↔ bob, whose media keeps flowing after a BYE
+/// forged in bob's name: the paper's BYE attack, in capture order.
+fn forged_bye_call() -> Vec<(SimTime, IpPacket)> {
+    let sip = |src, dst, msg: &SipMessage| IpPacket::udp(src, 5060, dst, 5060, msg.to_bytes());
+    let rtp = |src, dst, port, seq: u16, ssrc| {
+        let pkt = RtpPacket::new(
+            RtpHeader::new(0, seq, u32::from(seq) * 160, ssrc),
+            vec![0u8; 160],
+        );
+        IpPacket::udp(src, port, dst, port, pkt.encode())
+    };
+    let sdp = SessionDescription::audio_offer("alice", ALICE, 8_000);
+    let mut b = RequestBuilder::new(Method::Invite, "sip:bob@lab".parse().unwrap());
+    b.from(NameAddr::new("sip:alice@lab".parse().unwrap()).with_tag("ta"))
+        .to(NameAddr::new("sip:bob@lab".parse().unwrap()))
+        .call_id("minted-real-call")
+        .cseq(CSeq::new(1, Method::Invite))
+        .via(Via::udp("10.0.0.2:5060", "z9hG4bK-real"))
+        .contact(NameAddr::new("sip:alice@10.0.0.2:5060".parse().unwrap()))
+        .body("application/sdp", sdp.to_string());
+    let invite = b.build();
+    let mut ok = response_to(&invite, StatusCode::OK, Some("tb"));
+    ok.headers.set(HeaderName::ContentType, "application/sdp");
+    ok.body = SessionDescription::audio_offer("bob", BOB, 9_000)
+        .to_string()
+        .into();
+    let mut bye = RequestBuilder::new(Method::Bye, "sip:alice@10.0.0.2:5060".parse().unwrap());
+    bye.from(NameAddr::new("sip:bob@lab".parse().unwrap()).with_tag("tb"))
+        .to(NameAddr::new("sip:alice@lab".parse().unwrap()).with_tag("ta"))
+        .call_id("minted-real-call")
+        .cseq(CSeq::new(100, Method::Bye))
+        .via(Via::udp("10.0.0.66:5060", "z9hG4bK-forged"));
+    let mut frames = vec![
+        (SimTime::from_millis(1_000), sip(ALICE, BOB, &invite)),
+        (SimTime::from_millis(1_010), sip(BOB, ALICE, &ok)),
+        (
+            SimTime::from_millis(3_000),
+            sip(std::net::Ipv4Addr::new(10, 0, 0, 66), ALICE, &bye.build()),
+        ),
+    ];
+    for n in 0..150u16 {
+        let at = SimTime::from_millis(1_020 + 20 * u64::from(n));
+        frames.push((at, rtp(BOB, ALICE, 8_000, n, 0xb0b)));
+        frames.push((at, rtp(ALICE, BOB, 9_000, n, 0xa11ce)));
+    }
+    frames.sort_by_key(|(at, _)| *at);
+    frames
+}
+
+/// The minting frames with the real call merged in, in capture order.
+fn minting_capture() -> impl Iterator<Item = (SimTime, IpPacket)> {
+    let mut call = forged_bye_call().into_iter().peekable();
+    (0..MINTED).flat_map(move |i| {
+        let at = SimTime::from_millis(i * 1_000 / MINT_RATE);
+        let mut frames = Vec::new();
+        while let Some((_, pkt)) = call.next_if(|(t, _)| *t <= at) {
+            frames.push((at, pkt));
+        }
+        frames.push((at, minted_rtp(i)));
+        frames
+    })
+}
+
+/// An SSRC-minting flood beside a real call under a forged BYE, through
+/// one engine and through 4 shards: the RTP flow history stays within
+/// twice what the session timeout lets live (rate × timeout), nothing
+/// is evicted, the BYE attack is caught and nothing else is Critical.
+#[test]
+fn ssrc_minting_keeps_rtp_flow_history_bounded() {
+    let mut config = ScidiveConfig::default();
+    config.trails.idle_timeout = SimDuration::from_secs(MINT_RETENTION_S);
+    config.events.session_timeout = SimDuration::from_secs(MINT_RETENTION_S);
+    let bound = 2 * MINT_RATE * MINT_RETENTION_S;
+    let check = |what: &str, gauges: &[StateGauges], alerts: &[Alert]| {
+        let peak = gauges.iter().map(|g| g.rtp_flows).max().unwrap_or(0);
+        assert!(
+            peak <= bound,
+            "{what}: rtp_flows peaked at {peak} > {bound}"
+        );
+        assert!(
+            peak >= bound / 4,
+            "{what}: the flood never minted ({peak} flows)"
+        );
+        for g in gauges {
+            assert_eq!(
+                (g.evicted_entries, g.trails_evicted),
+                (0, 0),
+                "{what}: {g:?}"
+            );
+        }
+        let critical: Vec<&Alert> = alerts
+            .iter()
+            .filter(|a| a.severity == Severity::Critical)
+            .collect();
+        assert!(
+            critical.iter().any(|a| a.rule == "bye-attack"),
+            "{what}: the forged BYE went unnoticed"
+        );
+        for a in critical {
+            assert_eq!(a.rule, "bye-attack", "{what}: false critical {a}");
+            assert_eq!(
+                a.session.as_ref().map(SessionKey::as_str),
+                Some("minted-real-call"),
+                "{what}: false critical {a}"
+            );
+        }
+    };
+
+    let mut engine = Scidive::new(config.clone());
+    let mut gauges = Vec::new();
+    for (n, (at, pkt)) in minting_capture().enumerate() {
+        engine.on_frame(at, &pkt);
+        if n % 10_000 == 9_999 {
+            gauges.push(engine.gauges());
+        }
+    }
+    check("one engine", &gauges, engine.alerts());
+
+    let mut sharded = ShardedScidive::new(config, 4, 64);
+    let mut gauges = Vec::new();
+    for (n, (at, pkt)) in minting_capture().enumerate() {
+        sharded.submit(at, &pkt);
+        if n % 10_000 == 9_999 {
+            gauges.push(sharded.observation().gauges);
+        }
+    }
+    let report = sharded.finish();
+    gauges.push(report.observation.gauges);
+    check("4 shards", &gauges, &report.alerts);
 }

@@ -117,6 +117,7 @@ fn soak_rate_state_bounded_and_gauges_plateau() {
         );
         assert_eq!(g.rule_state_evicted, 0, "evicted at checkpoint {i}");
         assert_eq!(g.trails_evicted, 0, "trails evicted at checkpoint {i}");
+        assert_eq!(g.evicted_entries, 0, "entries evicted at checkpoint {i}");
     }
 
     // Plateau: the last checkpoint retains no more per-session state
@@ -224,6 +225,7 @@ fn soak_sharded_fold_plane_bytes_stay_bounded() {
     assert_eq!((gauges.rule_state, gauges.rule_state_evicted), (0, 0));
     assert_eq!(gauges.rate_evicted, 0);
     assert_eq!(gauges.trails_evicted, 0);
+    assert_eq!(gauges.evicted_entries, 0);
 }
 
 /// Hot reload under sustained load: swap the ruleset every ~6% of the
