@@ -12,7 +12,8 @@ use crate::observe::{
 use crate::proto::ProtocolSet;
 use crate::rate::{FoldConfig, RateConfig, RateDelta, RateHub};
 use crate::rules::{
-    AlertSink, CompiledRuleset, Program, Rule, RuleCtx, RuleToggles, RulesetBlueprint, SpecError,
+    dsl, AlertSink, CompiledRuleset, Diagnostic, Program, Rule, RuleCtx, RuleToggles,
+    RulesetBlueprint,
 };
 use crate::trail::{TrailStats, TrailStore, TrailStoreConfig};
 use scidive_netsim::node::{Node, NodeCtx};
@@ -47,16 +48,19 @@ impl RulesetSource {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] if the file cannot be read or the
-    /// program does not compile.
-    pub fn program(&self) -> Result<Option<Program>, SpecError> {
+    /// Returns the program's first [`Diagnostic`]; a file that cannot
+    /// be read is one at line 0.
+    pub fn program(&self) -> Result<Option<Program>, Diagnostic> {
         match self {
             RulesetSource::Builtin => Ok(None),
             RulesetSource::Dsl(text) => Ok(Some(Program::parse(text)?)),
             RulesetSource::DslFile(path) => {
-                let text = std::fs::read_to_string(path).map_err(|e| SpecError {
+                let text = std::fs::read_to_string(path).map_err(|e| Diagnostic {
                     line: 0,
+                    col: 0,
+                    len: 0,
                     message: format!("cannot read {}: {e}", path.display()),
+                    hint: None,
                 })?;
                 Ok(Some(Program::parse(&text)?))
             }
@@ -135,9 +139,9 @@ impl ScidiveConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] if the configured DSL program does not
+    /// Returns the [`Diagnostic`] if the configured DSL program does not
     /// compile (or its file cannot be read).
-    pub fn blueprint(&self) -> Result<RulesetBlueprint, SpecError> {
+    pub fn blueprint(&self) -> Result<RulesetBlueprint, Diagnostic> {
         Ok(RulesetBlueprint {
             toggles: self.rules.clone(),
             program: self.ruleset.program()?,
@@ -248,9 +252,9 @@ impl Scidive {
     ///
     /// # Errors
     ///
-    /// Returns the [`SpecError`] if the configured DSL program does not
+    /// Returns the [`Diagnostic`] if the configured DSL program does not
     /// compile (or its file cannot be read).
-    pub fn try_new(config: ScidiveConfig) -> Result<Scidive, SpecError> {
+    pub fn try_new(config: ScidiveConfig) -> Result<Scidive, Diagnostic> {
         let blueprint = config.blueprint()?;
         Ok(Scidive::assemble(config, &blueprint, false))
     }
@@ -342,15 +346,15 @@ impl Scidive {
         self.rules.push(rule);
     }
 
-    /// Parses an operator rule specification (see
-    /// [`crate::rules::parse_ruleset`]) and installs the rules.
+    /// Compiles an operator rule program (see [`crate::rules::dsl`])
+    /// and installs its rules behind the ones already installed.
     ///
     /// # Errors
     ///
-    /// Returns the parse error, installing nothing, if the spec is
-    /// invalid.
-    pub fn add_rules_from_spec(&mut self, spec: &str) -> Result<usize, crate::rules::SpecError> {
-        let rules = crate::rules::parse_ruleset(spec)?;
+    /// Returns the program's first [`Diagnostic`], installing nothing,
+    /// if it does not compile.
+    pub fn add_rules_from_spec(&mut self, spec: &str) -> Result<usize, Diagnostic> {
+        let rules = dsl::compile_program(&Program::parse(spec)?);
         let n = rules.len();
         for rule in rules {
             self.rules.push(rule);

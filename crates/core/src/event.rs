@@ -466,6 +466,72 @@ impl EventKind {
     }
 }
 
+/// The payload as an alert renders it after the rule's description
+/// (`"{description}: {event}"`); classes without a phrasing of their
+/// own print their `Debug` form.
+impl fmt::Display for EventKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EventKind::OrphanRtpAfterBye { flow, gap } => {
+                write!(f, "RTP flow {flow} continued {gap} after the BYE")
+            }
+            EventKind::OrphanRtpAfterRedirect { flow, gap } => {
+                write!(f, "RTP flow {flow} continued {gap} after the re-INVITE")
+            }
+            EventKind::RtpSeqViolation { flow, delta } => {
+                write!(f, "sequence jumped by {delta} on {flow}")
+            }
+            EventKind::RtpUnknownSource { flow } => {
+                write!(f, "media from unnegotiated source on {flow}")
+            }
+            EventKind::MediaPortGarbage { sink, reason } => {
+                write!(f, "undecodable media at {}:{} ({reason})", sink.0, sink.1)
+            }
+            EventKind::ImSourceMismatch {
+                claimed_aor,
+                src_ip,
+                expected_ip,
+            } => write!(
+                f,
+                "message claims {claimed_aor} but came from {src_ip} (expected {expected_ip})"
+            ),
+            EventKind::RegisterFlood { src, count } => {
+                write!(f, "{count} request/4xx alternations from {src}")
+            }
+            EventKind::PasswordGuessing {
+                src,
+                username,
+                distinct_responses: n,
+            } => {
+                write!(f, "{n} distinct digest responses for {username} from {src}")
+            }
+            EventKind::SipMalformed { violations, src } => {
+                let (n, all) = (violations.len(), violations.join("; "));
+                write!(f, "{n} violation(s) from {src}: {all}")
+            }
+            EventKind::RtpAfterRtcpBye { flow, ssrc: s, gap } => {
+                write!(
+                    f,
+                    "SSRC {s:#010x} kept streaming on {flow} {gap} after its RTCP BYE"
+                )
+            }
+            EventKind::AcctMismatch {
+                billed,
+                observed_caller,
+                call_id,
+            } => {
+                let caller = observed_caller.as_deref().unwrap_or("<nobody>");
+                write!(
+                    f,
+                    "billing charges {billed} for call {call_id} initiated by {caller}"
+                )
+            }
+            EventKind::Protocol { signal, detail, .. } => write!(f, "{signal}: {detail}"),
+            other => write!(f, "{other:?}"),
+        }
+    }
+}
+
 /// Event-generator configuration.
 #[derive(Debug, Clone)]
 pub struct EventGenConfig {
@@ -560,6 +626,17 @@ mod tests {
             assert_eq!(EventClass::parse_name(class.name()), Some(class));
         }
         assert_eq!(EventClass::ALL.len(), EventClass::COUNT);
+    }
+
+    #[test]
+    fn class_names_parse_case_insensitively() {
+        for c in EventClass::ALL {
+            assert_eq!(
+                EventClass::parse_name(&c.name().to_ascii_lowercase()),
+                Some(c)
+            );
+        }
+        assert_eq!(EventClass::parse_name("NotAClass"), None);
     }
 
     #[test]

@@ -119,10 +119,9 @@ pub mod prelude {
     };
     pub use crate::shard::{DispatchStats, ShardStats, ShardedReport, ShardedScidive};
     pub use crate::rules::{
-        builtin_ruleset, collect_alerts, parse_ruleset, rapid_spec, AlertSink, CombinationRule,
-        CompiledRuleset, Diagnostic, PredicateRule, Program, Rule, RuleCtx, RuleInterest,
-        RuleStateStats, RuleToggles, RulesetBlueprint, SequenceRule, SessionMap, SpecError,
-        ThresholdRule, ThresholdSpec,
+        builtin_ruleset, collect_alerts, rapid_spec, AlertSink, CombinationRule, CompiledRuleset,
+        Diagnostic, PredicateRule, Program, Rule, RuleCtx, RuleInfo, RuleInterest, RuleStateStats,
+        RuleToggles, RulesetBlueprint, SequenceRule, SessionMap, ThresholdRule, ThresholdSpec,
     };
     pub use crate::trail::{SessionKey, Trail, TrailKey, TrailStore, TrailStoreConfig};
 }

@@ -3,7 +3,8 @@
 //! zero edits to the distiller, router, or generator dispatch. It
 //! exists to prove the extension seam and to mirror the paper's
 //! forged-BYE scenario at the gateway-control layer: a DLCX tears a
-//! connection down, so RTP continuing afterwards is teardown evasion.
+//! connection down, so RTP continuing afterwards is teardown evasion,
+//! which the builtin `mgcp-teardown` rule alerts on.
 //!
 //! The wire format is a toy cut of RFC 3435: a command line
 //! `VERB txid endpoint MGCP 1.0` (CRCX / DLCX / NTFY), a `C:` call-id
@@ -13,15 +14,13 @@
 //! Not registered by default: tests and examples opt in with
 //! [`crate::proto::ProtocolSetBuilder::register`].
 
-use crate::alert::{Alert, Severity};
 use crate::distill::DistillerConfig;
-use crate::event::{Event, EventClass, EventKind, FlowKey};
+use crate::event::{EventClass, EventKind, FlowKey};
 use crate::footprint::{ExtBody, ExtData, Footprint, FootprintBody, PacketMeta};
 use crate::proto::{AttributeCtx, GenCtx, ProtocolModule};
-use crate::rules::{AlertSink, Rule, RuleCtx, RuleInterest, RuleStateStats, SessionMap};
 use crate::trail::{SessionKey, TrailKey};
 use bytes::Bytes;
-use scidive_netsim::time::{SimDuration, SimTime};
+use scidive_netsim::time::SimTime;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -289,82 +288,9 @@ fn pdu_of(fp: &Footprint) -> Option<&MgcpPdu> {
 
 /// Signal name of the DLCX-observed event (class `Ext0`).
 pub const DLCX_SIGNAL: &str = "mgcp-conn-deleted";
-/// Signal name of the RTP-after-DLCX event (class `Ext1`).
+/// Signal name of the RTP-after-DLCX event (class `Ext1`), which the
+/// builtin `mgcp-teardown` rule of `rules/builtin.scid` matches.
 pub const ORPHAN_SIGNAL: &str = "mgcp-rtp-after-dlcx";
-
-/// The MGCP teardown-evasion rule: alerts when RTP keeps flowing after
-/// a DLCX deleted the connection — the gateway-control twin of the
-/// paper's §4.2.1 forged-BYE check. Fires once per session.
-#[derive(Debug, Default)]
-pub struct MgcpTeardownRule {
-    fired: SessionMap<()>,
-}
-
-impl MgcpTeardownRule {
-    /// Creates the rule.
-    pub fn new() -> MgcpTeardownRule {
-        MgcpTeardownRule::default()
-    }
-}
-
-impl Rule for MgcpTeardownRule {
-    fn id(&self) -> &str {
-        "mgcp-teardown"
-    }
-
-    fn description(&self) -> &str {
-        "RTP continues after a DLCX deleted the gateway connection"
-    }
-
-    fn is_cross_protocol(&self) -> bool {
-        true
-    }
-
-    fn is_stateful(&self) -> bool {
-        true
-    }
-
-    fn interests(&self) -> RuleInterest {
-        RuleInterest::of(&[EventClass::Ext1])
-    }
-
-    fn on_event(&mut self, ev: &Event, ctx: &RuleCtx<'_>, sink: &mut AlertSink<'_>) {
-        let EventKind::Protocol { signal, detail, .. } = &ev.kind else {
-            return;
-        };
-        if *signal != ORPHAN_SIGNAL {
-            return;
-        }
-        let Some(session) = &ev.session else {
-            return;
-        };
-        if self.fired.get_mut(session, ctx.now).is_some() {
-            return;
-        }
-        self.fired.insert(session.clone(), (), ctx.now);
-        sink.push(Alert::new(
-            self.id(),
-            Severity::Critical,
-            ev.time,
-            Some(session.clone()),
-            format!("gateway teardown evasion: {detail}"),
-        ));
-    }
-
-    fn set_state_timeout(&mut self, timeout: SimDuration) {
-        self.fired.set_timeout(timeout);
-    }
-
-    fn state_stats(&self) -> RuleStateStats {
-        self.fired.gauge().into()
-    }
-
-    fn state_signature(&self) -> u64 {
-        // No tunable parameters: any instance can adopt any other's
-        // fired-once markers.
-        crate::rate::hash_parts(0x6d67_6370_5f73_6967, &[b"mgcp-teardown"])
-    }
-}
 
 #[cfg(test)]
 mod tests {

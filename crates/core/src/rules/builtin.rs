@@ -1,210 +1,38 @@
 //! The built-in ruleset: one rule per attack the paper covers.
 //!
-//! Table 1 maps each attack to the protocols involved and whether its
-//! rule is cross-protocol and stateful; the structures here carry those
-//! attributes so experiment harnesses can reproduce the table.
+//! Every builtin but `bye-attack` is a clause of `builtin.scid`, parsed
+//! once per process and lowered by the same DSL compiler as an
+//! operator's program, so the paper's detections and an operator's are
+//! one rule path. Table 1 maps each attack to the protocols involved and
+//! whether its rule is cross-protocol and stateful; those columns are
+//! the rules' header flags in that text, which is where the experiment
+//! harnesses read them from.
 
-use crate::alert::{Alert, Severity};
-use crate::event::{Event, EventClass, EventKind};
-use crate::rules::combo::CombinationRule;
-use crate::rules::threshold::{ThresholdRule, ThresholdSpec};
-use crate::rules::{AlertSink, Rule, RuleCtx, RuleInterest, RuleStateStats, SessionMap};
-use scidive_netsim::time::SimDuration;
+use crate::rules::bye_rule::ByeAttackRule;
+use crate::rules::dsl::{self, Program};
+use crate::rules::threshold::ThresholdSpec;
+use crate::rules::Rule;
+use std::sync::OnceLock;
 
-/// A rule that fires on any event of the given classes, once per
-/// session (or globally de-duplicated by message for session-less
-/// events). The fired-once markers live in a [`SessionMap`], so a
-/// session idle past the trail timeout sheds its marker along with its
-/// trails (and may legitimately alarm again if the attack recurs).
-#[derive(Debug)]
-pub struct EventRule {
-    id: &'static str,
-    description: &'static str,
-    classes: &'static [EventClass],
-    severity: Severity,
-    cross_protocol: bool,
-    stateful: bool,
-    fired_sessions: SessionMap<()>,
-    global_fired: u32,
-    /// Maximum global (session-less) firings; 0 = unlimited.
-    global_cap: u32,
+/// The builtin program, parsed and validated once per process.
+pub(crate) fn program() -> &'static Program {
+    static PROGRAM: OnceLock<Program> = OnceLock::new();
+    PROGRAM.get_or_init(|| {
+        Program::parse(include_str!("builtin.scid")).expect("builtin.scid compiles")
+    })
 }
 
-impl EventRule {
-    /// Creates a single-event rule.
-    pub fn new(
-        id: &'static str,
-        description: &'static str,
-        classes: &'static [EventClass],
-        severity: Severity,
-        cross_protocol: bool,
-        stateful: bool,
-    ) -> EventRule {
-        EventRule {
-            id,
-            description,
-            classes,
-            severity,
-            cross_protocol,
-            stateful,
-            fired_sessions: SessionMap::default(),
-            global_fired: 0,
-            global_cap: 0,
-        }
-    }
-}
-
-impl Rule for EventRule {
-    fn id(&self) -> &str {
-        self.id
-    }
-
-    fn description(&self) -> &str {
-        self.description
-    }
-
-    fn is_cross_protocol(&self) -> bool {
-        self.cross_protocol
-    }
-
-    fn is_stateful(&self) -> bool {
-        self.stateful
-    }
-
-    fn interests(&self) -> RuleInterest {
-        RuleInterest::of(self.classes)
-    }
-
-    fn on_event(&mut self, ev: &Event, _ctx: &RuleCtx<'_>, sink: &mut AlertSink<'_>) {
-        if !self.classes.contains(&ev.class()) {
-            return;
-        }
-        if let Some(session) = &ev.session {
-            if self.fired_sessions.get_mut(session, ev.time).is_some() {
-                return;
-            }
-            self.fired_sessions.insert(session.clone(), (), ev.time);
-        } else {
-            if self.global_cap != 0 && self.global_fired >= self.global_cap {
-                return;
-            }
-            self.global_fired += 1;
-        }
-        sink.push(Alert::new(
-            self.id,
-            self.severity,
-            ev.time,
-            ev.session.clone(),
-            format!("{}: {}", self.description, describe(&ev.kind)),
-        ));
-    }
-
-    fn set_state_timeout(&mut self, timeout: SimDuration) {
-        self.fired_sessions.set_timeout(timeout);
-    }
-
-    fn state_stats(&self) -> RuleStateStats {
-        self.fired_sessions.gauge().into()
-    }
-
-    fn state_signature(&self) -> u64 {
-        let mut parts: Vec<&[u8]> = vec![
-            b"event",
-            self.id.as_bytes(),
-            match self.severity {
-                Severity::Info => b"i",
-                Severity::Warning => b"w",
-                Severity::Critical => b"c",
-            },
-            if self.cross_protocol { b"x" } else { b"-" },
-            if self.stateful { b"s" } else { b"-" },
-        ];
-        parts.extend(self.classes.iter().map(|c| c.name().as_bytes()));
-        crate::rate::hash_parts(0x6576_656e_745f_7369, &parts)
-    }
-}
-
-fn describe(kind: &EventKind) -> String {
-    match kind {
-        EventKind::OrphanRtpAfterBye { flow, gap } => {
-            format!("RTP flow {flow} continued {gap} after the BYE")
-        }
-        EventKind::OrphanRtpAfterRedirect { flow, gap } => {
-            format!("RTP flow {flow} continued {gap} after the re-INVITE")
-        }
-        EventKind::RtpSeqViolation { flow, delta } => {
-            format!("sequence jumped by {delta} on {flow}")
-        }
-        EventKind::RtpUnknownSource { flow } => {
-            format!("media from unnegotiated source on {flow}")
-        }
-        EventKind::MediaPortGarbage { sink, reason } => {
-            format!("undecodable media at {}:{} ({reason})", sink.0, sink.1)
-        }
-        EventKind::ImSourceMismatch {
-            claimed_aor,
-            src_ip,
-            expected_ip,
-        } => format!("message claims {claimed_aor} but came from {src_ip} (expected {expected_ip})"),
-        EventKind::RegisterFlood { src, count } => {
-            format!("{count} request/4xx alternations from {src}")
-        }
-        EventKind::PasswordGuessing {
-            src,
-            username,
-            distinct_responses,
-        } => format!("{distinct_responses} distinct digest responses for {username} from {src}"),
-        EventKind::SipMalformed { violations, src } => {
-            format!("{} violation(s) from {src}: {}", violations.len(), violations.join("; "))
-        }
-        EventKind::RtpAfterRtcpBye { flow, ssrc, gap } => {
-            format!("SSRC {ssrc:#010x} kept streaming on {flow} {gap} after its RTCP BYE")
-        }
-        EventKind::AcctMismatch {
-            billed,
-            observed_caller,
-            call_id,
-        } => format!(
-            "billing charges {billed} for call {call_id} initiated by {}",
-            observed_caller.as_deref().unwrap_or("<nobody>")
-        ),
-        EventKind::Protocol { signal, detail, .. } => format!("{signal}: {detail}"),
-        other => format!("{other:?}"),
-    }
-}
-
-/// Window for rapid-connection (SPIT / war-dial) detection.
-pub(crate) const RAPID_WINDOW: SimDuration = SimDuration::from_secs(60);
-/// Calls within the window that make a caller suspicious.
-pub(crate) const RAPID_ATTEMPTS: u32 = 12;
-/// Distinct callees within the window that make it a campaign (a hot
-/// legitimate line redials the *same* peer; a SPIT campaign fans out).
-pub(crate) const RAPID_DISTINCT: u32 = 8;
-
-/// Clause name shared by the local rule and the fold plane.
-pub(crate) const RAPID_CLAUSE: &str = "rapid-connect";
-
-/// The built-in SPIT / war-dialing clause as a compiled
-/// [`ThresholdSpec`] — the single definition evaluated by the local
-/// [`ThresholdRule`] and by the dispatcher's
-/// [`crate::rate::GlobalRatePlane`] under sharding, so a campaign
-/// crosses at exactly the same counts regardless of where the
-/// evaluation runs. A DSL program declaring the same clause compiles to
-/// a spec `==` to this one (hash prefixes, template and all), which is
-/// what makes the DSL twin byte-identical.
+/// The built-in SPIT / war-dialing clause, `rapid-connect` of
+/// `builtin.scid`, as a compiled [`ThresholdSpec`] — the single
+/// definition evaluated by the local [`crate::rules::ThresholdRule`] and
+/// by the dispatcher's [`crate::rate::GlobalRatePlane`] under sharding,
+/// so a campaign crosses at exactly the same counts regardless of where
+/// the evaluation runs.
 pub fn rapid_spec() -> ThresholdSpec {
-    ThresholdSpec {
-        clause: RAPID_CLAUSE,
-        class: EventClass::CallEstablished,
-        key_field: "caller",
-        distinct_field: Some("callee"),
-        window: RAPID_WINDOW,
-        count_threshold: RAPID_ATTEMPTS,
-        distinct_threshold: RAPID_DISTINCT,
-        severity: Severity::Critical,
-        template: "rapid connections: caller {key} established {count} calls to \
-                   {distinct} distinct callees within {window}s",
-    }
+    dsl::threshold_specs(program())
+        .into_iter()
+        .find(|spec| spec.clause == "rapid-connect")
+        .expect("builtin.scid declares rapid-connect")
 }
 
 /// Which built-in rules to install (ablation knobs).
@@ -232,7 +60,7 @@ pub struct RuleToggles {
     /// module is registered — without it the rule's event never fires).
     pub mgcp: bool,
     /// SPIT / war-dialing: one caller fanning out to many distinct
-    /// callees (a [`ThresholdRule`] over [`rapid_spec`]).
+    /// callees (the `threshold` clause [`rapid_spec`]).
     pub rapid_connect: bool,
 }
 
@@ -254,125 +82,97 @@ impl Default for RuleToggles {
     }
 }
 
-/// Builds the built-in ruleset.
+impl RuleToggles {
+    /// Whether the builtin rule `id` is switched on.
+    pub(crate) fn includes(&self, id: &str) -> bool {
+        match id {
+            "bye-attack" => self.bye_attack,
+            "call-hijack" => self.call_hijack,
+            "fake-im" => self.fake_im,
+            "rtp-attack" => self.rtp_attack,
+            "register-dos" => self.register_dos,
+            "password-guess" => self.password_guess,
+            "billing-fraud" => self.billing_fraud,
+            "sip-format" => self.sip_format,
+            "rtcp-bye-anomaly" => self.rtcp_bye,
+            "mgcp-teardown" => self.mgcp,
+            "rapid-connect" => self.rapid_connect,
+            other => unreachable!("builtin rule `{other}` has no toggle"),
+        }
+    }
+}
+
+/// Builds the built-in ruleset: `bye-attack`, then the toggled rules of
+/// `builtin.scid` in declaration order.
 pub fn builtin_ruleset(toggles: &RuleToggles) -> Vec<Box<dyn Rule>> {
     let mut rules: Vec<Box<dyn Rule>> = Vec::new();
     if toggles.bye_attack {
         // The enriched variant: besides matching the event, it performs
         // the paper's "crude information directly from the Trails"
         // lookup to name the BYE's claimed originator.
-        rules.push(Box::new(crate::rules::bye_rule::ByeAttackRule::new()));
+        rules.push(Box::new(ByeAttackRule::new()));
     }
-    if toggles.call_hijack {
-        rules.push(Box::new(EventRule::new(
-            "call-hijack",
-            "no RTP should be seen from an endpoint after its re-INVITE moved it",
-            &[EventClass::OrphanRtpAfterRedirect],
-            Severity::Critical,
-            true,
-            true,
-        )));
-    }
-    if toggles.fake_im {
-        rules.push(Box::new(EventRule::new(
-            "fake-im",
-            "instant-message source must match the claimed sender",
-            &[EventClass::ImSourceMismatch],
-            Severity::Critical,
-            true,  // SIP + IP
-            false, // per Table 1: an address check, not session state
-        )));
-    }
-    if toggles.rtp_attack {
-        rules.push(Box::new(EventRule::new(
-            "rtp-attack",
-            "RTP must come from a negotiated source with disciplined sequence numbers",
-            &[
-                EventClass::RtpSeqViolation,
-                EventClass::RtpUnknownSource,
-                EventClass::MediaPortGarbage,
-            ],
-            Severity::Critical,
-            true, // RTP + IP
-            true, // sequence history
-        )));
-    }
-    if toggles.register_dos {
-        rules.push(Box::new(EventRule::new(
-            "register-dos",
-            "repeated unauthenticated requests answered by 4xx",
-            &[EventClass::RegisterFlood],
-            Severity::Critical,
-            false,
-            true,
-        )));
-    }
-    if toggles.password_guess {
-        rules.push(Box::new(EventRule::new(
-            "password-guess",
-            "many distinct digest responses against one account",
-            &[EventClass::PasswordGuessing],
-            Severity::Critical,
-            false,
-            true,
-        )));
-    }
-    if toggles.billing_fraud {
-        rules.push(Box::new(
-            CombinationRule::new(
-                "billing-fraud",
-                "malformed call setup whose billing attribution has no matching SIP initiation",
-                vec![EventClass::SipMalformed, EventClass::AcctMismatch],
-                SimDuration::from_secs(120),
-            )
-            .with_severity(Severity::Critical),
-        ));
-    }
-    if toggles.rtcp_bye {
-        rules.push(Box::new(EventRule::new(
-            "rtcp-bye-anomaly",
-            "a source must stop transmitting after its RTCP BYE",
-            &[EventClass::RtpAfterRtcpBye],
-            Severity::Critical,
-            true, // RTP + RTCP
-            true, // per-SSRC goodbye state
-        )));
-    }
-    if toggles.sip_format {
-        rules.push(Box::new(EventRule::new(
-            "sip-format",
-            "SIP message violates mandatory format",
-            &[EventClass::SipMalformed],
-            Severity::Warning,
-            false,
-            false,
-        )));
-    }
-    if toggles.mgcp {
-        rules.push(Box::new(crate::proto::mgcp::MgcpTeardownRule::new()));
-    }
-    if toggles.rapid_connect {
-        // Appended last so the alert ordering of the pre-existing rules
-        // is untouched.
-        rules.push(Box::new(ThresholdRule::new(rapid_spec())));
-    }
+    rules.extend(
+        dsl::compile_program(program())
+            .into_iter()
+            .filter(|rule| toggles.includes(rule.id())),
+    );
     rules
 }
+
+/// Window of the hand-written rapid-connect spec `builtin.scid` replaced.
+#[cfg(test)]
+pub(crate) const RAPID_WINDOW: scidive_netsim::time::SimDuration =
+    scidive_netsim::time::SimDuration::from_secs(60);
+/// Calls within the window that make a caller suspicious.
+#[cfg(test)]
+pub(crate) const RAPID_ATTEMPTS: u32 = 12;
+/// Distinct callees within the window that make it a campaign (a hot
+/// legitimate line redials the *same* peer; a SPIT campaign fans out).
+#[cfg(test)]
+pub(crate) const RAPID_DISTINCT: u32 = 8;
+/// Clause name shared by the local rule and the fold plane.
+#[cfg(test)]
+pub(crate) const RAPID_CLAUSE: &str = "rapid-connect";
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FlowKey;
-    use crate::rules::collect_alerts;
+    use crate::alert::{Alert, Severity};
+    use crate::event::{Event, EventClass, EventKind, FlowKey};
+    use crate::rules::{collect_alerts, RuleCtx};
     use crate::trail::{SessionKey, TrailStore, TrailStoreConfig};
-    use scidive_netsim::time::SimTime;
+    use scidive_netsim::time::{SimDuration, SimTime};
     use std::net::Ipv4Addr;
+
+    /// Install order, which the alert order of every run depends on.
+    const IDS: [&str; 11] = [
+        "bye-attack",
+        "call-hijack",
+        "fake-im",
+        "rtp-attack",
+        "register-dos",
+        "password-guess",
+        "billing-fraud",
+        "rtcp-bye-anomaly",
+        "sip-format",
+        "mgcp-teardown",
+        "rapid-connect",
+    ];
+
+    /// A freshly built builtin rule, looked up by id.
+    fn builtin(id: &str) -> Box<dyn Rule> {
+        builtin_ruleset(&RuleToggles::default())
+            .into_iter()
+            .find(|r| r.id() == id)
+            .unwrap_or_else(|| panic!("missing {id}"))
+    }
 
     fn orphan_event(session: &str) -> Event {
         Event {
             time: SimTime::from_millis(10),
             session: Some(SessionKey::new(session)),
-            kind: EventKind::OrphanRtpAfterBye {
+            kind: EventKind::OrphanRtpAfterRedirect {
                 flow: FlowKey {
                     src: Ipv4Addr::new(10, 0, 0, 3),
                     dst: Ipv4Addr::new(10, 0, 0, 2),
@@ -383,24 +183,18 @@ mod tests {
         }
     }
 
+    fn harness() -> (TrailStore, crate::rate::RateHub) {
+        (
+            TrailStore::new(TrailStoreConfig::default()),
+            crate::rate::RateHub::default(),
+        )
+    }
+
     #[test]
-    fn default_ruleset_has_all_rules() {
+    fn default_ruleset_installs_every_rule_in_order() {
         let rules = builtin_ruleset(&RuleToggles::default());
         let ids: Vec<&str> = rules.iter().map(|r| r.id()).collect();
-        for expected in [
-            "bye-attack",
-            "call-hijack",
-            "fake-im",
-            "rtp-attack",
-            "register-dos",
-            "password-guess",
-            "billing-fraud",
-            "sip-format",
-            "mgcp-teardown",
-            "rapid-connect",
-        ] {
-            assert!(ids.contains(&expected), "missing {expected}");
-        }
+        assert_eq!(ids, IDS);
     }
 
     #[test]
@@ -420,112 +214,173 @@ mod tests {
     }
 
     #[test]
-    fn event_rule_fires_once_per_session() {
-        let store = TrailStore::new(TrailStoreConfig::default());
-        let rates = crate::rate::RateHub::default();
+    fn builtin_program_checks_clean_and_prints_to_a_fixed_point() {
+        let (parsed, warnings) = Program::check(include_str!("builtin.scid")).unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        let printed = dsl::print_program(&parsed);
+        let reparsed = Program::parse(&printed).unwrap();
+        assert_eq!(reparsed, parsed, "printing lost a header item or clause");
+        assert_eq!(dsl::print_program(&reparsed), printed);
+    }
+
+    /// The `threshold` clause of `builtin.scid` is the spec that was
+    /// written out by hand in Rust before it, field for field.
+    #[test]
+    fn rapid_spec_is_the_hand_written_spec() {
+        let spec = rapid_spec();
+        assert_eq!(spec.clause, RAPID_CLAUSE);
+        assert_eq!(spec.class, EventClass::CallEstablished);
+        assert_eq!(spec.key_field, "caller");
+        assert_eq!(spec.distinct_field, Some("callee"));
+        assert_eq!(spec.window, RAPID_WINDOW);
+        assert_eq!(spec.count_threshold, RAPID_ATTEMPTS);
+        assert_eq!(spec.distinct_threshold, RAPID_DISTINCT);
+        assert_eq!(spec.severity, Severity::Critical);
+        assert_eq!(
+            spec.template,
+            "rapid connections: caller {key} established {count} calls to \
+             {distinct} distinct callees within {window}s"
+        );
+        let blueprint = crate::rules::RulesetBlueprint {
+            toggles: RuleToggles::default(),
+            program: None,
+            generation: 0,
+        };
+        assert_eq!(blueprint.threshold_specs(), vec![spec]);
+    }
+
+    #[test]
+    fn fire_once_rule_fires_once_per_session() {
+        let (store, rates) = harness();
         let ctx = RuleCtx {
             now: SimTime::from_millis(10),
             trails: &store,
             rates: &rates,
         };
-        let mut rule = EventRule::new(
-            "bye-attack",
-            "test",
-            &[EventClass::OrphanRtpAfterBye],
-            Severity::Critical,
-            true,
-            true,
+        let mut rule = builtin("call-hijack");
+        assert_eq!(
+            collect_alerts(rule.as_mut(), &orphan_event("c1"), &ctx).len(),
+            1
         );
-        assert_eq!(collect_alerts(&mut rule, &orphan_event("c1"), &ctx).len(), 1);
-        assert_eq!(collect_alerts(&mut rule, &orphan_event("c1"), &ctx).len(), 0);
-        assert_eq!(collect_alerts(&mut rule, &orphan_event("c2"), &ctx).len(), 1);
+        assert_eq!(
+            collect_alerts(rule.as_mut(), &orphan_event("c1"), &ctx).len(),
+            0
+        );
+        assert_eq!(
+            collect_alerts(rule.as_mut(), &orphan_event("c2"), &ctx).len(),
+            1
+        );
         assert_eq!(rule.state_stats().sessions, 2);
     }
 
     #[test]
-    fn event_rule_fired_marker_expires_with_idle_sessions() {
-        let store = TrailStore::new(TrailStoreConfig::default());
-        let rates = crate::rate::RateHub::default();
+    fn fire_once_marker_expires_with_idle_sessions() {
+        let (store, rates) = harness();
         let ctx = RuleCtx {
             now: SimTime::from_millis(10),
             trails: &store,
             rates: &rates,
         };
-        let mut rule = EventRule::new(
-            "bye-attack",
-            "test",
-            &[EventClass::OrphanRtpAfterBye],
-            Severity::Critical,
-            true,
-            true,
-        );
+        let mut rule = builtin("call-hijack");
         rule.set_state_timeout(SimDuration::from_secs(2));
-        assert_eq!(collect_alerts(&mut rule, &orphan_event("c1"), &ctx).len(), 1);
+        assert_eq!(
+            collect_alerts(rule.as_mut(), &orphan_event("c1"), &ctx).len(),
+            1
+        );
         // The same session recurring after the idle timeout alarms
         // again: its trails (and thus the marker's context) are gone.
         let mut late = orphan_event("c1");
         late.time = SimTime::from_secs(60);
-        assert_eq!(collect_alerts(&mut rule, &late, &ctx).len(), 1);
+        assert_eq!(collect_alerts(rule.as_mut(), &late, &ctx).len(), 1);
         assert_eq!(rule.state_stats().expired, 1);
     }
 
     #[test]
-    fn event_rule_declares_its_classes_as_interests() {
-        let rule = EventRule::new(
-            "rtp-attack",
-            "test",
-            &[EventClass::RtpSeqViolation, EventClass::RtpUnknownSource],
-            Severity::Critical,
-            true,
-            true,
-        );
-        let i = rule.interests();
+    fn fire_once_rule_declares_its_classes_as_interests() {
+        let i = builtin("rtp-attack").interests();
         assert!(i.contains(EventClass::RtpSeqViolation));
         assert!(i.contains(EventClass::RtpUnknownSource));
+        assert!(i.contains(EventClass::MediaPortGarbage));
         assert!(!i.contains(EventClass::OrphanRtpAfterBye));
         assert!(!i.is_all());
     }
 
+    /// Table 1's columns for every builtin, as `builtin.scid` (and
+    /// `ByeAttackRule` for the BYE attack) declares them.
     #[test]
     fn table1_attributes() {
         let rules = builtin_ruleset(&RuleToggles::default());
-        let find = |id: &str| {
-            rules
-                .iter()
-                .find(|r| r.id() == id)
-                .unwrap_or_else(|| panic!("missing {id}"))
-        };
-        // Table 1 rows.
-        assert!(find("bye-attack").is_cross_protocol());
-        assert!(find("bye-attack").is_stateful());
-        assert!(find("fake-im").is_cross_protocol());
-        assert!(!find("fake-im").is_stateful());
-        assert!(find("call-hijack").is_cross_protocol());
-        assert!(find("call-hijack").is_stateful());
-        assert!(find("rtp-attack").is_cross_protocol());
-        assert!(find("rtp-attack").is_stateful());
+        let columns: Vec<(&str, bool, bool)> = rules
+            .iter()
+            .map(|r| (r.id(), r.is_cross_protocol(), r.is_stateful()))
+            .collect();
+        assert_eq!(
+            columns,
+            [
+                ("bye-attack", true, true),
+                ("call-hijack", true, true),
+                ("fake-im", true, false),
+                ("rtp-attack", true, true),
+                ("register-dos", false, true),
+                ("password-guess", false, true),
+                ("billing-fraud", true, true),
+                ("rtcp-bye-anomaly", true, true),
+                ("sip-format", false, false),
+                ("mgcp-teardown", true, true),
+                ("rapid-connect", false, true),
+            ]
+        );
     }
 
     #[test]
     fn alert_messages_are_descriptive() {
-        let store = TrailStore::new(TrailStoreConfig::default());
-        let rates = crate::rate::RateHub::default();
+        let (store, rates) = harness();
         let ctx = RuleCtx {
             now: SimTime::from_millis(10),
             trails: &store,
             rates: &rates,
         };
-        let mut rule = EventRule::new(
-            "bye-attack",
-            "no RTP after BYE",
-            &[EventClass::OrphanRtpAfterBye],
-            Severity::Critical,
-            true,
-            true,
+        let mut rule = builtin("call-hijack");
+        let alerts = collect_alerts(rule.as_mut(), &orphan_event("c1"), &ctx);
+        assert_eq!(
+            alerts[0].message,
+            "no RTP should be seen from an endpoint after its re-INVITE moved it: \
+             RTP flow 10.0.0.3 -> 10.0.0.2:8000 continued 4.000ms after the re-INVITE"
         );
-        let alerts = collect_alerts(&mut rule, &orphan_event("c1"), &ctx);
-        assert!(alerts[0].message.contains("10.0.0.3"));
-        assert!(alerts[0].message.contains("after the BYE"));
+    }
+
+    /// The MGCP rule matches its module's signal, not its class alone.
+    #[test]
+    fn mgcp_teardown_matches_the_orphan_signal_only() {
+        let (store, rates) = harness();
+        let ctx = RuleCtx {
+            now: SimTime::from_millis(10),
+            trails: &store,
+            rates: &rates,
+        };
+        let mut rule = builtin("mgcp-teardown");
+        let mut ev = Event {
+            time: SimTime::from_millis(10),
+            session: Some(SessionKey::new("gw")),
+            kind: EventKind::Protocol {
+                class: EventClass::Ext1,
+                signal: "some-other-signal",
+                detail: "x".to_string(),
+            },
+        };
+        assert!(collect_alerts(rule.as_mut(), &ev, &ctx).is_empty());
+        ev.kind = EventKind::Protocol {
+            class: EventClass::Ext1,
+            signal: crate::proto::mgcp::ORPHAN_SIGNAL,
+            detail: "flow 12us after DLCX".to_string(),
+        };
+        let alerts = collect_alerts(rule.as_mut(), &ev, &ctx);
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(
+            alerts[0].message,
+            "RTP continues after a DLCX deleted the gateway connection: \
+             mgcp-rtp-after-dlcx: flow 12us after DLCX"
+        );
     }
 
     fn call_event(n: u32, caller: &str, callee: &str) -> Event {
@@ -544,7 +399,7 @@ mod tests {
     /// returns the alerts.
     fn rapid_campaign(rates: &crate::rate::RateHub) -> Vec<Alert> {
         let store = TrailStore::new(TrailStoreConfig::default());
-        let mut rule = ThresholdRule::new(rapid_spec());
+        let mut rule = builtin("rapid-connect");
         let mut alerts = Vec::new();
         for n in 0..RAPID_ATTEMPTS + 3 {
             let ev = call_event(n, "spitter@lab", &format!("victim-{n}@lab"));
@@ -553,7 +408,7 @@ mod tests {
                 trails: &store,
                 rates,
             };
-            alerts.extend(collect_alerts(&mut rule, &ev, &ctx));
+            alerts.extend(collect_alerts(rule.as_mut(), &ev, &ctx));
         }
         alerts
     }
@@ -584,9 +439,8 @@ mod tests {
 
     #[test]
     fn rapid_connect_ignores_redials_to_one_callee() {
-        let store = TrailStore::new(TrailStoreConfig::default());
-        let rates = crate::rate::RateHub::default();
-        let mut rule = ThresholdRule::new(rapid_spec());
+        let (store, rates) = harness();
+        let mut rule = builtin("rapid-connect");
         for n in 0..4 * RAPID_ATTEMPTS {
             // A hot legitimate line: many calls, one peer.
             let ev = call_event(n, "alice@lab", "bob@lab");
@@ -595,15 +449,14 @@ mod tests {
                 trails: &store,
                 rates: &rates,
             };
-            assert!(collect_alerts(&mut rule, &ev, &ctx).is_empty());
+            assert!(collect_alerts(rule.as_mut(), &ev, &ctx).is_empty());
         }
     }
 
     #[test]
     fn rapid_connect_window_forgets_slow_fanout() {
-        let store = TrailStore::new(TrailStoreConfig::default());
-        let rates = crate::rate::RateHub::default();
-        let mut rule = ThresholdRule::new(rapid_spec());
+        let (store, rates) = harness();
+        let mut rule = builtin("rapid-connect");
         for n in 0..4 * RAPID_ATTEMPTS {
             // One call every two minutes never accumulates in the 60s
             // window, distinct callees or not.
@@ -614,7 +467,7 @@ mod tests {
                 trails: &store,
                 rates: &rates,
             };
-            assert!(collect_alerts(&mut rule, &ev, &ctx).is_empty());
+            assert!(collect_alerts(rule.as_mut(), &ev, &ctx).is_empty());
         }
     }
 }

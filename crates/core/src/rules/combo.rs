@@ -7,7 +7,7 @@
 
 use crate::alert::{Alert, Severity};
 use crate::event::{Event, EventClass};
-use crate::rules::{AlertSink, Rule, RuleCtx, RuleInterest, RuleStateStats, SessionMap};
+use crate::rules::{AlertSink, Rule, RuleCtx, RuleInfo, RuleInterest, RuleStateStats, SessionMap};
 use scidive_netsim::time::{SimDuration, SimTime};
 
 /// Construction-parameter hash shared by both rule kinds, for
@@ -17,16 +17,18 @@ use scidive_netsim::time::{SimDuration, SimTime};
 fn signature(
     kind: &'static [u8],
     id: &str,
-    description: &str,
+    info: &RuleInfo,
     classes: &[EventClass],
     window: SimDuration,
     severity: Severity,
 ) -> u64 {
     let window_bytes = window.as_micros().to_le_bytes();
+    let [description, flags] = info.signature_parts();
     let mut parts: Vec<&[u8]> = vec![
         kind,
         id.as_bytes(),
-        description.as_bytes(),
+        description,
+        flags,
         &window_bytes,
         match severity {
             Severity::Info => b"i",
@@ -46,7 +48,7 @@ fn signature(
 /// # Examples
 ///
 /// ```
-/// use scidive_core::rules::SequenceRule;
+/// use scidive_core::rules::{Rule, SequenceRule};
 /// use scidive_core::event::EventClass;
 /// use scidive_netsim::time::SimDuration;
 ///
@@ -56,12 +58,12 @@ fn signature(
 ///     vec![EventClass::CallTornDown, EventClass::OrphanRtpAfterBye],
 ///     SimDuration::from_secs(1),
 /// );
-/// assert_eq!(rule.id_str(), "teardown-then-media");
+/// assert_eq!(rule.id(), "teardown-then-media");
 /// ```
 #[derive(Debug)]
 pub struct SequenceRule {
     id: String,
-    description: String,
+    info: RuleInfo,
     steps: Vec<EventClass>,
     window: SimDuration,
     severity: Severity,
@@ -78,14 +80,14 @@ impl SequenceRule {
     /// Panics if `steps` is empty.
     pub fn new(
         id: impl Into<String>,
-        description: impl Into<String>,
+        info: impl Into<RuleInfo>,
         steps: Vec<EventClass>,
         window: SimDuration,
     ) -> SequenceRule {
         assert!(!steps.is_empty(), "sequence rule needs at least one step");
         SequenceRule {
             id: id.into(),
-            description: description.into(),
+            info: info.into(),
             steps,
             window,
             severity: Severity::Critical,
@@ -99,11 +101,6 @@ impl SequenceRule {
         self.severity = severity;
         self
     }
-
-    /// The rule id (also available through the [`Rule`] trait).
-    pub fn id_str(&self) -> &str {
-        &self.id
-    }
 }
 
 impl Rule for SequenceRule {
@@ -112,15 +109,15 @@ impl Rule for SequenceRule {
     }
 
     fn description(&self) -> &str {
-        &self.description
+        &self.info.description
     }
 
     fn is_cross_protocol(&self) -> bool {
-        true // spans whatever protocols its steps come from
+        self.info.cross_protocol
     }
 
     fn is_stateful(&self) -> bool {
-        true
+        self.info.stateful
     }
 
     fn interests(&self) -> RuleInterest {
@@ -128,7 +125,7 @@ impl Rule for SequenceRule {
     }
 
     fn state_signature(&self) -> u64 {
-        signature(b"sequence", &self.id, &self.description, &self.steps, self.window, self.severity)
+        signature(b"sequence", &self.id, &self.info, &self.steps, self.window, self.severity)
     }
 
     fn on_event(&mut self, ev: &Event, _ctx: &RuleCtx<'_>, sink: &mut AlertSink<'_>) {
@@ -170,7 +167,7 @@ impl Rule for SequenceRule {
                 self.severity,
                 ev.time,
                 Some(session.clone()),
-                format!("{} (sequence complete)", self.description),
+                format!("{} (sequence complete)", self.info.description),
             ));
             return;
         }
@@ -193,7 +190,7 @@ impl Rule for SequenceRule {
 #[derive(Debug)]
 pub struct CombinationRule {
     id: String,
-    description: String,
+    info: RuleInfo,
     required: Vec<EventClass>,
     window: SimDuration,
     severity: Severity,
@@ -210,7 +207,7 @@ impl CombinationRule {
     /// Panics if `required` is empty or longer than 64 classes.
     pub fn new(
         id: impl Into<String>,
-        description: impl Into<String>,
+        info: impl Into<RuleInfo>,
         required: Vec<EventClass>,
         window: SimDuration,
     ) -> CombinationRule {
@@ -220,7 +217,7 @@ impl CombinationRule {
         );
         CombinationRule {
             id: id.into(),
-            description: description.into(),
+            info: info.into(),
             required,
             window,
             severity: Severity::Critical,
@@ -242,15 +239,15 @@ impl Rule for CombinationRule {
     }
 
     fn description(&self) -> &str {
-        &self.description
+        &self.info.description
     }
 
     fn is_cross_protocol(&self) -> bool {
-        true
+        self.info.cross_protocol
     }
 
     fn is_stateful(&self) -> bool {
-        true
+        self.info.stateful
     }
 
     fn interests(&self) -> RuleInterest {
@@ -258,7 +255,7 @@ impl Rule for CombinationRule {
     }
 
     fn state_signature(&self) -> u64 {
-        signature(b"all-of", &self.id, &self.description, &self.required, self.window, self.severity)
+        signature(b"all-of", &self.id, &self.info, &self.required, self.window, self.severity)
     }
 
     fn on_event(&mut self, ev: &Event, _ctx: &RuleCtx<'_>, sink: &mut AlertSink<'_>) {
@@ -291,7 +288,7 @@ impl Rule for CombinationRule {
                 self.severity,
                 ev.time,
                 Some(session.clone()),
-                format!("{} (all conditions met)", self.description),
+                format!("{} (all conditions met)", self.info.description),
             ));
             return;
         }

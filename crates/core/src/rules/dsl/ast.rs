@@ -58,6 +58,15 @@ pub struct RuleDecl {
     /// Explicit `window` header, if any (defaults to 60s; only
     /// sequence / all-of clauses consult it).
     pub window: Option<Spanned<SimDuration>>,
+    /// `description "<text>"` header, if any (defaults to
+    /// ``operator-defined rule `<id>` ``): what the rule reports and the
+    /// prefix of its alert messages.
+    pub description: Option<Spanned<String>>,
+    /// The bare `cross-protocol` header flag: Table 1's
+    /// "Cross-protocol?" column.
+    pub cross_protocol: bool,
+    /// The bare `stateful` header flag: Table 1's "Stateful?" column.
+    pub stateful: bool,
     /// The single clause in the body.
     pub clause: Clause,
 }

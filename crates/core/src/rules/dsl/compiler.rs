@@ -17,7 +17,7 @@ use crate::event::EventClass;
 use crate::rules::combo::{CombinationRule, SequenceRule};
 use crate::rules::predicate::{ClassMatcher, FieldPredicate, PredValue, PredicateRule};
 use crate::rules::threshold::{intern, ThresholdRule, ThresholdSpec};
-use crate::rules::Rule;
+use crate::rules::{Rule, RuleInfo};
 use scidive_netsim::time::SimDuration;
 
 /// Default header values, matching the historical spec format.
@@ -54,8 +54,8 @@ fn matchers_of(specs: &[ClassSpec]) -> Vec<ClassMatcher> {
 }
 
 /// The spec a `threshold` rule lowers to. The clause name is the rule
-/// id, so a DSL rule declaring the built-in rapid-connect shape
-/// compiles to a spec `==` to [`crate::rules::builtin::rapid_spec`].
+/// id, so an operator rule declaring the built-in rapid-connect shape
+/// compiles to a spec `==` to [`crate::rules::rapid_spec`].
 fn threshold_spec_of(rule: &RuleDecl) -> Option<ThresholdSpec> {
     let Clause::Threshold(t) = &rule.clause else {
         return None;
@@ -85,25 +85,50 @@ fn compile_rule(rule: &RuleDecl) -> Box<dyn Rule> {
     let id = rule.id.node.clone();
     let severity = rule.severity.as_ref().map_or(DEFAULT_SEVERITY, |s| s.node);
     let window = rule.window.as_ref().map_or(DEFAULT_WINDOW, |w| w.node);
-    let description = format!("operator-defined rule `{id}`");
+    let info = RuleInfo {
+        description: rule.description.as_ref().map_or_else(
+            || format!("operator-defined rule `{id}`"),
+            |d| d.node.clone(),
+        ),
+        cross_protocol: rule.cross_protocol,
+        stateful: rule.stateful,
+    };
     match &rule.clause {
-        Clause::Sequence(specs) => Box::new(
-            SequenceRule::new(id, description, classes_of(specs), window)
-                .with_severity(severity),
-        ),
+        Clause::Sequence(specs) => {
+            Box::new(SequenceRule::new(id, info, classes_of(specs), window).with_severity(severity))
+        }
         Clause::AllOf(specs) => Box::new(
-            CombinationRule::new(id, description, classes_of(specs), window)
-                .with_severity(severity),
+            CombinationRule::new(id, info, classes_of(specs), window).with_severity(severity),
         ),
-        Clause::AnyOf(specs) => Box::new(PredicateRule::new(id, matchers_of(specs), severity)),
+        Clause::AnyOf(specs) => {
+            Box::new(PredicateRule::new(id, info, matchers_of(specs), severity))
+        }
         Clause::Threshold(_) => Box::new(ThresholdRule::new(
             threshold_spec_of(rule).expect("clause is a threshold"),
+            info,
         )),
     }
 }
 
 /// Compiles every rule of a **validated** program, in declaration
 /// (= install) order.
+///
+/// # Examples
+///
+/// ```
+/// use scidive_core::rules::dsl::compile_program;
+/// use scidive_core::rules::Program;
+///
+/// let program = Program::parse(
+///     "rule demo severity critical window 1s {\n\
+///      \tsequence CallTornDown, OrphanRtpAfterBye\n\
+///      }\n",
+/// )?;
+/// let rules = compile_program(&program);
+/// assert_eq!(rules.len(), 1);
+/// assert_eq!(rules[0].id(), "demo");
+/// # Ok::<(), scidive_core::rules::Diagnostic>(())
+/// ```
 pub fn compile_program(program: &Program) -> Vec<Box<dyn Rule>> {
     program.rules.iter().map(compile_rule).collect()
 }

@@ -7,7 +7,8 @@
 //! small declarative language (in the lineage of SecSip's stateful SIP
 //! protection specifications) whose programs lower onto the exact same
 //! runtime structs the built-in rules use, so declaring a rule and
-//! hand-writing it are indistinguishable at runtime.
+//! hand-writing it are indistinguishable at runtime. The paper's own
+//! detections are a program in it (`rules/builtin.scid`).
 //!
 //! ```text
 //! # Teardown followed by orphan media within half a second.
@@ -15,8 +16,10 @@
 //!     sequence CallTornDown, OrphanRtpAfterBye
 //! }
 //!
-//! # Field predicates narrow a match (any-of / match clauses only).
-//! rule big-jump severity warning {
+//! # Field predicates narrow a match (any-of / match clauses only); the
+//! # description opens the alert message, the flags are Table 1's columns.
+//! rule big-jump severity warning cross-protocol stateful
+//!     description "RTP sequence jumped far" {
 //!     any-of RtpSeqViolation(delta >= 5000)
 //! }
 //!
@@ -207,6 +210,79 @@ rule ops-spit {
     }
 
     #[test]
+    fn compiled_sequence_rule_fires_at_its_severity() {
+        use crate::alert::Severity;
+        use crate::event::{Event, EventKind, FlowKey};
+        use crate::rules::{collect_alerts, RuleCtx};
+        use crate::trail::{SessionKey, TrailStore, TrailStoreConfig};
+        use scidive_netsim::time::SimTime;
+        use std::net::Ipv4Addr;
+
+        let program = Program::parse(
+            "rule demo-seq severity warning window 500ms {\n\
+             \tsequence CallTornDown, OrphanRtpAfterBye\n\
+             }\n",
+        )
+        .unwrap();
+        let mut rules = compile_program(&program);
+        let store = TrailStore::new(TrailStoreConfig::default());
+        let rates = crate::rate::RateHub::default();
+        let ctx = RuleCtx {
+            now: SimTime::from_millis(5),
+            trails: &store,
+            rates: &rates,
+        };
+        let session = Some(SessionKey::new("c1"));
+        let torn = Event {
+            time: SimTime::from_millis(1),
+            session: session.clone(),
+            kind: EventKind::CallTornDown {
+                by_aor: "bob@lab".to_string(),
+                by_media_ip: None,
+            },
+        };
+        let orphan = Event {
+            time: SimTime::from_millis(2),
+            session,
+            kind: EventKind::OrphanRtpAfterBye {
+                flow: FlowKey {
+                    src: Ipv4Addr::new(10, 0, 0, 3),
+                    dst: Ipv4Addr::new(10, 0, 0, 2),
+                    dst_port: 8000,
+                },
+                gap: SimDuration::from_millis(1),
+            },
+        };
+        assert!(collect_alerts(rules[0].as_mut(), &torn, &ctx).is_empty());
+        let alerts = collect_alerts(rules[0].as_mut(), &orphan, &ctx);
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].rule, "demo-seq");
+        assert_eq!(alerts[0].severity, Severity::Warning);
+    }
+
+    #[test]
+    fn header_items_reach_the_compiled_rule() {
+        let program = Program::parse(
+            "rule told stateful description \"media after teardown\" cross-protocol {\n\
+             \tany-of OrphanRtpAfterBye\n\
+             }\n\
+             rule bare { all-of SipMalformed, AcctMismatch }\n",
+        )
+        .unwrap();
+        let rules = compile_program(&program);
+        assert_eq!(rules[0].description(), "media after teardown");
+        assert!(rules[0].is_cross_protocol() && rules[0].is_stateful());
+        assert_eq!(rules[1].description(), "operator-defined rule `bare`");
+        assert!(!rules[1].is_cross_protocol() && !rules[1].is_stateful());
+    }
+
+    #[test]
+    fn comments_and_blank_lines_compile_to_nothing() {
+        let program = Program::parse("# nothing here\n\n# still nothing\n").unwrap();
+        assert!(compile_program(&program).is_empty());
+    }
+
+    #[test]
     fn print_is_a_fixed_point_over_reparse() {
         let src = "rule a severity warning { any-of SipMalformed }\n\
                    rule b { sequence CallTornDown, OrphanRtpAfterBye }\n";
@@ -227,7 +303,7 @@ rule rapid-connect severity critical {
 "#;
         let program = Program::parse(src).unwrap();
         let specs = threshold_specs(&program);
-        assert_eq!(specs, vec![crate::rules::builtin::rapid_spec()]);
+        assert_eq!(specs, vec![crate::rules::rapid_spec()]);
     }
 
     #[test]

@@ -101,6 +101,9 @@ pub fn parse(src: &str) -> Result<Program, Diagnostic> {
     Ok(Program { rules })
 }
 
+/// The header items a rule may declare between its id and its body.
+const HEADER_KEYS: &str = "severity | window | description | cross-protocol | stateful";
+
 fn parse_rule(cur: &mut Cursor) -> Result<RuleDecl, Diagnostic> {
     let id = match cur.next() {
         Some(Token {
@@ -114,6 +117,9 @@ fn parse_rule(cur: &mut Cursor) -> Result<RuleDecl, Diagnostic> {
     };
     let mut severity = None;
     let mut window = None;
+    let mut description = None;
+    let mut cross_protocol = false;
+    let mut stateful = false;
     loop {
         match cur.peek() {
             Some(Token {
@@ -150,12 +156,42 @@ fn parse_rule(cur: &mut Cursor) -> Result<RuleDecl, Diagnostic> {
                 })?;
                 window = Some(Spanned { node: dur, span: v.span });
             }
+            Some(Token {
+                tok: Tok::Word(w), ..
+            }) if w == "description" => {
+                cur.next();
+                match cur.want(&id.node)? {
+                    Token {
+                        tok: Tok::Str(text),
+                        span,
+                    } => description = Some(Spanned { node: text, span }),
+                    t => {
+                        return Err(diag(
+                            t.span,
+                            "`description` needs a quoted string".to_string(),
+                            Some("description \"what the rule detects\"".to_string()),
+                        ));
+                    }
+                }
+            }
+            Some(Token {
+                tok: Tok::Word(w), ..
+            }) if w == "cross-protocol" => {
+                cur.next();
+                cross_protocol = true;
+            }
+            Some(Token {
+                tok: Tok::Word(w), ..
+            }) if w == "stateful" => {
+                cur.next();
+                stateful = true;
+            }
             Some(t) => {
                 let shown = match &t.tok {
                     Tok::Word(w) => format!("unknown header key `{w}`"),
                     _ => "expected `{` to open the rule body".to_string(),
                 };
-                return Err(diag(t.span, shown, Some("severity | window".to_string())));
+                return Err(diag(t.span, shown, Some(HEADER_KEYS.to_string())));
             }
             None => {
                 return Err(diag(
@@ -179,6 +215,9 @@ fn parse_rule(cur: &mut Cursor) -> Result<RuleDecl, Diagnostic> {
         id,
         severity,
         window,
+        description,
+        cross_protocol,
+        stateful,
         clause,
     })
 }

@@ -1,7 +1,8 @@
 //! Canonical printer for [`Program`]s.
 //!
 //! Prints a normal form: one rule per block, four-space indent, explicit
-//! `severity` always, `window` only where a clause consults it. The
+//! `severity` always, `window` only where a clause consults it, then
+//! the declared `cross-protocol`, `stateful` and `description`. The
 //! normal form is a fixed point — `parse(print(p))` equals `p` up to
 //! spans and elided defaults, and `print(parse(print(p))) == print(p)`
 //! exactly, which the property tests pin.
@@ -79,6 +80,17 @@ fn rule(out: &mut String, r: &RuleDecl) {
             scidive_netsim::time::SimDuration::from_secs(60),
             |w| w.node,
         )));
+    }
+    if r.cross_protocol {
+        out.push_str(" cross-protocol");
+    }
+    if r.stateful {
+        out.push_str(" stateful");
+    }
+    if let Some(d) = &r.description {
+        out.push_str(" description \"");
+        out.push_str(&d.node);
+        out.push('"');
     }
     out.push_str(" {\n    ");
     match &r.clause {

@@ -262,6 +262,17 @@ pub fn validate(program: &Program) -> Result<Vec<Diagnostic>, Diagnostic> {
                 None,
             ));
         }
+        if let Some(d) = rule
+            .description
+            .as_ref()
+            .filter(|d| d.node.trim().is_empty())
+        {
+            return Err(diag(
+                d,
+                format!("rule `{}`: description is empty", rule.id.node),
+                Some("say what the rule detects, or drop the header".to_string()),
+            ));
+        }
         match &rule.clause {
             Clause::Sequence(specs) | Clause::AllOf(specs) => {
                 let classes = check_specs(specs, false)?;

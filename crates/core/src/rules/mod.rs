@@ -19,7 +19,6 @@ mod bye_rule;
 mod combo;
 pub mod dsl;
 mod predicate;
-mod spec;
 pub(crate) mod threshold;
 
 pub use builtin::{builtin_ruleset, rapid_spec, RuleToggles};
@@ -27,7 +26,6 @@ pub use bye_rule::{ByeAttackRule, ByeOrigin};
 pub use combo::{CombinationRule, SequenceRule};
 pub use dsl::{Diagnostic, Program};
 pub use predicate::{ClassMatcher, CmpOp, FieldPredicate, PredValue, PredicateRule};
-pub use spec::{parse_ruleset, SpecError};
 pub use threshold::{ThresholdRule, ThresholdSpec, MAX_DISTINCT_THRESHOLD};
 
 use crate::alert::Alert;
@@ -203,6 +201,41 @@ impl std::ops::Add for RuleStateStats {
 /// [`IdleMap::gauge`] through [`Rule::state_stats`].
 pub type SessionMap<V> = IdleMap<SessionKey, V>;
 
+/// What a rule reports about itself beside its id: a one-line
+/// description (the prefix of a fire-once rule's alert messages) and
+/// Table 1's "Cross-protocol?" and "Stateful?" columns. A DSL rule takes
+/// all three from its header (`description "..."`, `cross-protocol`,
+/// `stateful`); a bare description converts with both columns unset,
+/// which is what a header without the flags declares.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RuleInfo {
+    /// One-line description.
+    pub description: String,
+    /// Whether the rule correlates more than one protocol.
+    pub cross_protocol: bool,
+    /// Whether the rule relies on state spanning multiple packets.
+    pub stateful: bool,
+}
+
+impl RuleInfo {
+    /// The info's bytes, for folding into a [`Rule::state_signature`].
+    pub(crate) fn signature_parts(&self) -> [&[u8]; 2] {
+        const FLAGS: [&[u8]; 4] = [b"--", b"-s", b"x-", b"xs"];
+        let flags = 2 * usize::from(self.cross_protocol) + usize::from(self.stateful);
+        [self.description.as_bytes(), FLAGS[flags]]
+    }
+}
+
+impl From<&str> for RuleInfo {
+    fn from(description: &str) -> RuleInfo {
+        RuleInfo {
+            description: description.to_string(),
+            cross_protocol: false,
+            stateful: false,
+        }
+    }
+}
+
 /// A detection rule.
 ///
 /// # Implementing `interests` (the dispatch contract)
@@ -324,19 +357,6 @@ impl CompiledRuleset {
             compiled.push(rule);
         }
         compiled
-    }
-
-    /// Alias of [`CompiledRuleset::new`], named for symmetry with
-    /// [`CompiledRuleset::from_program`].
-    pub fn from_rules(rules: Vec<Box<dyn Rule>>, full_scan: bool) -> CompiledRuleset {
-        CompiledRuleset::new(rules, full_scan)
-    }
-
-    /// Compiles a validated DSL [`Program`] (see [`crate::rules::dsl`])
-    /// into a ruleset — each clause lowers onto the same runtime struct
-    /// its hand-written twin uses.
-    pub fn from_program(program: &Program, full_scan: bool) -> CompiledRuleset {
-        CompiledRuleset::new(dsl::compile_program(program), full_scan)
     }
 
     /// Moves accumulated per-rule session state from `old` (the ruleset
@@ -517,13 +537,13 @@ impl RulesetBlueprint {
     }
 
     /// The threshold clauses the fold plane must evaluate for this
-    /// blueprint: the builtin rapid-connect spec (when toggled on)
-    /// followed by the program's threshold clauses.
+    /// blueprint: the toggled builtin ones followed by the program's,
+    /// each in declaration order.
     pub fn threshold_specs(&self) -> Vec<threshold::ThresholdSpec> {
-        let mut specs = Vec::new();
-        if self.toggles.rapid_connect {
-            specs.push(builtin::rapid_spec());
-        }
+        let mut specs: Vec<_> = dsl::threshold_specs(builtin::program())
+            .into_iter()
+            .filter(|spec| self.toggles.includes(spec.clause))
+            .collect();
         if let Some(program) = &self.program {
             specs.extend(dsl::threshold_specs(program));
         }

@@ -3,10 +3,12 @@
 //! A [`PredicateRule`] is the compiled form of the DSL's `any-of` (and
 //! its synonym `match`) clause: a list of [`ClassMatcher`]s, each an
 //! event class plus zero or more field predicates over the payload
-//! fields [`EventKind::field`] exposes. It subsumes the old bespoke
-//! `AnyOfRule` (class-only matchers) while keeping its exact alert
-//! shape: one alert per session per rule (or once globally for
-//! session-less events), message `operator rule matched event <Class>`.
+//! fields [`EventKind::field`] exposes. It is the one fire-once rule:
+//! every single-event builtin (`call-hijack`, `fake-im`, `rtp-attack`,
+//! ..., `mgcp-teardown`) is an `any-of` clause in `builtin.scid`. A
+//! match alerts once per session per rule — and on every match of a
+//! session-less event, whose source is the only identity it has — with
+//! message `"{description}: {event}"`.
 //!
 //! The [`RuleInterest`] of a predicate rule is *derived*: exactly the
 //! classes its matchers name. Field predicates can only narrow a
@@ -15,7 +17,7 @@
 
 use crate::alert::{Alert, Severity};
 use crate::event::{Event, EventClass, EventKind, FieldValue};
-use crate::rules::{AlertSink, Rule, RuleCtx, RuleInterest, RuleStateStats, SessionMap};
+use crate::rules::{AlertSink, Rule, RuleCtx, RuleInfo, RuleInterest, RuleStateStats, SessionMap};
 use scidive_netsim::time::SimDuration;
 use std::net::Ipv4Addr;
 
@@ -130,28 +132,33 @@ impl ClassMatcher {
     }
 }
 
-/// A single-shot rule matching any of its class matchers; fires once
-/// per session per rule (once globally for session-less events).
+/// A fire-once rule matching any of its class matchers: one alert per
+/// session, and one per session-less match.
 #[derive(Debug)]
 pub struct PredicateRule {
     id: String,
+    info: RuleInfo,
     matchers: Vec<ClassMatcher>,
     severity: Severity,
     fired: SessionMap<()>,
-    global_fired: bool,
 }
 
 impl PredicateRule {
     /// Creates the rule. `matchers` must be non-empty (the DSL
     /// validator guarantees this; an empty rule would match nothing and
     /// derive an empty interest anyway).
-    pub fn new(id: String, matchers: Vec<ClassMatcher>, severity: Severity) -> PredicateRule {
+    pub fn new(
+        id: impl Into<String>,
+        info: impl Into<RuleInfo>,
+        matchers: Vec<ClassMatcher>,
+        severity: Severity,
+    ) -> PredicateRule {
         PredicateRule {
-            id,
+            id: id.into(),
+            info: info.into(),
             matchers,
             severity,
             fired: SessionMap::default(),
-            global_fired: false,
         }
     }
 }
@@ -162,15 +169,15 @@ impl Rule for PredicateRule {
     }
 
     fn description(&self) -> &str {
-        "operator-defined any-of rule"
+        &self.info.description
     }
 
     fn is_cross_protocol(&self) -> bool {
-        true
+        self.info.cross_protocol
     }
 
     fn is_stateful(&self) -> bool {
-        false
+        self.info.stateful
     }
 
     fn interests(&self) -> RuleInterest {
@@ -180,6 +187,7 @@ impl Rule for PredicateRule {
 
     fn state_signature(&self) -> u64 {
         let mut parts: Vec<Vec<u8>> = vec![self.id.as_bytes().to_vec(), vec![self.severity as u8]];
+        parts.extend(self.info.signature_parts().map(<[u8]>::to_vec));
         for m in &self.matchers {
             parts.push(m.class.name().as_bytes().to_vec());
             for p in &m.preds {
@@ -199,26 +207,18 @@ impl Rule for PredicateRule {
         if !self.matchers.iter().any(|m| m.matches(ev)) {
             return;
         }
-        match &ev.session {
-            Some(session) => {
-                if self.fired.get_mut(session, ev.time).is_some() {
-                    return;
-                }
-                self.fired.insert(session.clone(), (), ev.time);
+        if let Some(session) = &ev.session {
+            if self.fired.get_mut(session, ev.time).is_some() {
+                return;
             }
-            None => {
-                if self.global_fired {
-                    return;
-                }
-                self.global_fired = true;
-            }
+            self.fired.insert(session.clone(), (), ev.time);
         }
         sink.push(Alert::new(
             self.id.clone(),
             self.severity,
             ev.time,
             ev.session.clone(),
-            format!("operator rule matched event {}", ev.class().name()),
+            format!("{}: {}", self.info.description, ev.kind),
         ));
     }
 
@@ -270,7 +270,8 @@ mod tests {
             rates: &rates,
         };
         let mut rule = PredicateRule::new(
-            "ops".to_string(),
+            "ops",
+            "test",
             vec![ClassMatcher {
                 class: EventClass::RtpSeqViolation,
                 preds: vec![],
@@ -286,6 +287,45 @@ mod tests {
         );
     }
 
+    /// Session-less events (the identity plane's: forged IMs, floods,
+    /// guessing) carry no session to latch on, so every match alerts —
+    /// a second forged IM from another source is a second attack.
+    #[test]
+    fn session_less_matches_alert_every_time() {
+        let (store, rates) = harness();
+        let ctx = RuleCtx {
+            now: SimTime::from_millis(5),
+            trails: &store,
+            rates: &rates,
+        };
+        let mut rule = PredicateRule::new(
+            "ops-im",
+            "forged IM",
+            vec![ClassMatcher {
+                class: EventClass::ImSourceMismatch,
+                preds: vec![],
+            }],
+            Severity::Critical,
+        );
+        let forged = |src: u8| Event {
+            time: SimTime::from_millis(1),
+            session: None,
+            kind: EventKind::ImSourceMismatch {
+                claimed_aor: "alice@lab".to_string(),
+                src_ip: Ipv4Addr::new(10, 0, 0, src),
+                expected_ip: Ipv4Addr::new(10, 0, 0, 2),
+            },
+        };
+        let first = collect_alerts(&mut rule, &forged(66), &ctx);
+        let second = collect_alerts(&mut rule, &forged(67), &ctx);
+        assert_eq!((first.len(), second.len()), (1, 1));
+        assert_eq!(
+            second[0].message,
+            "forged IM: message claims alice@lab but came from 10.0.0.67 (expected 10.0.0.2)"
+        );
+        assert_eq!(rule.state_stats().sessions, 0, "nothing latched");
+    }
+
     #[test]
     fn field_predicates_narrow_the_match() {
         let (store, rates) = harness();
@@ -295,7 +335,8 @@ mod tests {
             rates: &rates,
         };
         let mut rule = PredicateRule::new(
-            "big-jump".to_string(),
+            "big-jump",
+            "test",
             vec![ClassMatcher {
                 class: EventClass::RtpSeqViolation,
                 preds: vec![
@@ -334,7 +375,8 @@ mod tests {
     #[test]
     fn interests_derive_from_matcher_classes() {
         let rule = PredicateRule::new(
-            "ops".to_string(),
+            "ops",
+            "test",
             vec![
                 ClassMatcher {
                     class: EventClass::RtpSeqViolation,
@@ -358,7 +400,8 @@ mod tests {
     fn signature_tracks_construction_params() {
         let mk = |sev| {
             PredicateRule::new(
-                "ops".to_string(),
+                "ops",
+                "test",
                 vec![ClassMatcher {
                     class: EventClass::RtpSeqViolation,
                     preds: vec![],

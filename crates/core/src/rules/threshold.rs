@@ -13,16 +13,16 @@
 //!   dispatcher's [`crate::rate::GlobalRatePlane`] replays every
 //!   shard's observations through the same table type in time order.
 //!
-//! The built-in rapid-connect (SPIT) rule is just
-//! `ThresholdRule::new(rapid_spec())` — and a DSL program declaring the
-//! same clause compiles to a spec that is `==` to it, which is what
-//! makes the DSL-vs-hand-written byte-identity pin structural rather
-//! than coincidental.
+//! The built-in rapid-connect (SPIT) rule is a `threshold` clause of
+//! `builtin.scid` like any operator's: one DSL compiler lowers both,
+//! so an operator program declaring the same clause compiles to a spec
+//! `==` to [`crate::rules::rapid_spec`], and the byte-identity of the two
+//! is structural rather than coincidental.
 
 use crate::alert::{Alert, Severity};
 use crate::event::{Event, EventClass, FieldValue};
 use crate::rate::ThresholdTable;
-use crate::rules::{AlertSink, Rule, RuleCtx, RuleInterest, RuleStateStats};
+use crate::rules::{AlertSink, Rule, RuleCtx, RuleInfo, RuleInterest, RuleStateStats};
 use scidive_netsim::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
 
@@ -191,14 +191,16 @@ pub const MAX_DISTINCT_THRESHOLD: u32 = 64;
 #[derive(Debug)]
 pub struct ThresholdRule {
     spec: ThresholdSpec,
+    info: RuleInfo,
     table: ThresholdTable,
 }
 
 impl ThresholdRule {
     /// Creates the rule from its compiled clause.
-    pub fn new(spec: ThresholdSpec) -> ThresholdRule {
+    pub fn new(spec: ThresholdSpec, info: impl Into<RuleInfo>) -> ThresholdRule {
         ThresholdRule {
             spec,
+            info: info.into(),
             table: ThresholdTable::new(),
         }
     }
@@ -210,15 +212,15 @@ impl Rule for ThresholdRule {
     }
 
     fn description(&self) -> &str {
-        "threshold clause over a sliding window"
+        &self.info.description
     }
 
     fn is_cross_protocol(&self) -> bool {
-        false
+        self.info.cross_protocol
     }
 
     fn is_stateful(&self) -> bool {
-        true
+        self.info.stateful
     }
 
     fn interests(&self) -> RuleInterest {
@@ -227,9 +229,12 @@ impl Rule for ThresholdRule {
 
     fn state_signature(&self) -> u64 {
         let spec = &self.spec;
+        let [description, flags] = self.info.signature_parts();
         crate::rate::hash_parts(
             0x7472_6573_686f_6c64, // "treshold" tag: distinguishes rule kinds
             &[
+                description,
+                flags,
                 spec.clause.as_bytes(),
                 spec.class.name().as_bytes(),
                 spec.key_field.as_bytes(),
@@ -334,7 +339,7 @@ mod tests {
         const CAP: usize = 24 * 1024;
         let store = TrailStore::new(TrailStoreConfig::default());
         let rates = crate::rate::RateHub::default();
-        let mut rule = ThresholdRule::new(crate::rules::builtin::rapid_spec());
+        let mut rule = ThresholdRule::new(crate::rules::rapid_spec(), "test");
         rule.table = ThresholdTable::with_cap(CAP);
         let mut alerts = Vec::new();
         let mut call = |ms: u64, caller: String, callee: String| {

@@ -85,7 +85,7 @@ use crate::observe::{
 };
 use crate::rate::{GlobalRatePlane, RateDelta};
 use crate::routing::SessionRouter;
-use crate::rules::{RuleToggles, RulesetBlueprint, SpecError};
+use crate::rules::{Diagnostic, RuleToggles, RulesetBlueprint};
 use crate::spsc::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
 use scidive_netsim::packet::IpPacket;
@@ -336,8 +336,8 @@ pub struct ShardedScidive {
     /// [`crate::rate::FoldConfig::enabled`] off — per-shard slice
     /// evaluation, the pre-fold behavior).
     fold: Option<FoldState>,
-    /// The builtin toggles of the installed ruleset (carried forward by
-    /// [`ShardedScidive::swap_ruleset`] unless a swap overrides them).
+    /// The builtin toggles the pipeline booted with, which every
+    /// [`ShardedScidive::swap_ruleset`] carries forward.
     toggles: RuleToggles,
     /// Generation of the installed ruleset (0 at boot).
     ruleset_generation: u64,
@@ -470,20 +470,6 @@ impl ShardedScidive {
         }
     }
 
-    /// Atomically hot-reloads the ruleset across every shard, keeping
-    /// the builtin toggles the pipeline booted with (or last swapped
-    /// to). See [`ShardedScidive::swap_ruleset_with_toggles`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SpecError`] (and leaves the running ruleset
-    /// installed, counting one compile error) if the program does not
-    /// compile or its file cannot be read.
-    pub fn swap_ruleset(&mut self, source: &RulesetSource) -> Result<u64, SpecError> {
-        let toggles = self.toggles.clone();
-        self.swap_ruleset_with_toggles(toggles, source)
-    }
-
     /// Atomically hot-reloads the ruleset across every shard: validates
     /// and lowers `source` once dispatcher-side, flushes every dispatch
     /// buffer, and sends a `Swap` barrier token down each shard ring —
@@ -498,20 +484,17 @@ impl ShardedScidive {
     /// so no session is dropped; changed or new rules start fresh from
     /// the boundary. The dispatcher's fold plane swaps its threshold
     /// clauses from the same blueprint on the same terms: an unchanged
-    /// clause keeps its table, a changed one starts empty.
+    /// clause keeps its table, a changed one starts empty. The builtin
+    /// toggles stay the ones the pipeline booted with.
     ///
     /// Returns the new ruleset generation.
     ///
     /// # Errors
     ///
-    /// Returns the [`SpecError`] (and leaves the running ruleset
-    /// installed, counting one compile error) if the program does not
+    /// Returns the program's [`Diagnostic`] (and leaves the running
+    /// ruleset installed, counting one compile error) if it does not
     /// compile or its file cannot be read.
-    pub fn swap_ruleset_with_toggles(
-        &mut self,
-        toggles: RuleToggles,
-        source: &RulesetSource,
-    ) -> Result<u64, SpecError> {
+    pub fn swap_ruleset(&mut self, source: &RulesetSource) -> Result<u64, Diagnostic> {
         // Validate once, dispatcher-side: a broken program never
         // reaches a worker and the running ruleset stays installed.
         let program = match source.program() {
@@ -522,7 +505,7 @@ impl ShardedScidive {
             }
         };
         let blueprint = Arc::new(RulesetBlueprint {
-            toggles,
+            toggles: self.toggles.clone(),
             program,
             generation: self.ruleset_generation + 1,
         });
@@ -540,7 +523,6 @@ impl ShardedScidive {
         if let Some(fold) = &mut self.fold {
             fold.plane.set_clauses(blueprint.threshold_specs());
         }
-        self.toggles = blueprint.toggles.clone();
         self.ruleset_generation = blueprint.generation;
         self.ruleset_swaps += 1;
         Ok(self.ruleset_generation)

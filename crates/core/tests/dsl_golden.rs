@@ -131,7 +131,7 @@ fn unknown_header_key() {
         8,
         9,
         "unknown header key `frequency`",
-        Some("severity | window"),
+        Some("severity | window | description | cross-protocol | stateful"),
     );
 }
 
@@ -143,7 +143,19 @@ fn punctuation_cannot_open_the_body() {
         8,
         1,
         "expected `{` to open the rule body",
-        Some("severity | window"),
+        Some("severity | window | description | cross-protocol | stateful"),
+    );
+}
+
+#[test]
+fn description_needs_a_quoted_string() {
+    expect_err(
+        "rule x description spoof { any-of A }",
+        1,
+        20,
+        5,
+        "`description` needs a quoted string",
+        Some("description \"what the rule detects\""),
     );
 }
 
@@ -475,6 +487,18 @@ fn duplicate_rule_ids_are_rejected() {
         1,
         "duplicate rule id `x`",
         None,
+    );
+}
+
+#[test]
+fn empty_description_is_rejected() {
+    expect_err(
+        "rule x description \" \" { any-of SipMalformed }",
+        1,
+        20,
+        3,
+        "rule `x`: description is empty",
+        Some("say what the rule detects, or drop the header"),
     );
 }
 

@@ -1516,15 +1516,34 @@ fn program_src() -> impl Strategy<Value = String> {
                 "info", "warning", "critical",
             ])),
             proptest::option::of(proptest::sample::select(vec!["500ms", "2s", "90s"])),
+            proptest::option::of(proptest::sample::select(vec![
+                "media after teardown",
+                "caller {key} fans out",
+                "x",
+            ])),
+            any::<bool>(),
+            any::<bool>(),
         ),
         1..5,
     )
     .prop_map(|rules| {
         let mut src = String::new();
-        for (i, (clause, severity, window)) in rules.iter().enumerate() {
+        for (i, (clause, severity, window, description, cross, stateful)) in
+            rules.iter().enumerate()
+        {
             src += &format!("rule r{i}");
+            // Header items come in any order; the printer normalises it.
+            if *stateful {
+                src += " stateful";
+            }
+            if let Some(d) = description {
+                src += &format!(" description \"{d}\"");
+            }
             if let Some(s) = severity {
                 src += &format!(" severity {s}");
+            }
+            if *cross {
+                src += " cross-protocol";
             }
             // `window` only matters (and prints) on sequence / all-of;
             // elsewhere it would draw a --deny-warnings diagnostic.
@@ -1597,6 +1616,9 @@ proptest! {
         prop_assert_eq!(r1.len(), r2.len());
         for (a, b) in r1.iter().zip(&r2) {
             prop_assert_eq!(a.id(), b.id());
+            prop_assert_eq!(a.description(), b.description());
+            prop_assert_eq!(a.is_cross_protocol(), b.is_cross_protocol());
+            prop_assert_eq!(a.is_stateful(), b.is_stateful());
             for class in EventClass::ALL {
                 prop_assert_eq!(a.interests().contains(class), b.interests().contains(class));
             }

@@ -14,8 +14,9 @@
 //! cargo run --example dsl_rules -- --check              # compile-gate every .scid
 //! ```
 //!
-//! `--check` compiles every program under `examples/rules/` with
-//! warnings denied — the CI gate for the shipped rule files.
+//! `--check` compiles every program under `examples/rules/`, and the
+//! builtin ruleset `crates/core/src/rules/builtin.scid`, with warnings
+//! denied — the CI gate for the shipped rule files.
 
 use scidive::prelude::*;
 use std::path::{Path, PathBuf};
@@ -25,9 +26,9 @@ fn rules_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/rules")
 }
 
-/// Compiles every `.scid` file under `examples/rules/`, treating
-/// validator warnings as errors. Returns failure if any file has a
-/// diagnostic.
+/// Compiles every `.scid` file under `examples/rules/` and the builtin
+/// program, treating validator warnings as errors. Returns failure if
+/// any file has a diagnostic.
 fn check_all() -> ExitCode {
     let mut failed = false;
     let mut entries: Vec<PathBuf> = std::fs::read_dir(rules_dir())
@@ -37,6 +38,7 @@ fn check_all() -> ExitCode {
         .collect();
     entries.sort();
     assert!(!entries.is_empty(), "no .scid files under examples/rules/");
+    entries.push(Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/rules/builtin.scid"));
     for path in entries {
         let src = std::fs::read_to_string(&path).expect("rule file is readable");
         match Program::check(&src) {

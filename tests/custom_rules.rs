@@ -111,3 +111,61 @@ fn bad_spec_installs_nothing() {
         .unwrap_err();
     assert!(err.to_string().contains("NoSuchClass"));
 }
+
+/// Forged IMs raise session-less events: there is no dialog to latch
+/// on, so an operator `any-of` rule alerts on each forgery, as the
+/// builtin `fake-im` does — two attackers, two alerts.
+#[test]
+fn session_less_operator_rule_alerts_on_every_forged_im() {
+    let mut tb = TestbedBuilder::new(1003)
+        .a_script(vec![ScriptStep::new(SimDuration::from_millis(10), UaAction::Register)])
+        .b_script(vec![ScriptStep::new(SimDuration::from_millis(20), UaAction::Register)])
+        .build();
+    let ep = tb.endpoints.clone();
+    let second_attacker = std::net::Ipv4Addr::new(10, 0, 0, 67);
+    for (name, ip, at) in [
+        ("attacker", ep.attacker_ip, 500),
+        ("attacker-2", second_attacker, 800),
+    ] {
+        tb.add_node(
+            name,
+            ip,
+            LinkParams::lan(),
+            Box::new(FakeImAttacker::new(FakeImConfig::new(
+                ip,
+                ep.a_ip,
+                ep.b_ip,
+                SimDuration::from_millis(at),
+            ))),
+        );
+    }
+    tb.run_for(SimDuration::from_secs(2));
+
+    let mut config = ScidiveConfig::default();
+    config.events.infrastructure_ips = vec![ep.proxy_ip, ep.acct_ip];
+    config.rules = RuleToggles {
+        bye_attack: false,
+        call_hijack: false,
+        fake_im: false,
+        rtp_attack: false,
+        register_dos: false,
+        password_guess: false,
+        billing_fraud: false,
+        sip_format: false,
+        rtcp_bye: false,
+        mgcp: false,
+        rapid_connect: false,
+    };
+    let mut ids = Scidive::new(config);
+    ids.add_rules_from_spec("rule ops-im { any-of ImSourceMismatch }")
+        .unwrap();
+    for rec in tb.sim.trace().records() {
+        ids.on_frame(rec.time, &rec.packet);
+    }
+    let sources: Vec<bool> = ids
+        .alerts()
+        .iter()
+        .map(|a| a.message.contains(&second_attacker.to_string()))
+        .collect();
+    assert_eq!(sources, [false, true], "{:?}", ids.alerts());
+}
