@@ -6,11 +6,12 @@
 //! triggering it upon each incoming RTP Footprint."
 //!
 //! This module defines the *vocabulary* the rule engine matches on —
-//! [`EventClass`], [`Event`], [`EventKind`], [`FlowKey`] and the
-//! generator's [`EventGenConfig`]. The generation machinery itself (the
-//! [`EventGenerator`], the [`IdentityPlane`], and the per-protocol
-//! handlers) lives in [`crate::proto`], one module per protocol, and is
-//! re-exported here so existing import paths keep working.
+//! [`EventClass`], [`Event`], [`EventKind`], [`FlowKey`], [`ByeOrigin`]
+//! and the generator's [`EventGenConfig`]. The generation machinery
+//! itself (the [`EventGenerator`], the [`IdentityPlane`], and the
+//! per-protocol handlers) lives in [`crate::proto`], one module per
+//! protocol, and is re-exported here so existing import paths keep
+//! working.
 
 use crate::trail::SessionKey;
 use scidive_netsim::time::{SimDuration, SimTime};
@@ -34,6 +35,34 @@ pub struct FlowKey {
 impl fmt::Display for FlowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} -> {}:{}", self.src, self.dst, self.dst_port)
+    }
+}
+
+/// Who sent a BYE: the forensic detail of the paper's "who prematurely
+/// tears down the session", recorded by the session plane on every BYE
+/// and carried by [`EventKind::OrphanRtpAfterBye`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ByeOrigin {
+    /// The AOR the BYE's From header claims, if it parses.
+    pub claimed_aor: Option<String>,
+    /// The IP the BYE packet actually came from.
+    pub src_ip: Ipv4Addr,
+    /// The BYE's CSeq number (forged BYEs often jump it).
+    pub cseq: Option<u32>,
+}
+
+impl fmt::Display for ByeOrigin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let aor = self.claimed_aor.as_deref().unwrap_or("<unknown>");
+        write!(
+            f,
+            "the BYE claimed {aor} and came from {} (CSeq ",
+            self.src_ip
+        )?;
+        match self.cseq {
+            Some(n) => write!(f, "{n})"),
+            None => f.write_str("?)"),
+        }
     }
 }
 
@@ -199,6 +228,8 @@ pub enum EventKind {
         flow: FlowKey,
         /// Time since the BYE.
         gap: SimDuration,
+        /// Who sent the session's latest BYE.
+        bye: ByeOrigin,
     },
     /// See [`EventClass::OrphanRtpAfterRedirect`].
     OrphanRtpAfterRedirect {
@@ -472,8 +503,8 @@ impl EventKind {
 impl fmt::Display for EventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EventKind::OrphanRtpAfterBye { flow, gap } => {
-                write!(f, "RTP flow {flow} continued {gap} after the BYE")
+            EventKind::OrphanRtpAfterBye { bye, .. } => {
+                write!(f, "orphan media after teardown; {bye}")
             }
             EventKind::OrphanRtpAfterRedirect { flow, gap } => {
                 write!(f, "RTP flow {flow} continued {gap} after the re-INVITE")
@@ -658,6 +689,11 @@ mod tests {
             EventKind::OrphanRtpAfterBye {
                 flow: sample_flow(),
                 gap: SimDuration::from_millis(7),
+                bye: ByeOrigin {
+                    claimed_aor: Some("a@x".into()),
+                    src_ip: Ipv4Addr::new(10, 0, 0, 9),
+                    cseq: Some(2),
+                },
             },
             EventKind::OrphanRtpAfterRedirect {
                 flow: sample_flow(),

@@ -37,7 +37,7 @@ pub mod rtp;
 pub mod sip;
 
 use crate::distill::DistillerConfig;
-use crate::event::{Event, EventGenConfig, EventKind, FlowKey};
+use crate::event::{ByeOrigin, Event, EventGenConfig, EventKind, FlowKey};
 use crate::footprint::{Footprint, FootprintBody, PacketMeta};
 use crate::idle::{IdleMap, StoreGauge};
 use crate::routing::MediaIndex;
@@ -197,6 +197,8 @@ impl SessionPlane {
 pub(crate) struct Teardown {
     pub(crate) at: SimTime,
     pub(crate) by_media_ip: Option<Ipv4Addr>,
+    /// The session's latest BYE, for the orphan-media event.
+    pub(crate) bye: ByeOrigin,
 }
 
 #[derive(Debug, Clone)]
@@ -480,15 +482,10 @@ impl EventGenerator {
         }
     }
 
-    /// Creates a session-plane-only generator: identity-plane detection
-    /// (floods, password guessing, IM source checks) is disabled because
-    /// some external [`IdentityPlane`] owns that state. Used by the
-    /// shards of [`crate::shard::ShardedScidive`].
-    pub fn data_plane(config: EventGenConfig) -> EventGenerator {
-        EventGenerator::data_plane_with_protocols(config, &ProtocolSet::default())
-    }
-
-    /// Data-plane generator over a custom protocol registry.
+    /// Creates a session-plane-only generator over a protocol registry:
+    /// identity-plane detection (floods, password guessing, IM source
+    /// checks) is disabled because some external [`IdentityPlane`] owns
+    /// that state. Used by the shards of [`crate::shard::ShardedScidive`].
     pub fn data_plane_with_protocols(
         config: EventGenConfig,
         protocols: &ProtocolSet,
@@ -829,6 +826,71 @@ mod tests {
         // Only the first orphan packet produces the event.
         let evs = h.feed_rtp(B_IP, A_IP, 8000, 7, 101);
         assert!(!evs.iter().any(|e| e.class() == EventClass::OrphanRtpAfterBye));
+    }
+
+    /// Feeds `byes` (source, BYE) after an established call, then RTP
+    /// from the callee, and returns the orphan event's BYE origin.
+    fn orphan_bye_origin(byes: &[(Ipv4Addr, SipMessage)]) -> ByeOrigin {
+        let mut h = Harness::new(EventGenConfig::default());
+        h.establish_call();
+        for (src, bye) in byes {
+            h.feed_sip(*src, A_IP, bye);
+        }
+        let evs = h.feed_rtp(B_IP, A_IP, 8000, 7, 100);
+        evs.into_iter()
+            .find_map(|e| match e.kind {
+                EventKind::OrphanRtpAfterBye { bye, .. } => Some(bye),
+                _ => None,
+            })
+            .expect("RTP from the claimed terminator is orphan")
+    }
+
+    #[test]
+    fn orphan_event_names_the_bye_originator() {
+        let bye = orphan_bye_origin(&[(ATTACKER, bye_claiming_bob("c1"))]);
+        assert_eq!(
+            bye,
+            ByeOrigin {
+                claimed_aor: Some("bob@lab".to_string()),
+                src_ip: ATTACKER,
+                cseq: Some(100),
+            }
+        );
+        assert_eq!(
+            EventKind::OrphanRtpAfterBye {
+                flow: FlowKey {
+                    src: B_IP,
+                    dst: A_IP,
+                    dst_port: 8000,
+                },
+                gap: SimDuration::from_millis(1),
+                bye,
+            }
+            .to_string(),
+            "orphan media after teardown; the BYE claimed bob@lab and came from \
+             10.0.0.66 (CSeq 100)"
+        );
+    }
+
+    #[test]
+    fn latest_bye_names_the_originator() {
+        let mut later = bye_claiming_bob("c1");
+        later.headers.set(HeaderName::CSeq, "102 BYE");
+        let bye = orphan_bye_origin(&[(B_IP, bye_claiming_bob("c1")), (ATTACKER, later)]);
+        assert_eq!(bye.src_ip, ATTACKER);
+        assert_eq!(bye.cseq, Some(102));
+    }
+
+    #[test]
+    fn bye_without_a_parseable_from_renders_unknown() {
+        let mut garbled = bye_claiming_bob("c1");
+        garbled.headers.set(HeaderName::From, "not an address");
+        let bye = orphan_bye_origin(&[(B_IP, bye_claiming_bob("c1")), (ATTACKER, garbled)]);
+        assert_eq!(bye.claimed_aor, None);
+        assert_eq!(
+            bye.to_string(),
+            "the BYE claimed <unknown> and came from 10.0.0.66 (CSeq 100)"
+        );
     }
 
     #[test]

@@ -151,17 +151,17 @@ fn on_rtp(fp: &Footprint, key: &TrailKey, ssrc: u32, seq: u16, ctx: &mut GenCtx<
     let bye_orphan = match &state.torn_down {
         Some(t) if !state.orphan_bye_emitted && t.by_media_ip == Some(flow.src) => {
             let gap = time.saturating_since(t.at);
-            (gap <= monitor_window).then_some(gap)
+            (gap <= monitor_window).then(|| (gap, t.bye.clone()))
         }
         _ => None,
     };
-    if let Some(gap) = bye_orphan {
+    if let Some((gap, bye)) = bye_orphan {
         state.orphan_bye_emitted = true;
         *emitted += 1;
         out.push(Event {
             time,
             session: Some(key.session.clone()),
-            kind: EventKind::OrphanRtpAfterBye { flow, gap },
+            kind: EventKind::OrphanRtpAfterBye { flow, gap, bye },
         });
     }
     // Orphan after redirect (§4.2.3): the endpoint that claimed to

@@ -4,7 +4,7 @@
 
 use crate::distill::DistillerConfig;
 use crate::alert::Severity;
-use crate::event::{Event, EventClass, EventGenConfig, EventKind, FlowKey};
+use crate::event::{ByeOrigin, Event, EventClass, EventGenConfig, EventKind, FlowKey};
 use crate::footprint::{Footprint, FootprintBody, PacketMeta, PooledSip};
 use crate::idle::{IdleMap, StoreGauge};
 use crate::proto::{AttributeCtx, GenCtx, ProtocolModule, Redirect, Teardown};
@@ -241,21 +241,35 @@ fn on_sip_bye(
     ctx: &mut GenCtx<'_>,
 ) {
     let time = fp.meta.time;
-    let Some(by_aor) = msg.from_aor() else {
-        return;
-    };
     let Some(state) = ctx.session_mut(session, time) else {
         return;
     };
-    if state.torn_down.is_some() {
-        return; // proxy copy of the same BYE
+    // Who sent it (§3.1: "who prematurely tears down the session"). Each
+    // later BYE, proxy copies and unparseable From headers included,
+    // replaces the record, so the orphan-media event names the latest.
+    let by_aor = msg.from_aor();
+    let bye = ByeOrigin {
+        claimed_aor: by_aor.map(str::to_string),
+        src_ip: fp.meta.src,
+        cseq: msg.view().cseq().map(|c| c.seq),
+    };
+    if let Some(teardown) = &mut state.torn_down {
+        teardown.bye = bye;
+        return;
     }
+    let Some(by_aor) = by_aor else {
+        return;
+    };
     let by_media_ip = if Some(by_aor) == state.callee_aor.as_deref() {
         state.callee_media.map(|(ip, _)| ip)
     } else {
         state.caller_media.map(|(ip, _)| ip)
     };
-    state.torn_down = Some(Teardown { at: time, by_media_ip });
+    state.torn_down = Some(Teardown {
+        at: time,
+        by_media_ip,
+        bye,
+    });
     ctx.emit(
         time,
         Some(session.clone()),
@@ -338,8 +352,8 @@ const GLOBAL_SRC: Ipv4Addr = Ipv4Addr::UNSPECIFIED;
 /// ([`crate::shard`]) lifts it into the dispatcher — it is the one
 /// stateful component that must see every SIP frame regardless of
 /// session — and runs the per-shard generators with the plane disabled
-/// ([`crate::proto::EventGenerator::data_plane`]), injecting the
-/// plane's events into the owning shard's stream instead.
+/// ([`crate::proto::EventGenerator::data_plane_with_protocols`]),
+/// injecting the plane's events into the owning shard's stream instead.
 #[derive(Debug)]
 pub struct IdentityPlane {
     config: EventGenConfig,

@@ -1,14 +1,12 @@
 //! The built-in ruleset: one rule per attack the paper covers.
 //!
-//! Every builtin but `bye-attack` is a clause of `builtin.scid`, parsed
-//! once per process and lowered by the same DSL compiler as an
-//! operator's program, so the paper's detections and an operator's are
-//! one rule path. Table 1 maps each attack to the protocols involved and
+//! Every builtin is a clause of `builtin.scid`, parsed once per process
+//! and lowered by the same DSL compiler as an operator's program, so the
+//! paper's detections and an operator's are one rule path. Table 1 maps each attack to the protocols involved and
 //! whether its rule is cross-protocol and stateful; those columns are
 //! the rules' header flags in that text, which is where the experiment
 //! harnesses read them from.
 
-use crate::rules::bye_rule::ByeAttackRule;
 use crate::rules::dsl::{self, Program};
 use crate::rules::threshold::ThresholdSpec;
 use crate::rules::Rule;
@@ -102,22 +100,13 @@ impl RuleToggles {
     }
 }
 
-/// Builds the built-in ruleset: `bye-attack`, then the toggled rules of
-/// `builtin.scid` in declaration order.
+/// Builds the built-in ruleset: the toggled rules of `builtin.scid` in
+/// declaration order.
 pub fn builtin_ruleset(toggles: &RuleToggles) -> Vec<Box<dyn Rule>> {
-    let mut rules: Vec<Box<dyn Rule>> = Vec::new();
-    if toggles.bye_attack {
-        // The enriched variant: besides matching the event, it performs
-        // the paper's "crude information directly from the Trails"
-        // lookup to name the BYE's claimed originator.
-        rules.push(Box::new(ByeAttackRule::new()));
-    }
-    rules.extend(
-        dsl::compile_program(program())
-            .into_iter()
-            .filter(|rule| toggles.includes(rule.id())),
-    );
-    rules
+    dsl::compile_program(program())
+        .into_iter()
+        .filter(|rule| toggles.includes(rule.id()))
+        .collect()
 }
 
 /// Window of the hand-written rapid-connect spec `builtin.scid` replaced.
@@ -305,8 +294,8 @@ mod tests {
         assert!(!i.is_all());
     }
 
-    /// Table 1's columns for every builtin, as `builtin.scid` (and
-    /// `ByeAttackRule` for the BYE attack) declares them.
+    /// Table 1's columns for every builtin, as `builtin.scid` declares
+    /// them.
     #[test]
     fn table1_attributes() {
         let rules = builtin_ruleset(&RuleToggles::default());
@@ -347,6 +336,42 @@ mod tests {
             "no RTP should be seen from an endpoint after its re-INVITE moved it: \
              RTP flow 10.0.0.3 -> 10.0.0.2:8000 continued 4.000ms after the re-INVITE"
         );
+    }
+
+    /// `bye-attack` names the BYE's originator from its event alone: an
+    /// empty trail store changes nothing, and it fires once per session.
+    #[test]
+    fn bye_attack_names_the_originator_without_reading_trails() {
+        let (store, rates) = harness();
+        let ctx = RuleCtx {
+            now: SimTime::from_millis(10),
+            trails: &store,
+            rates: &rates,
+        };
+        let mut rule = builtin("bye-attack");
+        let mut ev = orphan_event("c1");
+        ev.kind = EventKind::OrphanRtpAfterBye {
+            flow: FlowKey {
+                src: Ipv4Addr::new(10, 0, 0, 3),
+                dst: Ipv4Addr::new(10, 0, 0, 2),
+                dst_port: 8000,
+            },
+            gap: SimDuration::from_millis(4),
+            bye: crate::event::ByeOrigin {
+                claimed_aor: Some("bob@lab".to_string()),
+                src_ip: Ipv4Addr::new(10, 0, 0, 66),
+                cseq: Some(101),
+            },
+        };
+        let alerts = collect_alerts(rule.as_mut(), &ev, &ctx);
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].severity, Severity::Critical);
+        assert_eq!(
+            alerts[0].message,
+            "no RTP should be seen from a user agent after its BYE: orphan media after \
+             teardown; the BYE claimed bob@lab and came from 10.0.0.66 (CSeq 101)"
+        );
+        assert!(collect_alerts(rule.as_mut(), &ev, &ctx).is_empty());
     }
 
     /// The MGCP rule matches its module's signal, not its class alone.

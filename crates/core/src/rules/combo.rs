@@ -308,7 +308,7 @@ impl Rule for CombinationRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, FlowKey};
+    use crate::event::{ByeOrigin, EventKind, FlowKey};
     use crate::rules::collect_alerts;
     use crate::trail::{SessionKey, TrailStore, TrailStoreConfig};
     use std::net::Ipv4Addr;
@@ -340,6 +340,11 @@ mod tests {
         EventKind::OrphanRtpAfterBye {
             flow: flow(),
             gap: SimDuration::from_millis(5),
+            bye: ByeOrigin {
+                claimed_aor: Some("bob@lab".to_string()),
+                src_ip: Ipv4Addr::new(10, 0, 0, 66),
+                cseq: Some(101),
+            },
         }
     }
 

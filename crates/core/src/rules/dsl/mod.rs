@@ -251,6 +251,11 @@ rule ops-spit {
                     dst_port: 8000,
                 },
                 gap: SimDuration::from_millis(1),
+                bye: crate::event::ByeOrigin {
+                    claimed_aor: Some("bob@lab".to_string()),
+                    src_ip: Ipv4Addr::new(10, 0, 0, 66),
+                    cseq: Some(101),
+                },
             },
         };
         assert!(collect_alerts(rules[0].as_mut(), &torn, &ctx).is_empty());

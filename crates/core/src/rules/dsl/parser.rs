@@ -92,8 +92,8 @@ pub fn parse(src: &str) -> Result<Program, Diagnostic> {
             _ => {
                 return Err(diag(
                     t.span,
-                    "expected `rule <id> [severity <s>] [window <dur>] {`".to_string(),
-                    None,
+                    "expected `rule <id> <header items> {`".to_string(),
+                    Some(HEADER_KEYS.to_string()),
                 ));
             }
         }
@@ -101,7 +101,8 @@ pub fn parse(src: &str) -> Result<Program, Diagnostic> {
     Ok(Program { rules })
 }
 
-/// The header items a rule may declare between its id and its body.
+/// The header items a rule may declare, each once, between its id and
+/// its body.
 const HEADER_KEYS: &str = "severity | window | description | cross-protocol | stateful";
 
 fn parse_rule(cur: &mut Cursor) -> Result<RuleDecl, Diagnostic> {
@@ -120,18 +121,40 @@ fn parse_rule(cur: &mut Cursor) -> Result<RuleDecl, Diagnostic> {
     let mut description = None;
     let mut cross_protocol = false;
     let mut stateful = false;
+    let mut seen: Vec<String> = Vec::new();
     loop {
-        match cur.peek() {
+        let t = match cur.next() {
             Some(Token {
                 tok: Tok::LBrace, ..
-            }) => {
-                cur.next();
-                break;
+            }) => break,
+            Some(t) => t,
+            None => {
+                return Err(diag(
+                    cur.end,
+                    format!("rule `{}` is not closed with `}}`", id.node),
+                    None,
+                ));
             }
-            Some(Token {
-                tok: Tok::Word(w), ..
-            }) if w == "severity" => {
-                cur.next();
+        };
+        let Tok::Word(key) = &t.tok else {
+            return Err(diag(
+                t.span,
+                "expected `{` to open the rule body".to_string(),
+                Some(HEADER_KEYS.to_string()),
+            ));
+        };
+        // A repeated item is an error at its second occurrence, not a
+        // silent override of the first.
+        if seen.contains(key) {
+            return Err(diag(
+                t.span,
+                format!("rule `{}` declares `{key}` twice", id.node),
+                Some("each header item appears at most once".to_string()),
+            ));
+        }
+        seen.push(key.clone());
+        match key.as_str() {
+            "severity" => {
                 let v = value_word(cur, &id.node, "severity")?;
                 let sev = parse_severity(&v.node).ok_or_else(|| {
                     diag(
@@ -142,10 +165,7 @@ fn parse_rule(cur: &mut Cursor) -> Result<RuleDecl, Diagnostic> {
                 })?;
                 severity = Some(Spanned { node: sev, span: v.span });
             }
-            Some(Token {
-                tok: Tok::Word(w), ..
-            }) if w == "window" => {
-                cur.next();
+            "window" => {
                 let v = value_word(cur, &id.node, "window")?;
                 let dur = parse_duration(&v.node).ok_or_else(|| {
                     diag(
@@ -156,48 +176,26 @@ fn parse_rule(cur: &mut Cursor) -> Result<RuleDecl, Diagnostic> {
                 })?;
                 window = Some(Spanned { node: dur, span: v.span });
             }
-            Some(Token {
-                tok: Tok::Word(w), ..
-            }) if w == "description" => {
-                cur.next();
-                match cur.want(&id.node)? {
-                    Token {
-                        tok: Tok::Str(text),
-                        span,
-                    } => description = Some(Spanned { node: text, span }),
-                    t => {
-                        return Err(diag(
-                            t.span,
-                            "`description` needs a quoted string".to_string(),
-                            Some("description \"what the rule detects\"".to_string()),
-                        ));
-                    }
+            "description" => match cur.want(&id.node)? {
+                Token {
+                    tok: Tok::Str(text),
+                    span,
+                } => description = Some(Spanned { node: text, span }),
+                t => {
+                    return Err(diag(
+                        t.span,
+                        "`description` needs a quoted string".to_string(),
+                        Some("description \"what the rule detects\"".to_string()),
+                    ));
                 }
-            }
-            Some(Token {
-                tok: Tok::Word(w), ..
-            }) if w == "cross-protocol" => {
-                cur.next();
-                cross_protocol = true;
-            }
-            Some(Token {
-                tok: Tok::Word(w), ..
-            }) if w == "stateful" => {
-                cur.next();
-                stateful = true;
-            }
-            Some(t) => {
-                let shown = match &t.tok {
-                    Tok::Word(w) => format!("unknown header key `{w}`"),
-                    _ => "expected `{` to open the rule body".to_string(),
-                };
-                return Err(diag(t.span, shown, Some(HEADER_KEYS.to_string())));
-            }
-            None => {
+            },
+            "cross-protocol" => cross_protocol = true,
+            "stateful" => stateful = true,
+            _ => {
                 return Err(diag(
-                    cur.end,
-                    format!("rule `{}` is not closed with `}}`", id.node),
-                    None,
+                    t.span,
+                    format!("unknown header key `{key}`"),
+                    Some(HEADER_KEYS.to_string()),
                 ));
             }
         }

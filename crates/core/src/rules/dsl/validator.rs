@@ -11,7 +11,7 @@
 
 use super::ast::{ClassSpec, Clause, Program, Spanned};
 use super::Diagnostic;
-use crate::event::{EventClass, EventKind, FieldValue};
+use crate::event::{ByeOrigin, EventClass, EventKind, FieldValue};
 use crate::rules::predicate::CmpOp;
 use crate::rules::threshold::MAX_DISTINCT_THRESHOLD;
 use std::collections::HashSet;
@@ -89,7 +89,15 @@ fn sample_kind(class: EventClass) -> EventKind {
             old_target: (flow.src, 8000),
             new_target: (flow.dst, 8002),
         },
-        EventClass::OrphanRtpAfterBye => EventKind::OrphanRtpAfterBye { flow, gap: d },
+        EventClass::OrphanRtpAfterBye => EventKind::OrphanRtpAfterBye {
+            flow,
+            gap: d,
+            bye: ByeOrigin {
+                claimed_aor: None,
+                src_ip: flow.src,
+                cseq: None,
+            },
+        },
         EventClass::OrphanRtpAfterRedirect => EventKind::OrphanRtpAfterRedirect { flow, gap: d },
         EventClass::RtpSeqViolation => EventKind::RtpSeqViolation { flow, delta: 0 },
         EventClass::RtpUnknownSource => EventKind::RtpUnknownSource { flow },

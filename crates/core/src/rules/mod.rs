@@ -15,14 +15,12 @@
 //! matching cost scales with *interested* rules, not total rules.
 
 pub(crate) mod builtin;
-mod bye_rule;
 mod combo;
 pub mod dsl;
 mod predicate;
 pub(crate) mod threshold;
 
 pub use builtin::{builtin_ruleset, rapid_spec, RuleToggles};
-pub use bye_rule::{ByeAttackRule, ByeOrigin};
 pub use combo::{CombinationRule, SequenceRule};
 pub use dsl::{Diagnostic, Program};
 pub use predicate::{ClassMatcher, CmpOp, FieldPredicate, PredValue, PredicateRule};
@@ -40,7 +38,10 @@ use scidive_netsim::time::{SimDuration, SimTime};
 pub struct RuleCtx<'a> {
     /// Current time.
     pub now: SimTime,
-    /// The trail store.
+    /// The trail store: the paper's escape hatch for a custom rule that
+    /// needs a footprint no event carries. No builtin reads it; the
+    /// BYE's originator, the one datum the paper cites, travels on
+    /// [`crate::event::EventKind::OrphanRtpAfterBye`].
     pub trails: &'a TrailStore,
     /// The engine's rate hub (see [`crate::rate`]): the seeded key
     /// hash, and under the sharded fold plane the outbox threshold

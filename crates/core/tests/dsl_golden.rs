@@ -84,8 +84,8 @@ fn top_level_must_start_with_rule() {
         1,
         1,
         8,
-        "expected `rule <id> [severity <s>] [window <dur>] {`",
-        None,
+        "expected `rule <id> <header items> {`",
+        Some("severity | window | description | cross-protocol | stateful"),
     );
 }
 
@@ -132,6 +132,26 @@ fn unknown_header_key() {
         9,
         "unknown header key `frequency`",
         Some("severity | window | description | cross-protocol | stateful"),
+    );
+}
+
+#[test]
+fn repeated_header_item_is_an_error_at_the_second() {
+    expect_err(
+        "rule x severity warning description \"a\" severity info { any-of A }",
+        1,
+        41,
+        8,
+        "rule `x` declares `severity` twice",
+        Some("each header item appears at most once"),
+    );
+    expect_err(
+        "rule x stateful stateful { any-of A }",
+        1,
+        17,
+        8,
+        "rule `x` declares `stateful` twice",
+        Some("each header item appears at most once"),
     );
 }
 

@@ -42,8 +42,11 @@
 #   - the paper's numbers: the seven experiment binaries rewrite
 #     results/exp_*.json (Table 1, false and missed alarms, delay,
 #     cooperative detection and the two ablations), and the step fails
-#     unless every file is byte-identical to the committed one (the .txt
-#     renderings and the timing artefacts are not gated);
+#     unless every file is byte-identical to the committed one; Table 1
+#     runs with --trace and its stdout must equal
+#     results/exp_table1_figures.txt, the one artefact holding full alert
+#     text (the other .txt renderings and the timing artefacts are not
+#     gated);
 #   - the allocation regression gate (crates/bench/tests/alloc_budget.rs)
 #     under the counting allocator feature: RTP-heavy testbed captures
 #     and a signalling-only synthetic load;
@@ -80,8 +83,10 @@ cargo build --release
 echo "== tests (whole workspace) =="
 cargo test -q --workspace
 
-echo "== paper results regenerate byte-identically (results/exp_*.json) =="
-for exp in exp_table1 exp_false_alarm exp_missed_alarm exp_delay exp_cooperative \
+echo "== paper results regenerate byte-identically (results/exp_*.json, Table 1 figures) =="
+cargo run --release -q -p scidive-bench --bin exp_table1 -- --trace \
+  | diff - results/exp_table1_figures.txt
+for exp in exp_false_alarm exp_missed_alarm exp_delay exp_cooperative \
            exp_crossproto_ablation exp_stateful_ablation; do
   cargo run --release -q -p scidive-bench --bin "$exp" > /dev/null
 done

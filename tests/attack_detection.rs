@@ -76,6 +76,68 @@ fn bye_attack_detected_with_small_delay() {
     assert!(report.false_alarms.is_empty(), "{:?}", report.false_alarms);
 }
 
+/// The BYE figure of `exp_table1 --trace` (seed 1, its ~9.8 ms strike
+/// jitter; the capture tap shifts frame times, not content): the alert
+/// names the forged BYE's claimed AOR, the address it came from and its
+/// CSeq, identically through one engine and through the sharded
+/// pipeline.
+#[test]
+fn bye_attack_alert_names_the_forged_bye() {
+    const MESSAGE: &str = "no RTP should be seen from a user agent after its BYE: orphan \
+                           media after teardown; the BYE claimed bob@lab and came from \
+                           10.0.0.3 (CSeq 101)";
+    let mut tb = TestbedBuilder::new(1)
+        .standard_call(SimDuration::from_millis(500), None)
+        .build();
+    let ep = tb.endpoints.clone();
+    let collector = Collector::new();
+    let tap = collector.handle();
+    tb.add_node("capture", ep.tap_ip, LinkParams::lan(), Box::new(collector));
+    tb.add_node(
+        "attacker",
+        ep.attacker_ip,
+        LinkParams::lan(),
+        Box::new(ByeAttacker::new(ByeAttackConfig::new(
+            ep.attacker_ip,
+            ep.a_ip,
+            ep.b_ip,
+            SimDuration::from_micros(1_009_770),
+        ))),
+    );
+    tb.run_for(SimDuration::from_secs(8));
+    let frames = tap.borrow().clone();
+
+    let mut config = ScidiveConfig::default();
+    config.events.infrastructure_ips = vec![ep.proxy_ip, ep.acct_ip];
+    let bye_alerts = |alerts: &[Alert]| -> Vec<(String, Option<String>)> {
+        alerts
+            .iter()
+            .filter(|a| a.rule == "bye-attack")
+            .map(|a| (a.message.clone(), a.session.as_ref().map(|s| s.to_string())))
+            .collect()
+    };
+    let want = [(
+        MESSAGE.to_string(),
+        Some("call-alice-5@10.0.0.2".to_string()),
+    )];
+    let mut single = Scidive::new(config.clone());
+    for f in &frames {
+        single.on_frame(f.time, &f.packet);
+    }
+    assert_eq!(bye_alerts(single.alerts()), want);
+    for shards in [2, 4] {
+        let mut sharded = ShardedScidive::new(config.clone(), shards, 64);
+        for f in &frames {
+            sharded.submit(f.time, &f.packet);
+        }
+        assert_eq!(
+            bye_alerts(&sharded.finish().alerts),
+            want,
+            "{shards} shards"
+        );
+    }
+}
+
 #[test]
 fn call_hijack_detected() {
     let mut tb = TestbedBuilder::new(102)
