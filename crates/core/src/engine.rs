@@ -528,7 +528,6 @@ impl Scidive {
             .sum();
         StateGauges {
             trails: trails.live,
-            retained_footprints: self.trails.footprint_count() as u64,
             media_index: media.live,
             interner: interner.live,
             synthetic_keys: synthetic.live,

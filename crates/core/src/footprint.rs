@@ -542,8 +542,8 @@ mod tests {
     }
 
     /// The view rides in the pooled box, not in the enum: a footprint
-    /// stays 80 bytes, which the ~96k retained RTP footprints of a
-    /// media-heavy capture pay for.
+    /// stays 80 bytes, which every RTP footprint pays for as it moves
+    /// through the pipeline and the shard rings.
     #[test]
     fn footprint_body_stays_eighty_bytes() {
         assert_eq!(std::mem::size_of::<FootprintBody>(), 80);

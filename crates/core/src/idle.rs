@@ -28,8 +28,8 @@
 //!   own accesses.
 //!
 //! [`IdleMap::peek`] and [`IdleMap::iter`] ignore staleness. Values the
-//! map drops itself go to its [`DropHook`]; values the caller removes
-//! or replaces are returned.
+//! map drops itself are dropped (and counted in its gauge); values the
+//! caller removes or replaces are returned.
 
 use scidive_netsim::time::{SimDuration, SimTime};
 use std::borrow::Borrow;
@@ -57,17 +57,6 @@ pub struct StoreGauge {
     pub expired: u64,
     /// Entries evicted at the cap (monotonic).
     pub evicted: u64,
-}
-
-/// Receives every value an [`IdleMap`] drops itself, by expiry or
-/// eviction. `()` discards them.
-pub trait DropHook<V> {
-    /// Takes one dropped value.
-    fn dropped(&mut self, value: V);
-}
-
-impl<V> DropHook<V> for () {
-    fn dropped(&mut self, _value: V) {}
 }
 
 #[derive(Debug, Clone)]
@@ -152,7 +141,7 @@ impl<K: Ord> Deadlines<K> {
 /// assert_eq!(map.gauge().expired, 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct IdleMap<K, V, H = ()> {
+pub struct IdleMap<K, V> {
     entries: HashMap<K, Slot<V>>,
     /// One valid record per live entry (at its `queued`), plus stale
     /// ones skipped when popped.
@@ -162,19 +151,18 @@ pub struct IdleMap<K, V, H = ()> {
     next_id: u64,
     expired: u64,
     evicted: u64,
-    hook: H,
 }
 
-impl<K: Hash + Ord + Clone, V, H: DropHook<V> + Default> Default for IdleMap<K, V, H> {
-    fn default() -> IdleMap<K, V, H> {
+impl<K: Hash + Ord + Clone, V> Default for IdleMap<K, V> {
+    fn default() -> IdleMap<K, V> {
         IdleMap::new(DEFAULT_IDLE_TIMEOUT)
     }
 }
 
-impl<K: Hash + Ord + Clone, V, H: DropHook<V> + Default> IdleMap<K, V, H> {
+impl<K: Hash + Ord + Clone, V> IdleMap<K, V> {
     /// An empty map whose entries expire after `timeout` of idleness,
     /// capped at [`MAX_LIVE_ENTRIES`].
-    pub fn new(timeout: SimDuration) -> IdleMap<K, V, H> {
+    pub fn new(timeout: SimDuration) -> IdleMap<K, V> {
         IdleMap {
             entries: HashMap::new(),
             deadlines: Deadlines {
@@ -186,13 +174,12 @@ impl<K: Hash + Ord + Clone, V, H: DropHook<V> + Default> IdleMap<K, V, H> {
             next_id: 0,
             expired: 0,
             evicted: 0,
-            hook: H::default(),
         }
     }
 
     /// The same map with a smaller cap (at least 1).
     #[cfg(test)]
-    pub(crate) fn with_cap(mut self, cap: usize) -> IdleMap<K, V, H> {
+    pub(crate) fn with_cap(mut self, cap: usize) -> IdleMap<K, V> {
         assert!(cap >= 1, "an idle map must hold the entry being inserted");
         self.cap = cap;
         self
@@ -220,14 +207,6 @@ impl<K: Hash + Ord + Clone, V, H: DropHook<V> + Default> IdleMap<K, V, H> {
             expired: self.expired,
             evicted: self.evicted,
         }
-    }
-
-    pub(crate) fn hook(&self) -> &H {
-        &self.hook
-    }
-
-    pub(crate) fn hook_mut(&mut self) -> &mut H {
-        &mut self.hook
     }
 
     /// The value under `key`, ignoring staleness.
@@ -330,11 +309,8 @@ impl<K: Hash + Ord + Clone, V, H: DropHook<V> + Default> IdleMap<K, V, H> {
                 break;
             }
             let due = self.deadlines.pop().expect("peeked");
-            if let Some(value) =
-                self.settle(due, |s| now.saturating_since(s.last_active) >= timeout)
-            {
+            if self.settle(due, |s| now.saturating_since(s.last_active) >= timeout) {
                 self.expired += 1;
-                self.hook.dropped(value);
             }
         }
         if self.deadlines.len() > 2 * self.entries.len() + STALE_RECORD_SLACK {
@@ -352,36 +328,32 @@ impl<K: Hash + Ord + Clone, V, H: DropHook<V> + Default> IdleMap<K, V, H> {
     /// entry's `last_active` is at or after its own record.
     fn evict_oldest(&mut self) {
         while let Some(due) = self.deadlines.pop() {
-            if let Some(value) = self.settle(due, |s| s.queued == s.last_active) {
+            if self.settle(due, |s| s.queued == s.last_active) {
                 self.evicted += 1;
-                self.hook.dropped(value);
                 return;
             }
         }
     }
 
     /// Resolves one popped record: a stale one is dropped; otherwise the
-    /// entry is removed and returned if `dies` holds, or re-queued at its
-    /// `last_active`.
-    fn settle(
-        &mut self,
-        (at, id, key): Record<K>,
-        dies: impl FnOnce(&Slot<V>) -> bool,
-    ) -> Option<V> {
+    /// entry is removed if `dies` holds (returning true), or re-queued at
+    /// its `last_active`.
+    fn settle(&mut self, (at, id, key): Record<K>, dies: impl FnOnce(&Slot<V>) -> bool) -> bool {
         let Entry::Occupied(mut e) = self.entries.entry(key) else {
-            return None;
+            return false;
         };
         let slot = e.get_mut();
         if slot.id != id || slot.queued != at {
-            return None;
+            return false;
         }
         if dies(slot) {
-            return Some(e.remove().value);
+            e.remove();
+            return true;
         }
         slot.queued = slot.last_active;
         let record = (slot.last_active, id, e.key().clone());
         self.deadlines.push(record);
-        None
+        false
     }
 }
 
@@ -403,16 +375,6 @@ mod tests {
 
     fn at(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
-    }
-
-    /// Collects what the map drops on its own.
-    #[derive(Debug, Default)]
-    struct Graveyard(Vec<u32>);
-
-    impl DropHook<u32> for Graveyard {
-        fn dropped(&mut self, value: u32) {
-            self.0.push(value);
-        }
     }
 
     #[test]
@@ -494,38 +456,40 @@ mod tests {
         // 10 stale; then 1 is touched at 200. Entry 2 opens at 50. At the
         // cap, 2 (idle since 50) is the one to go, not 1, though 1's
         // stale record at 10 pops first.
-        let mut map: IdleMap<u32, u32, Graveyard> =
-            IdleMap::new(SimDuration::from_secs(600)).with_cap(2);
+        let mut map: IdleMap<u32, u32> = IdleMap::new(SimDuration::from_secs(600)).with_cap(2);
         map.insert(1, 10, at(10));
         map.get_mut(&1, at(5));
         map.insert(2, 20, at(50));
         map.get_mut(&1, at(200));
         map.insert(3, 30, at(210));
-        assert!(map.peek(&1).is_some());
+        assert_eq!(map.peek(&1), Some(&10));
         assert!(map.peek(&2).is_none());
-        assert_eq!(map.hook().0, vec![20]);
+        assert_eq!(map.peek(&3), Some(&30));
         assert_eq!(map.gauge().evicted, 1);
     }
 
     #[test]
     fn equal_idle_times_evict_in_creation_order() {
-        let mut map: IdleMap<u32, u32, Graveyard> =
-            IdleMap::new(SimDuration::from_secs(600)).with_cap(2);
+        let mut map: IdleMap<u32, u32> = IdleMap::new(SimDuration::from_secs(600)).with_cap(2);
         map.insert(7, 70, at(10));
         map.insert(3, 30, at(10));
         map.insert(5, 50, at(10));
-        assert_eq!(map.hook().0, vec![70]);
+        assert!(map.peek(&7).is_none(), "the first created goes");
+        assert_eq!(map.peek(&3), Some(&30));
+        assert_eq!(map.peek(&5), Some(&50));
+        assert_eq!(map.gauge().evicted, 1);
     }
 
     #[test]
-    fn the_hook_gets_expired_values_and_the_caller_gets_removed_ones() {
-        let mut map: IdleMap<u32, u32, Graveyard> = IdleMap::new(SimDuration::from_millis(10));
+    fn the_map_drops_expired_values_and_the_caller_gets_removed_ones() {
+        let mut map: IdleMap<u32, u32> = IdleMap::new(SimDuration::from_millis(10));
         map.insert(1, 10, at(0));
         map.insert(2, 20, at(5));
         assert_eq!(map.remove(&2, at(6)), Some(20));
         assert_eq!(map.insert(3, 30, at(20)), None);
+        assert!(map.peek(&1).is_none(), "expired and dropped by the map");
         assert_eq!(map.insert(3, 31, at(21)), Some(30));
-        assert_eq!(map.hook().0, vec![10]);
+        assert_eq!(map.peek(&3), Some(&31));
         assert_eq!(
             map.gauge(),
             StoreGauge {

@@ -11,9 +11,9 @@
 //!   ([`crate::engine::PipelineStats`], [`crate::distill::DistillStats`],
 //!   [`crate::shard::DispatchStats`]) plus per-severity alert counts.
 //! * **Gauges** ([`StateGauges`]) — the sizes that must plateau for the
-//!   engine to be deployable: live trails, retained footprints, media
-//!   correlation index, session interner, memoized synthetic keys —
-//!   and the lifecycle counters proving expiry actually runs.
+//!   engine to be deployable: live trails, media correlation index,
+//!   session interner, memoized synthetic keys — and the lifecycle
+//!   counters proving expiry actually runs.
 //! * **Histograms** ([`Histogram`]) — fixed-bucket, allocation-free
 //!   recording of rule-evaluation latency (wall clock), detection delay
 //!   (sim time from trail creation to alert), dispatch batch linger
@@ -247,8 +247,6 @@ impl std::ops::Add for SeverityCounts {
 pub struct StateGauges {
     /// Live trails across all engines.
     pub trails: u64,
-    /// Footprints currently retained in trails.
-    pub retained_footprints: u64,
     /// Learned `(addr, port) → session` media mappings.
     pub media_index: u64,
     /// Distinct interned session keys.
@@ -329,7 +327,6 @@ impl std::ops::Add for StateGauges {
     fn add(self, rhs: StateGauges) -> StateGauges {
         StateGauges {
             trails: self.trails + rhs.trails,
-            retained_footprints: self.retained_footprints + rhs.retained_footprints,
             media_index: self.media_index + rhs.media_index,
             interner: self.interner + rhs.interner,
             synthetic_keys: self.synthetic_keys + rhs.synthetic_keys,
@@ -761,9 +758,8 @@ impl PipelineObservation {
         );
         let _ = writeln!(
             out,
-            "state      trails={} retained={} media_index={} interner={} synthetic_keys={} rule_state={} session_plane={} router_media={} router_interner={} router_synth={}",
+            "state      trails={} media_index={} interner={} synthetic_keys={} rule_state={} session_plane={} router_media={} router_interner={} router_synth={}",
             self.gauges.trails,
-            self.gauges.retained_footprints,
             self.gauges.media_index,
             self.gauges.interner,
             self.gauges.synthetic_keys,

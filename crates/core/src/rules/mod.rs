@@ -39,9 +39,12 @@ pub struct RuleCtx<'a> {
     /// Current time.
     pub now: SimTime,
     /// The trail store: the paper's escape hatch for a custom rule that
-    /// needs a footprint no event carries. No builtin reads it; the
-    /// BYE's originator, the one datum the paper cites, travels on
-    /// [`crate::event::EventKind::OrphanRtpAfterBye`].
+    /// needs "crude information directly from the Trails". Trails
+    /// retain no footprint, so what it offers is each trail's summary
+    /// (created, last active, footprints filed) and the media index; a
+    /// rule that wants footprint history keeps its own state. No
+    /// builtin reads it; the BYE's originator, the one datum the paper
+    /// cites, travels on [`crate::event::EventKind::OrphanRtpAfterBye`].
     pub trails: &'a TrailStore,
     /// The engine's rate hub (see [`crate::rate`]): the seeded key
     /// hash, and under the sharded fold plane the outbox threshold

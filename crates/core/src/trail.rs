@@ -9,7 +9,8 @@
 //! the SIP session whose SDP announced their destination. The keying
 //! rules and the media correlation index itself live in
 //! [`crate::routing`] (they are shared with the sharded dispatcher);
-//! the store here applies them to file footprints into trails.
+//! the store here applies them to file footprints into trails, which
+//! count them rather than retain them (see [`Trail`]).
 //!
 //! Bounded state (paper §3.3): the trails live in an
 //! [`crate::idle::IdleMap`], so before each insert every trail idle for
@@ -20,11 +21,10 @@
 //! only while every shard stays below the cap.
 
 use crate::footprint::{Footprint, TrailProto};
-use crate::idle::{DropHook, IdleMap, DEFAULT_IDLE_TIMEOUT};
+use crate::idle::{IdleMap, DEFAULT_IDLE_TIMEOUT};
 use crate::routing::MediaIndex;
 use scidive_netsim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -177,46 +177,34 @@ pub struct TrailKey {
     pub proto: TrailProto,
 }
 
-/// One trail: the time-ordered footprints of a session on one protocol.
+/// One trail: the summary of a session's footprints on one protocol.
+///
+/// A trail records when it was opened, when a footprint last landed in
+/// it and how many have; the footprints themselves go back to the
+/// caller of [`TrailStore::insert`], and the events the Event Generator
+/// condenses from them carry everything a rule reads.
 #[derive(Debug, Clone)]
 pub struct Trail {
     key: TrailKey,
-    footprints: VecDeque<Arc<Footprint>>,
     created: SimTime,
-    /// Footprints evicted due to the per-trail cap.
-    evicted: u64,
+    last_active: SimTime,
+    len: usize,
 }
 
 impl Trail {
-    fn new(key: TrailKey, now: SimTime) -> Trail {
-        Trail {
-            key,
-            footprints: VecDeque::new(),
-            created: now,
-            evicted: 0,
-        }
-    }
-
     /// The trail's key.
     pub fn key(&self) -> &TrailKey {
         &self.key
     }
 
-    /// Footprints currently retained, oldest first.
-    pub fn footprints(
-        &self,
-    ) -> impl DoubleEndedIterator<Item = &Arc<Footprint>> + ExactSizeIterator {
-        self.footprints.iter()
-    }
-
-    /// Number of retained footprints.
+    /// Number of footprints filed into the trail.
     pub fn len(&self) -> usize {
-        self.footprints.len()
+        self.len
     }
 
-    /// Whether the trail holds no footprints.
+    /// Whether no footprint has been filed (never, for a live trail).
     pub fn is_empty(&self) -> bool {
-        self.footprints.is_empty()
+        self.len == 0
     }
 
     /// When the trail was created.
@@ -224,17 +212,9 @@ impl Trail {
         self.created
     }
 
-    /// Last insertion time: the newest retained footprint's (the
-    /// creation time if the per-trail cap retains none).
+    /// The latest insert's time, even when the capture stepped back.
     pub fn last_active(&self) -> SimTime {
-        self.footprints
-            .back()
-            .map_or(self.created, |fp| fp.meta.time)
-    }
-
-    /// Footprints dropped to honour the retention cap.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
+        self.last_active
     }
 }
 
@@ -242,7 +222,8 @@ impl Trail {
 /// detection "applicable in high throughput systems" (paper §3.3).
 #[derive(Debug, Clone)]
 pub struct TrailStoreConfig {
-    /// Maximum footprints retained per trail.
+    /// Ignored: trails retain no footprints. Kept only because the
+    /// repo benchmark still sets it.
     pub max_footprints_per_trail: usize,
     /// Trails idle for this long or longer (`now - last_active ≥
     /// idle_timeout`) are dropped on the next insert.
@@ -263,7 +244,8 @@ impl Default for TrailStoreConfig {
 pub struct TrailStats {
     /// Footprints inserted.
     pub inserted: u64,
-    /// Footprints evicted by the per-trail cap.
+    /// Always 0: trails retain no footprints to evict. Kept only
+    /// because the repo benchmark still reads it.
     pub evicted: u64,
     /// Whole trails expired by the idle timeout.
     pub expired_trails: u64,
@@ -276,56 +258,12 @@ pub struct TrailStats {
 /// indices.
 #[derive(Debug)]
 pub struct TrailStore {
-    config: TrailStoreConfig,
-    trails: IdleMap<TrailKey, Trail, Recycler>,
+    trails: IdleMap<TrailKey, Trail>,
     /// (media sink addr, port) → owning session, learned from SDP.
     media_index: MediaIndex,
-    /// Footprints inserted and footprints evicted by the per-trail cap;
-    /// the trail counters come from the map's gauge.
-    stats: TrailStats,
+    /// Footprints inserted.
+    inserted: u64,
 }
-
-/// The trail map's drop hook: keeps the retained-footprint count exact
-/// and pools the footprint slots of dropped trails.
-#[derive(Debug, Default)]
-struct Recycler {
-    /// Recycled footprint slots: `Arc`s whose footprint left its trail
-    /// with no other holder. [`TrailStore::insert`] overwrites a slot in
-    /// place instead of allocating a fresh `Arc` — the steady-state
-    /// retain/evict cycle then runs with zero allocator traffic per
-    /// frame. Bounded by [`FOOTPRINT_POOL_CAP`].
-    free: Vec<Arc<Footprint>>,
-    /// Footprints retained across all trails.
-    retained: usize,
-}
-
-impl Recycler {
-    /// Returns a footprint slot to the pool if nothing else still holds
-    /// it (rules and alerts may retain `Arc` clones — those slots are
-    /// simply dropped) and the pool has room.
-    fn recycle(&mut self, slot: Arc<Footprint>) {
-        if self.free.len() < FOOTPRINT_POOL_CAP
-            && Arc::strong_count(&slot) == 1
-            && Arc::weak_count(&slot) == 0
-        {
-            self.free.push(slot);
-        }
-    }
-}
-
-impl DropHook<Trail> for Recycler {
-    fn dropped(&mut self, trail: Trail) {
-        self.retained -= trail.footprints.len();
-        for slot in trail.footprints {
-            self.recycle(slot);
-        }
-    }
-}
-
-/// Upper bound on pooled footprint slots. Enough to keep the
-/// evict-one-insert-one steady state allocation-free; beyond it, retired
-/// slots go back to the allocator so a burst can't pin memory.
-const FOOTPRINT_POOL_CAP: usize = 256;
 
 impl Default for TrailStore {
     fn default() -> TrailStore {
@@ -348,8 +286,7 @@ impl TrailStore {
         TrailStore {
             media_index: MediaIndex::with_protocols(config.idle_timeout, protocols),
             trails: IdleMap::new(config.idle_timeout),
-            config,
-            stats: TrailStats::default(),
+            inserted: 0,
         }
     }
 
@@ -364,9 +301,10 @@ impl TrailStore {
     pub fn stats(&self) -> TrailStats {
         let gauge = self.trails.gauge();
         TrailStats {
+            inserted: self.inserted,
+            evicted: 0,
             expired_trails: gauge.expired,
             evicted_trails: gauge.evicted,
-            ..self.stats
         }
     }
 
@@ -380,9 +318,10 @@ impl TrailStore {
         self.trails.len()
     }
 
-    /// Total retained footprints across all trails.
+    /// Always 0: trails retain no footprints. Kept only because the
+    /// repo benchmark still reads it.
     pub fn footprint_count(&self) -> usize {
-        self.trails.hook().retained
+        0
     }
 
     /// The session owning a media sink, if announced by any SDP seen.
@@ -413,9 +352,9 @@ impl TrailStore {
         trails
     }
 
-    /// Inserts a footprint, assigning it to a session trail. Returns the
-    /// shared footprint and the trail key it landed in.
-    pub fn insert(&mut self, fp: Footprint) -> (Arc<Footprint>, TrailKey) {
+    /// Files a footprint into its session trail. Returns the footprint,
+    /// for the Event Generator, and the trail key it landed in.
+    pub fn insert(&mut self, fp: Footprint) -> (Footprint, TrailKey) {
         let now = fp.meta.time;
         let session = self.media_index.session_for(&fp);
         self.media_index.learn_from(&fp, &session);
@@ -423,34 +362,15 @@ impl TrailStore {
             session,
             proto: fp.proto(),
         };
-        // Reuse a recycled slot when one is available: overwriting the
-        // unique `Arc` in place drops the old footprint without touching
-        // the allocator.
-        let fp = match self.trails.hook_mut().free.pop() {
-            Some(mut slot) => {
-                *Arc::get_mut(&mut slot).expect("pooled slots are unique") = fp;
-                slot
-            }
-            None => Arc::new(fp),
-        };
-        let trail = self
-            .trails
-            .get_or_insert_with(key.clone(), now, || Trail::new(key.clone(), now));
-        trail.footprints.push_back(fp.clone());
-        let evicted = if trail.footprints.len() > self.config.max_footprints_per_trail {
-            trail.evicted += 1;
-            trail.footprints.pop_front()
-        } else {
-            None
-        };
-        self.stats.inserted += 1;
-        let recycler = self.trails.hook_mut();
-        recycler.retained += 1;
-        if let Some(old) = evicted {
-            self.stats.evicted += 1;
-            recycler.retained -= 1;
-            recycler.recycle(old);
-        }
+        let trail = self.trails.get_or_insert_with(key.clone(), now, || Trail {
+            key: key.clone(),
+            created: now,
+            last_active: now,
+            len: 0,
+        });
+        trail.len += 1;
+        trail.last_active = now;
+        self.inserted += 1;
         (fp, key)
     }
 }
@@ -563,12 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn per_trail_cap_evicts_oldest() {
-        let mut store = TrailStore::new(TrailStoreConfig {
-            max_footprints_per_trail: 3,
-            ..TrailStoreConfig::default()
-        });
-        for t in 0..5 {
+    fn a_trail_counts_every_footprint_without_a_cap() {
+        let mut store = TrailStore::new(TrailStoreConfig::default());
+        for t in 0..5_000 {
             store.insert(rtp_to([10, 0, 0, 9], 1234, t));
         }
         let key = TrailKey {
@@ -576,14 +493,10 @@ mod tests {
             proto: TrailProto::Rtp,
         };
         let trail = store.trail(&key).unwrap();
-        assert_eq!(trail.len(), 3);
-        assert_eq!(trail.evicted(), 2);
-        assert_eq!(store.stats().evicted, 2);
-        // Oldest retained is t=2.
-        assert_eq!(
-            trail.footprints().next().unwrap().meta.time,
-            SimTime::from_millis(2)
-        );
+        assert_eq!(trail.len(), 5_000);
+        assert_eq!(trail.created(), SimTime::ZERO);
+        assert_eq!(trail.last_active(), SimTime::from_millis(4_999));
+        assert_eq!(store.stats().inserted, 5_000);
     }
 
     #[test]
@@ -611,13 +524,16 @@ mod tests {
         });
         let (_, key) = store.insert(rtp_to([10, 0, 0, 9], 1234, 100));
         store.insert(rtp_to([10, 0, 0, 9], 1234, 90));
+        assert_eq!(
+            store.trail(&key).unwrap().last_active(),
+            SimTime::from_millis(90)
+        );
         store.insert(rtp_to([10, 0, 0, 9], 5678, 139));
         assert!(store.trail(&key).is_some(), "idle 49 ms: still live");
         store.insert(rtp_to([10, 0, 0, 9], 5678, 140));
         assert!(store.trail(&key).is_none(), "idle 50 ms: expired");
         assert_eq!(store.stats().expired_trails, 1);
         assert_eq!(store.trail_count(), 1);
-        assert_eq!(store.footprint_count(), 2);
     }
 
     #[test]
@@ -635,7 +551,7 @@ mod tests {
         assert!(store.trail(&a).is_some());
         assert!(store.trail(&b).is_none());
         assert_eq!(store.stats().evicted_trails, 1);
-        assert_eq!(store.footprint_count(), 4);
+        assert_eq!(store.trail(&a).unwrap().len(), 3);
     }
 
     #[test]
@@ -660,8 +576,6 @@ mod tests {
             fp.meta.time = SimTime::from_millis(t);
             store.insert(fp);
             assert!(store.trail_count() <= CAP);
-            let retained: usize = store.trails.iter().map(|(_, t)| t.len()).sum();
-            assert_eq!(store.footprint_count(), retained);
         }
         let stats = store.stats();
         // Every trail ever opened is live or was evicted; none expired.

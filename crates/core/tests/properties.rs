@@ -75,14 +75,13 @@ proptest! {
 
     #[test]
     fn trail_store_accounting_balances(
-        inserts in proptest::collection::vec((any::<u16>(), any::<u16>(), any::<u16>()), 1..300),
-        cap in 1usize..64,
+        inserts in proptest::collection::vec((0u16..32, any::<u16>()), 1..300),
     ) {
-        let mut store = TrailStore::new(TrailStoreConfig {
-            max_footprints_per_trail: cap,
-            ..TrailStoreConfig::default()
-        });
-        for (i, (port, seq, _)) in inserts.iter().enumerate() {
+        let mut store = TrailStore::new(TrailStoreConfig::default());
+        // Inserts per port since its trail was created (no idle expiry
+        // at these times, so every trail lives from its first insert).
+        let mut model: HashMap<u16, usize> = HashMap::new();
+        for (i, (port, seq)) in inserts.iter().enumerate() {
             let fp = Footprint {
                 meta: PacketMeta {
                     time: SimTime::from_millis(i as u64),
@@ -97,25 +96,20 @@ proptest! {
                 },
             };
             store.insert(fp);
+            *model.entry(*port).or_default() += 1;
         }
-        let stats = store.stats();
-        prop_assert_eq!(stats.inserted, inserts.len() as u64);
-        // retained + evicted == inserted (no idle expiry at these times).
-        prop_assert_eq!(
-            store.footprint_count() as u64 + stats.evicted,
-            stats.inserted
-        );
-        // Every trail honours the cap.
-        for port in inserts.iter().map(|(p, _, _)| *p) {
+        prop_assert_eq!(store.stats().inserted, inserts.len() as u64);
+        prop_assert_eq!(store.trail_count(), model.len());
+        for (port, want) in &model {
             let key = scidive_core::trail::TrailKey {
                 session: scidive_core::trail::SessionKey::new(
                     format!("flow-10.0.0.2:{port}"),
                 ),
                 proto: scidive_core::footprint::TrailProto::Rtp,
             };
-            if let Some(trail) = store.trail(&key) {
-                prop_assert!(trail.len() <= cap);
-            }
+            let trail = store.trail(&key);
+            prop_assert!(trail.is_some(), "{:?} missing", key);
+            prop_assert_eq!(trail.unwrap().len(), *want);
         }
     }
 
@@ -815,7 +809,7 @@ impl TrailModel {
         self.stats.expired_trails += (before - self.trails.len()) as u64;
     }
 
-    fn file(&mut self, key: TrailKey, now: SimTime, cap: usize) {
+    fn file(&mut self, key: TrailKey, now: SimTime) {
         let trail = self.trails.entry(key).or_insert(ModelTrail {
             created: now,
             last_active: now,
@@ -824,10 +818,6 @@ impl TrailModel {
         trail.last_active = now;
         trail.len += 1;
         self.stats.inserted += 1;
-        if trail.len > cap {
-            trail.len -= 1;
-            self.stats.evicted += 1;
-        }
     }
 }
 
@@ -874,12 +864,11 @@ proptest! {
     fn trail_expiry_matches_the_retain_every_insert_model(
         steps in proptest::collection::vec((0u8..3, 0usize..6, 0.0f64..1.0), 1..300),
         timeout_us in prop_oneof![Just(0u64), Just(1u64), 2u64..200_000],
-        cap in 1usize..6,
     ) {
         let timeout = SimDuration::from_micros(timeout_us);
         let mut store = TrailStore::new(TrailStoreConfig {
-            max_footprints_per_trail: cap,
             idle_timeout: timeout,
+            ..TrailStoreConfig::default()
         });
         let mut model = TrailModel::default();
         let span = timeout_us.max(1_000) as f64;
@@ -890,14 +879,10 @@ proptest! {
             let now = SimTime::from_micros(at);
             model.expire(now, timeout);
             let (_, key) = store.insert(trail_footprint(kind, session, now));
-            model.file(key, now, cap);
+            model.file(key, now);
 
             prop_assert_eq!(store.stats(), model.stats);
             prop_assert_eq!(store.trail_count(), model.trails.len());
-            prop_assert_eq!(
-                store.footprint_count(),
-                model.trails.values().map(|t| t.len).sum::<usize>()
-            );
             for (key, want) in &model.trails {
                 let got = store.trail(key);
                 prop_assert!(got.is_some(), "{:?} missing", key);

@@ -164,6 +164,14 @@ impl Simulator {
     }
 
     /// Attaches a node to the segment and schedules its `on_start`.
+    ///
+    /// The node's RNG — the loss and delay draws of every delivery to it,
+    /// and [`NodeCtx::rng`] for the node itself — is forked from the
+    /// simulator's seed by the label `node:<name>` and the attach index.
+    /// So a node's delivery times depend on its name and position, not
+    /// on what kind of node it is: a passive tap attached under the same
+    /// name at the same index sees the same frames at the same times
+    /// whatever it does with them, and renaming it shifts them.
     pub fn add_node(&mut self, config: NodeConfig, node: Box<dyn Node>) -> NodeId {
         let id = NodeId(self.attachments.len());
         let rng = self

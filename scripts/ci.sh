@@ -60,7 +60,9 @@
 #     (artifacts: BENCH_rules.json, results/rule_dispatch.txt);
 #   - a structural check keeps protocol modules from importing siblings
 #     (DESIGN SS12), another keeps hand-rolled expiry sweeps out of
-#     crates/core/src (idle expiry lives only in the IdleMap), and the
+#     crates/core/src (idle expiry lives only in the IdleMap), a third
+#     keeps footprint retention out of it (a trail is a session summary;
+#     no `Arc<Footprint>` may hold a footprint past its frame), and the
 #     .scid compile gate (dsl_rules --check) denies warnings on every
 #     shipped rule file;
 #   - the 100k-dialog release soak (tests/soak.rs) holds the identity
@@ -132,6 +134,12 @@ done
 echo "== one expiry implementation (no hand-rolled sweeps) =="
 if grep -rn 'last_sweep\|maybe_sweep' crates/core/src; then
   echo "idle expiry belongs to crates/core/src/idle.rs, not to a private sweep" >&2
+  exit 1
+fi
+
+echo "== trails are summaries (no retained footprints) =="
+if grep -rnE '(Arc|Rc)<[[:space:]]*([a-z_]+::)*Footprint[[:space:]]*>' crates/core/src; then
+  echo "a footprint lives for its own frame only: trails count footprints, they do not retain them" >&2
   exit 1
 fi
 

@@ -76,23 +76,19 @@ fn bye_attack_detected_with_small_delay() {
     assert!(report.false_alarms.is_empty(), "{:?}", report.false_alarms);
 }
 
-/// The BYE figure of `exp_table1 --trace` (seed 1, its ~9.8 ms strike
-/// jitter; the capture tap shifts frame times, not content): the alert
-/// names the forged BYE's claimed AOR, the address it came from and its
-/// CSeq, identically through one engine and through the sharded
-/// pipeline.
-#[test]
-fn bye_attack_alert_names_the_forged_bye() {
-    const MESSAGE: &str = "no RTP should be seen from a user agent after its BYE: orphan \
-                           media after teardown; the BYE claimed bob@lab and came from \
-                           10.0.0.3 (CSeq 101)";
+/// The seed-1 BYE attack of `exp_table1 --trace`, with `tap` attached
+/// as `capture` before the attacker; `tap` is built from the IDS config
+/// for the testbed. Returns the run testbed, the tap and that config.
+fn seed1_bye_attack(
+    tap: impl FnOnce(ScidiveConfig) -> Box<dyn Node>,
+) -> (Testbed, NodeId, ScidiveConfig) {
     let mut tb = TestbedBuilder::new(1)
         .standard_call(SimDuration::from_millis(500), None)
         .build();
     let ep = tb.endpoints.clone();
-    let collector = Collector::new();
-    let tap = collector.handle();
-    tb.add_node("capture", ep.tap_ip, LinkParams::lan(), Box::new(collector));
+    let mut config = ScidiveConfig::default();
+    config.events.infrastructure_ips = vec![ep.proxy_ip, ep.acct_ip];
+    let id = tb.add_node("capture", ep.tap_ip, LinkParams::lan(), tap(config.clone()));
     tb.add_node(
         "attacker",
         ep.attacker_ip,
@@ -105,10 +101,24 @@ fn bye_attack_alert_names_the_forged_bye() {
         ))),
     );
     tb.run_for(SimDuration::from_secs(8));
+    (tb, id, config)
+}
+
+/// The BYE figure of `exp_table1 --trace` (seed 1, its ~9.8 ms strike
+/// jitter; the capture tap shifts frame times, not content): the alert
+/// names the forged BYE's claimed AOR, the address it came from and its
+/// CSeq, identically through one engine and through the sharded
+/// pipeline.
+#[test]
+fn bye_attack_alert_names_the_forged_bye() {
+    const MESSAGE: &str = "no RTP should be seen from a user agent after its BYE: orphan \
+                           media after teardown; the BYE claimed bob@lab and came from \
+                           10.0.0.3 (CSeq 101)";
+    let collector = Collector::new();
+    let tap = collector.handle();
+    let (_, _, config) = seed1_bye_attack(|_| Box::new(collector));
     let frames = tap.borrow().clone();
 
-    let mut config = ScidiveConfig::default();
-    config.events.infrastructure_ips = vec![ep.proxy_ip, ep.acct_ip];
     let bye_alerts = |alerts: &[Alert]| -> Vec<(String, Option<String>)> {
         alerts
             .iter()
@@ -136,6 +146,36 @@ fn bye_attack_alert_names_the_forged_bye() {
             "{shards} shards"
         );
     }
+}
+
+/// The simulator seeds each node's link RNG from its name and attach
+/// position, so the tap's timing depends on those two alone: an online
+/// `IdsNode` and a `Collector` replayed offline, both named `capture`
+/// and attached in the same place, raise the same rendered `bye-attack`
+/// alert, time included.
+#[test]
+fn online_and_replayed_taps_agree_when_named_alike() {
+    let bye_alerts = |alerts: &[Alert]| -> Vec<String> {
+        alerts
+            .iter()
+            .filter(|a| a.rule == "bye-attack")
+            .map(|a| a.to_string())
+            .collect()
+    };
+    let (online, ids, _) = seed1_bye_attack(|config| Box::new(IdsNode::new(config)));
+    let live = bye_alerts(&alerts_of(&online, ids));
+
+    let collector = Collector::new();
+    let tap = collector.handle();
+    let (_, _, config) = seed1_bye_attack(|_| Box::new(collector));
+    let mut offline = Scidive::new(config);
+    for f in tap.borrow().iter() {
+        offline.on_frame(f.time, &f.packet);
+    }
+    let replayed = bye_alerts(offline.alerts());
+
+    assert_eq!(live.len(), 1, "{live:?}");
+    assert_eq!(live, replayed);
 }
 
 #[test]

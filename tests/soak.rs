@@ -130,9 +130,8 @@ fn soak_rate_state_bounded_and_gauges_plateau() {
         let peak = mid.iter().map(f).max().unwrap_or(0);
         peak + peak / 10 + 64
     };
-    let checks: [(&str, Gauge); 7] = [
+    let checks: [(&str, Gauge); 6] = [
         ("trails", |g| g.trails),
-        ("retained_footprints", |g| g.retained_footprints),
         ("media_index", |g| g.media_index),
         ("interner", |g| g.interner),
         ("synthetic_keys", |g| g.synthetic_keys),
