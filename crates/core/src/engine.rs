@@ -266,9 +266,8 @@ impl Scidive {
     /// [`Scidive::new`] except the event generator runs without an
     /// identity plane, because the sharded dispatcher owns the one
     /// shared plane and injects its events via
-    /// [`Scidive::on_distilled`]; and when the fold plane is enabled
-    /// the rate hub runs in aggregated mode
-    /// ([`crate::rate::RateHub::new_aggregated`]): threshold rules
+    /// [`Scidive::on_distilled`]; and the rate hub runs in aggregated
+    /// mode ([`crate::rate::RateHub::new_aggregated`]): threshold rules
     /// forward their observations, and the dispatcher's
     /// [`crate::rate::GlobalRatePlane`] owns threshold evaluation.
     pub fn data_plane_from_blueprint(
@@ -280,7 +279,7 @@ impl Scidive {
 
     fn assemble(config: ScidiveConfig, blueprint: &RulesetBlueprint, data_plane: bool) -> Scidive {
         let rules = blueprint.build(config.full_scan_rules, config.trails.idle_timeout);
-        let rates = if data_plane && config.fold.enabled {
+        let rates = if data_plane {
             RateHub::new_aggregated(config.rate.clone(), config.exact_rate_state)
         } else {
             RateHub::new(config.rate.clone(), config.exact_rate_state)

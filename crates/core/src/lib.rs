@@ -35,7 +35,7 @@
 //!   [`shard::ShardedScidive`] uses it to fan the pipeline out over `N`
 //!   worker engines whose merged output is byte-identical to one engine
 //!   (`N = 1` is the plain threaded deployment); batches travel over
-//!   per-shard [`spsc`] rings.
+//!   one bounded [`std::sync::mpsc::sync_channel`] per shard.
 //! * [`idle::IdleMap`] is the one idle-expiring, capped map every
 //!   session store is built on: trails, the media index, the session
 //!   plane, identity bindings and rule state (paper §3.3's memory
@@ -80,7 +80,6 @@ pub mod rate;
 pub mod routing;
 pub mod rules;
 pub mod shard;
-pub mod spsc;
 pub mod trail;
 
 /// Convenient glob import of the common IDS types.

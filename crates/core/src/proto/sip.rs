@@ -368,7 +368,6 @@ pub struct IdentityPlane {
     /// after it was last (re-)learned and reads as absent once idle for
     /// longer than that.
     aor_ips: IdleMap<Arc<str>, (Ipv4Addr, SimTime)>,
-    events_emitted: u64,
 }
 
 impl IdentityPlane {
@@ -404,13 +403,7 @@ impl IdentityPlane {
                 config.identity_timeout.as_micros().saturating_add(1),
             )),
             config,
-            events_emitted: 0,
         }
-    }
-
-    /// Events produced so far by this plane.
-    pub fn events_emitted(&self) -> u64 {
-        self.events_emitted
     }
 
     /// The AOR bindings' size and lifecycle counters.
@@ -440,7 +433,6 @@ impl IdentityPlane {
     }
 
     fn emit(&mut self, out: &mut Vec<Event>, time: SimTime, kind: EventKind) {
-        self.events_emitted += 1;
         // Identity-plane events are never session-scoped: floods, digest
         // windows and IM histories are keyed by address or AOR.
         out.push(Event {

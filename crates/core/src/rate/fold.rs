@@ -29,9 +29,9 @@ use scidive_netsim::time::{SimDuration, SimTime};
 /// clauses locally regardless.
 #[derive(Debug, Clone)]
 pub struct FoldConfig {
-    /// Whether the sharded pipeline runs the fold plane at all. Off
-    /// restores the pre-fold per-shard-slice evaluation — kept as a
-    /// switch so the detection-miss regression stays testable.
+    /// Ignored: the sharded pipeline always folds, since per-shard
+    /// threshold evaluation misses a flood whose dialogs hash across
+    /// shards. Kept only because the repo benchmark still sets it.
     pub enabled: bool,
     /// Capture-time fold cadence: shards are folded at every multiple
     /// of this interval (quantised from time zero), plus once at

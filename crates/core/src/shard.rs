@@ -43,10 +43,9 @@
 //! is its own session and sticks to its hashed shard). Only session-less
 //! frames (fragments still reassembling) fall to the designated
 //! [`crate::routing::SessionRouter::overflow_shard`]. Each shard queue
-//! is a bounded [`crate::spsc`] ring — the dispatcher is the only
-//! producer and the shard worker the only consumer, so the channel
-//! never pays multi-producer coordination. A full ring blocks the
-//! dispatcher (backpressure, recorded in
+//! is a bounded [`std::sync::mpsc::sync_channel`]: the dispatcher is
+//! its only producer and the shard worker its only consumer. A full
+//! queue blocks the dispatcher (backpressure, recorded in
 //! [`ShardStats::enqueue_blocked`]) instead of shedding frames, so
 //! [`DispatchStats::dropped`] is structurally zero.
 //!
@@ -86,21 +85,21 @@ use crate::observe::{
 use crate::rate::{GlobalRatePlane, RateDelta};
 use crate::routing::SessionRouter;
 use crate::rules::{Diagnostic, RuleToggles, RulesetBlueprint};
-use crate::spsc::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
 use scidive_netsim::packet::IpPacket;
 use scidive_netsim::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Frames accumulated per shard before one channel send. The per-send
 /// cost (channel synchronization + wakeup) amortizes over eight frames,
-/// and the heap held in flight stays small: a shard ring holds
+/// and the heap held in flight stays small: a shard queue holds
 /// `queue_depth` batches and a parsed SIP frame holds ~2 KB until its
-/// worker drops it, so whatever a worker stall lets the ring fill with
+/// worker drops it, so whatever a worker stall lets the queue fill with
 /// is added to the pipeline's peak heap (32-frame batches in a 64-batch
-/// ring: ~4 MB, as the scheduler decides).
+/// queue: ~4 MB, as the scheduler decides).
 const DEFAULT_BATCH: usize = 8;
 
 /// Capture-time bound on how long a buffered frame may wait for its
@@ -121,7 +120,7 @@ struct ShardFrame {
 }
 
 /// What rides a shard channel: a frame batch, a fold barrier, or a
-/// ruleset-swap barrier. The ring is FIFO, so by the time a worker
+/// ruleset-swap barrier. The queue is FIFO, so by the time a worker
 /// handles `Fold` or `Swap` it has fully processed every batch the
 /// dispatcher sent before the token — exactly the frames the barrier is
 /// meant to cover, giving every shard the same deterministic boundary.
@@ -163,9 +162,9 @@ struct FoldState {
     /// Next capture-time boundary (a multiple of `interval`) at which to
     /// fold.
     next_boundary: SimTime,
-    /// Where workers reply with their deltas. Plain `mpsc` (not spsc):
-    /// all shards answer one barrier, arrival order is irrelevant
-    /// because the plane sorts what it absorbs.
+    /// Where workers reply with their deltas: one unbounded channel
+    /// that every shard answers a barrier on. Arrival order is
+    /// irrelevant because the plane sorts what it absorbs.
     replies: std::sync::mpsc::Receiver<RateDelta>,
     /// Severity tally of the alerts injected by folds, added to the
     /// merged report alongside the worker severities.
@@ -205,7 +204,7 @@ struct ShardTelemetry {
     /// Batches currently queued *or being processed* by this shard: the
     /// dispatcher increments on send, the worker decrements only after
     /// it has fully processed a batch (so `0` means the shard is truly
-    /// idle, not merely mid-batch). A ring-side `len()` would count only
+    /// idle, not merely mid-batch). A queue-side length would count only
     /// undelivered batches, so depth is tracked here instead.
     queue_batches: AtomicU64,
     /// One past the dispatch sequence number of the last frame this
@@ -304,7 +303,7 @@ pub struct ShardedScidive {
     distiller: Distiller,
     router: SessionRouter,
     identity: IdentityPlane,
-    senders: Vec<Sender<ShardMsg>>,
+    senders: Vec<SyncSender<ShardMsg>>,
     workers: Vec<JoinHandle<(PipelineStats, EngineObservation)>>,
     sink: Arc<Mutex<Vec<TaggedAlert>>>,
     seq: u64,
@@ -332,10 +331,8 @@ pub struct ShardedScidive {
     /// Capture time of the most recent submit, used to measure linger at
     /// flush time.
     last_time: SimTime,
-    /// The cross-shard rate fold plane (`None` with
-    /// [`crate::rate::FoldConfig::enabled`] off — per-shard slice
-    /// evaluation, the pre-fold behavior).
-    fold: Option<FoldState>,
+    /// The cross-shard rate fold plane.
+    fold: FoldState,
     /// The builtin toggles the pipeline booted with, which every
     /// [`ShardedScidive::swap_ruleset`] carries forward.
     toggles: RuleToggles,
@@ -348,8 +345,10 @@ pub struct ShardedScidive {
 }
 
 impl ShardedScidive {
-    /// Spawns `shards` worker engines, each behind a single-producer
-    /// [`crate::spsc`] ring holding up to `queue_depth` batches.
+    /// Spawns `shards` worker engines, each behind a bounded channel
+    /// holding up to `queue_depth` batches. A `queue_depth` of zero
+    /// means one: a zero-capacity [`sync_channel`] is a rendezvous
+    /// channel, which would make every send wait for its worker.
     ///
     /// # Panics
     ///
@@ -366,7 +365,7 @@ impl ShardedScidive {
         let mut workers = Vec::with_capacity(shards);
         let mut telemetry = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = bounded::<ShardMsg>(queue_depth);
+            let (tx, rx) = sync_channel::<ShardMsg>(queue_depth.max(1));
             let cfg = config.clone();
             let boot = blueprint.clone();
             let shard_sink = sink.clone();
@@ -379,7 +378,7 @@ impl ShardedScidive {
                     let batch = match msg {
                         ShardMsg::Batch(batch) => batch,
                         ShardMsg::Fold => {
-                            // FIFO ring: every batch sent before this
+                            // FIFO queue: every batch sent before this
                             // barrier is already processed. A dead
                             // dispatcher is fine — the reply just goes
                             // unread.
@@ -420,19 +419,17 @@ impl ShardedScidive {
             senders.push(tx);
             telemetry.push(tel);
         }
-        let fold = config.fold.enabled.then(|| {
-            let mut plane = GlobalRatePlane::new();
-            // The evaluation plane follows the ruleset: it knows exactly
-            // the threshold clauses the blueprint's rules forward.
-            plane.set_clauses(blueprint.threshold_specs());
-            FoldState {
-                plane,
-                interval: config.fold.interval,
-                next_boundary: SimTime::ZERO + config.fold.interval,
-                replies: fold_rx,
-                severity: SeverityCounts::default(),
-            }
-        });
+        let mut plane = GlobalRatePlane::new();
+        // The evaluation plane follows the ruleset: it knows exactly the
+        // threshold clauses the blueprint's rules forward.
+        plane.set_clauses(blueprint.threshold_specs());
+        let fold = FoldState {
+            plane,
+            interval: config.fold.interval,
+            next_boundary: SimTime::ZERO + config.fold.interval,
+            replies: fold_rx,
+            severity: SeverityCounts::default(),
+        };
         let histograms = config.observe.histograms;
         let trace = DecisionTrace::new(config.observe.trace_depth);
         let toggles = config.rules.clone();
@@ -472,7 +469,7 @@ impl ShardedScidive {
 
     /// Atomically hot-reloads the ruleset across every shard: validates
     /// and lowers `source` once dispatcher-side, flushes every dispatch
-    /// buffer, and sends a `Swap` barrier token down each shard ring —
+    /// buffer, and sends a `Swap` barrier token down each shard queue —
     /// the same FIFO-barrier pattern as a rate fold. Each worker
     /// installs the new ruleset after the last pre-swap frame and
     /// before the first post-swap one, so the boundary is the same
@@ -509,7 +506,7 @@ impl ShardedScidive {
             program,
             generation: self.ruleset_generation + 1,
         });
-        // Barrier: flush every dispatch buffer first so each ring holds
+        // Barrier: flush every dispatch buffer first so each queue holds
         // exactly the frames dispatched so far — buffer occupancy varies
         // with shard count and must not leak into where the swap lands.
         for shard in 0..self.buffers.len() {
@@ -517,12 +514,10 @@ impl ShardedScidive {
         }
         for tx in &self.senders {
             // Blocking send keeps the barrier lossless under a full
-            // ring; a dead worker is skipped (surfaced at finish()).
+            // queue; a dead worker is skipped (surfaced at finish()).
             let _ = tx.send(ShardMsg::Swap(blueprint.clone()));
         }
-        if let Some(fold) = &mut self.fold {
-            fold.plane.set_clauses(blueprint.threshold_specs());
-        }
+        self.fold.plane.set_clauses(blueprint.threshold_specs());
         self.ruleset_generation = blueprint.generation;
         self.ruleset_swaps += 1;
         Ok(self.ruleset_generation)
@@ -557,19 +552,9 @@ impl ShardedScidive {
         &self.router
     }
 
-    /// Dispatcher counters so far.
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        self.dispatch
-    }
-
     /// Dispatcher-side distiller counters.
     pub fn distill_stats(&self) -> DistillStats {
         self.distiller.stats()
-    }
-
-    /// Events the dispatcher's identity plane produced so far.
-    pub fn identity_events_emitted(&self) -> u64 {
-        self.identity.events_emitted()
     }
 
     /// Feeds one frame: distills it, resolves its session, routes it to
@@ -690,23 +675,20 @@ impl ShardedScidive {
     /// (and hence the merged stream) deterministic. Skipped until the
     /// first frame is dispatched: there is nothing to fold.
     fn maybe_fold(&mut self, time: SimTime) {
-        let Some(fold) = &self.fold else { return };
-        if self.seq == 0 || time < fold.next_boundary {
+        if self.seq == 0 || time < self.fold.next_boundary {
             return;
         }
-        let us = fold.interval.as_micros().max(1);
+        let us = self.fold.interval.as_micros().max(1);
         // The largest boundary at or before `time`; intermediate
         // boundaries an idle gap skipped over carry no new deltas, so
         // evaluating once at the latest is equivalent.
         let boundary = SimTime::from_micros((time.as_micros() / us) * us);
         self.run_fold(boundary);
-        if let Some(fold) = &mut self.fold {
-            fold.next_boundary = boundary + fold.interval;
-        }
+        self.fold.next_boundary = boundary + self.fold.interval;
     }
 
     /// The fold barrier: flushes every dispatch buffer (so each worker's
-    /// ring holds all frames dispatched so far — buffer occupancy varies
+    /// queue holds all frames dispatched so far — buffer occupancy varies
     /// with shard count and must not leak into what a fold sees), asks
     /// every shard for its rate delta, absorbs the replies into the
     /// global plane, evaluates the threshold clauses at `at`, and
@@ -716,11 +698,11 @@ impl ShardedScidive {
         for shard in 0..self.buffers.len() {
             self.flush(shard);
         }
-        let Some(fold) = &mut self.fold else { return };
+        let fold = &mut self.fold;
         let mut expected = 0usize;
         for tx in &self.senders {
             // A blocking send keeps the barrier lossless under a full
-            // ring; a dead worker is skipped and, crucially, not waited
+            // queue; a dead worker is skipped and, crucially, not waited
             // for below.
             if tx.send(ShardMsg::Fold).is_ok() {
                 expected += 1;
@@ -795,11 +777,7 @@ impl ShardedScidive {
     /// Builds the dispatch-counter slice of an observation from the
     /// dispatcher's own state plus a queue-depth snapshot.
     fn dispatch_counters(&self, queue_depths: Vec<u64>) -> DispatchCounters {
-        let fold = self
-            .fold
-            .as_ref()
-            .map(|f| f.plane.fold_stats())
-            .unwrap_or_default();
+        let fold = self.fold.plane.fold_stats();
         DispatchCounters {
             frames: self.dispatch.frames,
             empty_frames: self.dispatch.empty_frames,
@@ -838,7 +816,7 @@ impl ShardedScidive {
                 .sum(),
             rate_bytes: rate.bytes,
             rate_evicted: rate.evicted,
-            fold_rate_bytes: self.fold.as_ref().map_or(0, |f| f.plane.bytes()),
+            fold_rate_bytes: self.fold.plane.bytes(),
             ..StateGauges::default()
         }
     }
@@ -850,12 +828,10 @@ impl ShardedScidive {
     fn dispatcher_tally(&self) -> Tally {
         let mut tally = Tally {
             gauges: self.router_gauges(),
+            severity: self.fold.severity,
             ..Tally::default()
         };
-        if let Some(fold) = &self.fold {
-            tally.pipeline.alerts = fold.plane.fold_stats().alerts;
-            tally.severity = fold.severity;
-        }
+        tally.pipeline.alerts = self.fold.plane.fold_stats().alerts;
         tally
     }
 
@@ -905,7 +881,7 @@ impl ShardedScidive {
         // crossing falls after the last periodic boundary still gets its
         // global evaluation. `last_time` is a property of the capture,
         // so the extra fold is as deterministic as the periodic ones.
-        if self.seq > 0 && self.fold.is_some() {
+        if self.seq > 0 {
             self.run_fold(self.last_time);
         }
         let mut dispatch_counters = self.dispatch_counters(Vec::new());
@@ -1118,7 +1094,7 @@ mod tests {
             let config = ScidiveConfig::default();
             let specs = config.blueprint().unwrap().threshold_specs();
             let mut ids = ShardedScidive::new(config, shards, 64);
-            ids.fold.as_mut().unwrap().plane = GlobalRatePlane::with_table_cap(specs, CAP);
+            ids.fold.plane = GlobalRatePlane::with_table_cap(specs, CAP);
             for (t, f) in &frames {
                 ids.submit(*t, f);
                 assert!(ids.router_gauges().fold_rate_bytes <= CAP as u64);

@@ -172,24 +172,6 @@ impl IpPacket {
         UdpDatagram::decode_shared(self.src, self.dst, &self.payload)
     }
 
-    /// Like [`IpPacket::decode_udp`], but checksum verification runs
-    /// through the retained scalar [`udp_checksum_reference`]. The
-    /// distiller's reference mode uses this so a pre-optimization
-    /// baseline can be measured on the same harness.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`IpPacket::decode_udp`].
-    pub fn decode_udp_reference(&self) -> Result<UdpDatagram, PacketError> {
-        if self.frag.is_fragment() {
-            return Err(PacketError::Fragmented);
-        }
-        if self.proto != IpProto::Udp {
-            return Err(PacketError::NotUdp(self.proto));
-        }
-        UdpDatagram::decode_shared_reference(self.src, self.dst, &self.payload)
-    }
-
     /// Decodes the payload as an ICMP message.
     ///
     /// # Errors
@@ -336,40 +318,9 @@ impl UdpDatagram {
         })
     }
 
-    /// [`UdpDatagram::decode_shared`] with the retained scalar checksum
-    /// ([`udp_checksum_reference`]) — the distiller's reference mode.
-    ///
-    /// # Errors
-    ///
-    /// See [`PacketError`].
-    pub fn decode_shared_reference(
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &Bytes,
-    ) -> Result<UdpDatagram, PacketError> {
-        let (src_port, dst_port) =
-            Self::validate_with(src, dst, bytes, udp_checksum_reference)?;
-        Ok(UdpDatagram {
-            src_port,
-            dst_port,
-            payload: bytes.slice(Self::HEADER_LEN..),
-        })
-    }
-
     /// Header validation shared by both decode paths: length fields and
     /// checksum, without touching the payload.
     fn validate(src: Ipv4Addr, dst: Ipv4Addr, bytes: &[u8]) -> Result<(u16, u16), PacketError> {
-        Self::validate_with(src, dst, bytes, udp_checksum)
-    }
-
-    /// The validation logic, parameterized over the checksum
-    /// implementation (fast SWAR vs retained scalar reference).
-    fn validate_with(
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &[u8],
-        checksum: fn(Ipv4Addr, Ipv4Addr, &[u8]) -> u16,
-    ) -> Result<(u16, u16), PacketError> {
         if bytes.len() < Self::HEADER_LEN {
             return Err(PacketError::Truncated {
                 need: Self::HEADER_LEN,
@@ -387,7 +338,7 @@ impl UdpDatagram {
         }
         let got = u16::from_be_bytes([bytes[6], bytes[7]]);
         if got != 0 {
-            let expected = checksum(src, dst, bytes);
+            let expected = udp_checksum(src, dst, bytes);
             if expected != got {
                 return Err(PacketError::BadChecksum {
                     expected,
@@ -443,8 +394,8 @@ fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, datagram: &[u8]) -> u16 {
 }
 
 /// The retained per-16-bit-word checksum (a branch per word to skip the
-/// checksum field): the behavioral specification for [`udp_checksum`]
-/// and the distiller's reference-mode baseline.
+/// checksum field): the behavioral specification [`udp_checksum`] is
+/// tested against.
 pub fn udp_checksum_reference(src: Ipv4Addr, dst: Ipv4Addr, datagram: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     let s = src.octets();
@@ -601,22 +552,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn reference_decode_agrees_with_fast() {
-        let pkt = IpPacket::udp(a(), 1234, b(), 5060, b"hello sip".as_ref());
-        assert_eq!(pkt.decode_udp().unwrap(), pkt.decode_udp_reference().unwrap());
-        let mut raw = pkt.payload.to_vec();
-        raw[9] ^= 0xff;
-        let corrupted = IpPacket {
-            payload: Bytes::from(raw),
-            ..pkt
-        };
-        assert_eq!(
-            corrupted.decode_udp().unwrap_err(),
-            corrupted.decode_udp_reference().unwrap_err()
-        );
     }
 
     #[test]

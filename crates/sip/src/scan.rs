@@ -62,36 +62,6 @@ pub fn memchr(needle: u8, haystack: &[u8]) -> Option<usize> {
         .map(|i| offset + i)
 }
 
-/// Index of the first occurrence of `a` or `b` in `haystack`, if any.
-///
-/// # Examples
-///
-/// ```
-/// use scidive_sip::scan::memchr2;
-///
-/// assert_eq!(memchr2(b'\r', b'\n', b"abc\ndef"), Some(3));
-/// ```
-#[inline]
-pub fn memchr2(a: u8, b: u8, haystack: &[u8]) -> Option<usize> {
-    let bcast_a = broadcast(a);
-    let bcast_b = broadcast(b);
-    let mut chunks = haystack.chunks_exact(8);
-    let mut offset = 0;
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let hits = zero_lanes(word ^ bcast_a) | zero_lanes(word ^ bcast_b);
-        if hits != 0 {
-            return Some(offset + (hits.trailing_zeros() / 8) as usize);
-        }
-        offset += 8;
-    }
-    chunks
-        .remainder()
-        .iter()
-        .position(|&x| x == a || x == b)
-        .map(|i| offset + i)
-}
-
 /// Index of the first `\r\n\r\n` in `haystack`, if any — the CRLF
 /// header/body separator scan. Word-at-a-time over `\r` candidates:
 /// almost every byte of a SIP header section is not `\r`, so the scan
@@ -180,96 +150,6 @@ pub fn memchr_all(needle: u8, haystack: &[u8], out: &mut [u32; HIT_CAP]) -> Opti
     Some(n)
 }
 
-/// Capacity of the second (`b`) table [`memchr2_all`] fills. Colons are
-/// dense in SIP header sections — every `Via`, `Contact`, and URI value
-/// carries several — so this table is deliberately larger than
-/// [`HIT_CAP`].
-pub const DENSE_HIT_CAP: usize = 192;
-
-/// Positions of every `a` and every `b` in `haystack`, collected into
-/// two tables in one word-at-a-time pass. Returns the two hit counts,
-/// or `None` when either table would overflow — the caller falls back
-/// to incremental scanning.
-///
-/// This exists for the parser's line/colon structure scan: one pass
-/// over the header section replaces a [`memchr`] call per line.
-///
-/// # Examples
-///
-/// ```
-/// use scidive_sip::scan::{memchr2_all, DENSE_HIT_CAP, HIT_CAP};
-///
-/// let mut lf = [0u32; HIT_CAP];
-/// let mut colon = [0u32; DENSE_HIT_CAP];
-/// let n = memchr2_all(b'\n', b':', b"a: b\nc: d", &mut lf, &mut colon);
-/// assert_eq!(n, Some((1, 2)));
-/// assert_eq!(&lf[..1], &[4]);
-/// assert_eq!(&colon[..2], &[1, 6]);
-/// ```
-#[inline]
-pub fn memchr2_all(
-    a: u8,
-    b: u8,
-    haystack: &[u8],
-    out_a: &mut [u32; HIT_CAP],
-    out_b: &mut [u32; DENSE_HIT_CAP],
-) -> Option<(usize, usize)> {
-    debug_assert_ne!(a, b, "needles must differ");
-    let bcast_a = broadcast(a);
-    let bcast_b = broadcast(b);
-    let mut na = 0usize;
-    let mut nb = 0usize;
-    let mut chunks = haystack.chunks_exact(16);
-    let mut offset = 0u32;
-    for chunk in &mut chunks {
-        let w0 = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte half"));
-        let w1 = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte half"));
-        let ha0 = zero_lanes(w0 ^ bcast_a);
-        let ha1 = zero_lanes(w1 ^ bcast_a);
-        let hb0 = zero_lanes(w0 ^ bcast_b);
-        let hb1 = zero_lanes(w1 ^ bcast_b);
-        if (ha0 | ha1 | hb0 | hb1) != 0 {
-            for (word_off, mut hits) in [(offset, ha0), (offset + 8, ha1)] {
-                while hits != 0 {
-                    if na == HIT_CAP {
-                        return None;
-                    }
-                    out_a[na] = word_off + hits.trailing_zeros() / 8;
-                    na += 1;
-                    hits &= hits - 1;
-                }
-            }
-            for (word_off, mut hits) in [(offset, hb0), (offset + 8, hb1)] {
-                while hits != 0 {
-                    if nb == DENSE_HIT_CAP {
-                        return None;
-                    }
-                    out_b[nb] = word_off + hits.trailing_zeros() / 8;
-                    nb += 1;
-                    hits &= hits - 1;
-                }
-            }
-        }
-        offset += 16;
-    }
-    for (i, &x) in chunks.remainder().iter().enumerate() {
-        if x == a {
-            if na == HIT_CAP {
-                return None;
-            }
-            out_a[na] = offset + i as u32;
-            na += 1;
-        } else if x == b {
-            if nb == DENSE_HIT_CAP {
-                return None;
-            }
-            out_b[nb] = offset + i as u32;
-            nb += 1;
-        }
-    }
-    Some((na, nb))
-}
-
 /// First occurrence of `needle` (which starts with `first`) in
 /// `haystack`: one word-at-a-time pass over lead-byte candidates, each
 /// confirmed with a slice compare. Every candidate lane in a word is
@@ -356,17 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn memchr2_matches_naive_on_noise() {
-        for seed in 0..50 {
-            let hay = noise(100, seed);
-            assert_eq!(
-                memchr2(b'\r', b'\n', &hay),
-                hay.iter().position(|&b| b == b'\r' || b == b'\n')
-            );
-        }
-    }
-
-    #[test]
     fn finds_each_position() {
         for pos in 0..40 {
             let mut hay = vec![b'x'; 48];
@@ -415,45 +284,6 @@ mod tests {
         assert_eq!(memchr_all(b'\n', &dense, &mut out), None);
         let exact = vec![b'\n'; HIT_CAP];
         assert_eq!(memchr_all(b'\n', &exact, &mut out), Some(HIT_CAP));
-    }
-
-    #[test]
-    fn memchr2_all_matches_naive() {
-        let mut lf = [0u32; HIT_CAP];
-        let mut colon = [0u32; DENSE_HIT_CAP];
-        let heads: Vec<Vec<u8>> = vec![
-            b"Via: SIP/2.0/UDP 10.0.0.1:5060\r\nTo: <sip:b@h>\r\nX: y".to_vec(),
-            b"".to_vec(),
-            b"::::\n\n::::".to_vec(),
-            noise(333, 9),
-        ];
-        for hay in &heads {
-            let want_lf: Vec<u32> = hay
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b == b'\n')
-                .map(|(i, _)| i as u32)
-                .collect();
-            let want_colon: Vec<u32> = hay
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b == b':')
-                .map(|(i, _)| i as u32)
-                .collect();
-            let got = memchr2_all(b'\n', b':', hay, &mut lf, &mut colon);
-            assert_eq!(got, Some((want_lf.len(), want_colon.len())));
-            assert_eq!(&lf[..want_lf.len()], &want_lf[..]);
-            assert_eq!(&colon[..want_colon.len()], &want_colon[..]);
-        }
-        // Overflow of either table reports `None`.
-        assert_eq!(
-            memchr2_all(b'\n', b':', &[b'\n'; HIT_CAP + 1], &mut lf, &mut colon),
-            None
-        );
-        assert_eq!(
-            memchr2_all(b'\n', b':', &[b':'; DENSE_HIT_CAP + 1], &mut lf, &mut colon),
-            None
-        );
     }
 
     #[test]

@@ -53,18 +53,22 @@
 #   - the bench smoke runs every criterion routine once, so the
 #     benchmarks cannot silently rot;
 #   - exp_observe_overhead fails the run if observation at default
-#     settings costs more than 5% of pipeline throughput (artifact:
-#     results/observability_overhead.txt);
+#     settings costs more than 5% of pipeline throughput;
 #   - the rule_matching bench fails the run unless compiled dispatch
-#     beats the full scan by at least 5x at 128 padding rules
-#     (artifacts: BENCH_rules.json, results/rule_dispatch.txt);
+#     beats the full scan by at least 5x at 128 padding rules;
+#     with --gate both print their tables and write nothing, so their
+#     artifacts (results/observability_overhead.txt, BENCH_rules.json,
+#     results/rule_dispatch.txt) are regenerated only by a manual run
+#     without --gate;
 #   - a structural check keeps protocol modules from importing siblings
 #     (DESIGN SS12), another keeps hand-rolled expiry sweeps out of
 #     crates/core/src (idle expiry lives only in the IdleMap), a third
 #     keeps footprint retention out of it (a trail is a session summary;
-#     no `Arc<Footprint>` may hold a footprint past its frame), and the
-#     .scid compile gate (dsl_rules --check) denies warnings on every
-#     shipped rule file;
+#     no `Arc<Footprint>` may hold a footprint past its frame), a fourth
+#     keeps hand-built synchronisation out of it (no `Condvar`, no
+#     atomic fence: queues and parking come from std's channels), and
+#     the .scid compile gate (dsl_rules --check) denies warnings on
+#     every shipped rule file;
 #   - the 100k-dialog release soak (tests/soak.rs) holds the identity
 #     plane's tables and the threshold table of one engine and of the
 #     4-shard fold plane live, under their 2 MiB cap and eviction-free,
@@ -76,8 +80,15 @@
 # detection, an unexplained Critical, a sharded/inline difference). It
 # is the one performance instrument: end to end and per layer (distill,
 # trail, event, rules, rate, shard) on the same input.
+# A green run leaves the working tree as it found it: the script records
+# `git status --porcelain` (and a checksum of `git diff`, so a further
+# edit to an already-modified file counts too) first, and fails at the
+# end if either changed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+tree_state() { git status --porcelain; git diff | cksum; }
+tree_before=$(tree_state)
 
 echo "== build (release) =="
 cargo build --release
@@ -143,6 +154,12 @@ if grep -rnE '(Arc|Rc)<[[:space:]]*([a-z_]+::)*Footprint[[:space:]]*>' crates/co
   exit 1
 fi
 
+echo "== synchronisation comes from std (no hand-built queues or parking) =="
+if grep -rnE 'Condvar|atomic::fence|fence\(' crates/core/src; then
+  echo "shard queues are std::sync::mpsc channels: no Condvar or atomic fence in crates/core/src" >&2
+  exit 1
+fi
+
 echo "== operator .scid compile gate (deny warnings) =="
 cargo run -q --example dsl_rules -- --check
 
@@ -154,5 +171,12 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== repo benchmark: quick pass (non-zero exit on failed > 0) =="
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick
+
+echo "== the run left the working tree as it found it =="
+if [ "$(tree_state)" != "$tree_before" ]; then
+  echo "ci.sh changed the working tree (before, then after):" >&2
+  diff <(echo "$tree_before") <(tree_state) >&2 || true
+  exit 1
+fi
 
 echo "CI green."

@@ -1,5 +1,5 @@
 //! The online (threaded) deployment — `ShardedScidive` with one worker
-//! or several behind bounded rings: identical verdicts to the offline
+//! or several behind bounded queues: identical verdicts to the offline
 //! engine over real attack captures, backpressure instead of drops, and
 //! live snapshots that account for every alert they show.
 
@@ -79,6 +79,34 @@ fn online_engine_with_tiny_queue_backpressures_correctly() {
         offline.on_frame(f.time, &f.packet);
     }
     assert_eq!(alerts, offline.alerts());
+}
+
+/// A zero queue depth is clamped to one (std's zero-capacity channel is
+/// a rendezvous): the pipeline runs, drops nothing, and merges to the
+/// single engine's output.
+#[test]
+fn zero_queue_depth_behaves_like_depth_one() {
+    let (frames, ep) = capture_attack_frames(502);
+    let mut config = ScidiveConfig::default();
+    config.events.infrastructure_ips = vec![ep.proxy_ip, ep.acct_ip];
+    let mut online = ShardedScidive::new(config.clone(), 2, 0);
+    for f in &frames {
+        online.submit(f.time, &f.packet);
+    }
+    let ShardedReport {
+        alerts,
+        stats,
+        dispatch,
+        ..
+    } = online.finish();
+    assert_eq!(dispatch.dropped, 0);
+
+    let mut offline = Scidive::new(config);
+    for f in &frames {
+        offline.on_frame(f.time, &f.packet);
+    }
+    assert_eq!(alerts, offline.alerts());
+    assert_eq!(stats, offline.stats());
 }
 
 #[test]

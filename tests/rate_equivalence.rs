@@ -207,17 +207,11 @@ fn fanout_capture_spaced(calls: u64, spacing: SimDuration) -> Vec<(SimTime, IpPa
     frames
 }
 
-fn run_sharded_fanout(
-    frames: &[(SimTime, IpPacket)],
-    exact: bool,
-    shards: usize,
-    fold: bool,
-) -> ShardedReport {
-    let mut config = ScidiveConfig {
+fn run_sharded_fanout(frames: &[(SimTime, IpPacket)], exact: bool, shards: usize) -> ShardedReport {
+    let config = ScidiveConfig {
         exact_rate_state: exact,
         ..ScidiveConfig::default()
     };
-    config.fold.enabled = fold;
     let mut ids = ShardedScidive::new(config, shards, 64);
     for (t, p) in frames {
         ids.submit(*t, p);
@@ -270,7 +264,7 @@ fn rapid_connect_fanout_fires_identically_in_both_modes() {
 #[test]
 fn rapid_connect_fanout_is_shard_count_invariant() {
     let frames = fanout_capture(14);
-    let reference = run_sharded_fanout(&frames, true, 1, true);
+    let reference = run_sharded_fanout(&frames, true, 1);
     assert_eq!(
         reference
             .alerts
@@ -283,7 +277,7 @@ fn rapid_connect_fanout_is_shard_count_invariant() {
     );
     for shards in [1usize, 2, 4] {
         for exact in [true, false] {
-            let report = run_sharded_fanout(&frames, exact, shards, true);
+            let report = run_sharded_fanout(&frames, exact, shards);
             assert_eq!(
                 report.alerts, reference.alerts,
                 "fold-plane alerts diverged at {shards} shards (exact={exact})"
@@ -293,34 +287,6 @@ fn rapid_connect_fanout_is_shard_count_invariant() {
                 "pipeline stats diverged at {shards} shards (exact={exact})"
             );
         }
-    }
-}
-
-/// Pins the pre-fold failure mode: with the fold plane disabled, each
-/// worker evaluates rapid-connect against only its own slice of the
-/// caller's dialogs. One shard sees everything and fires; four shards
-/// each stay sub-threshold and the flood sails through silently. This
-/// is the regression the global fold exists to close — the test fails
-/// (4 shards would alert) only if per-shard evaluation were global.
-#[test]
-fn per_shard_slices_miss_the_flood_without_the_fold() {
-    let frames = fanout_capture(14);
-    for exact in [true, false] {
-        let one = run_sharded_fanout(&frames, exact, 1, false);
-        assert_eq!(
-            one.alerts
-                .iter()
-                .filter(|a| a.rule == "rapid-connect")
-                .count(),
-            1,
-            "1-shard run without the fold still sees the whole stream (exact={exact})"
-        );
-        let four = run_sharded_fanout(&frames, exact, 4, false);
-        assert!(
-            !four.alerts.iter().any(|a| a.rule == "rapid-connect"),
-            "per-shard slices crossed the threshold unexpectedly (exact={exact}): {:?}",
-            four.alerts
-        );
     }
 }
 
@@ -510,7 +476,7 @@ fn benchmark_setting_alerts(frames: &[(SimTime, IpPacket)]) -> Vec<(String, Vec<
     }
     let mut runs = vec![("single engine".to_string(), single.alerts().to_vec())];
     for shards in [1usize, 2, 4] {
-        let report = run_sharded_fanout(frames, false, shards, true);
+        let report = run_sharded_fanout(frames, false, shards);
         runs.push((format!("{shards} shard(s)"), report.alerts));
     }
     runs
