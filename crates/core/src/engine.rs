@@ -379,6 +379,12 @@ impl Scidive {
     /// whether or not it carried a footprint — `None` marks frames that
     /// produced nothing (fragments in flight), so per-shard frame
     /// counters still sum to the number of frames the dispatcher saw.
+    ///
+    /// Unlike [`Scidive::on_frame`], the alerts are returned but not
+    /// retained ([`Scidive::alerts`] does not see them, though
+    /// `stats().alerts` counts them): the sharded pipeline merges each
+    /// worker's alerts into its shared sink, so a worker-side copy would
+    /// only grow for as long as the run lasts.
     pub fn on_distilled(
         &mut self,
         time: SimTime,
@@ -390,7 +396,6 @@ impl Scidive {
             self.process_footprint(time, dfp.footprint, dfp.injected_events, &mut new_alerts);
         }
         self.stats.alerts += new_alerts.len() as u64;
-        self.alerts.extend(new_alerts.iter().cloned());
         new_alerts
     }
 

@@ -10,11 +10,13 @@
 //! payload through [`FootprintBody::Ext`] / [`ExtBody`], which erases
 //! the module's concrete type behind [`ExtData`].
 
+use bytes::Bytes;
 use scidive_netsim::packet::PacketError;
 use scidive_netsim::time::SimTime;
 use scidive_rtp::packet::RtpHeader;
 use scidive_rtp::rtcp::RtcpPacket;
 use scidive_sip::msg::{SipMessage, SipView};
+use scidive_sip::parse::SipParseError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -191,7 +193,9 @@ thread_local! {
 /// for the next parsed message to reuse, so the steady-state distill
 /// path stops paying one `Box` allocation per signalling frame.
 ///
-/// The view is computed once, here, and every consumer — the event
+/// The view is computed once, when the footprint is built — in the wire
+/// parse's line scan ([`PooledSip::parse`]), or from the headers of a
+/// built message ([`PooledSip::new`]) — and every consumer — the event
 /// generator, the identity plane, media learning in the trail store and
 /// the shard router, trail-reading rules — reads it instead of parsing
 /// headers again. The wrapper is immutable after construction, so the
@@ -207,8 +211,20 @@ pub struct PooledSip {
 }
 
 impl PooledSip {
-    /// Computes the message's view and wraps both in a recycled box (or
-    /// a fresh one when the pool is empty).
+    /// Parses wire bytes, with the view built in the parse's line scan
+    /// ([`SipMessage::parse_viewed`]), and wraps both in a recycled box
+    /// (or a fresh one when the pool is empty). The distiller's entry.
+    ///
+    /// # Errors
+    ///
+    /// Fails as [`SipMessage::parse_bytes`] does.
+    pub(crate) fn parse(payload: Bytes) -> Result<PooledSip, SipParseError> {
+        let (msg, view) = SipMessage::parse_viewed(payload)?;
+        Ok(PooledSip::boxed(ViewedSip { msg, view }))
+    }
+
+    /// Computes a built message's view from its headers and wraps both
+    /// in a recycled box.
     pub fn new(msg: SipMessage) -> PooledSip {
         let view = msg.view();
         PooledSip::boxed(ViewedSip { msg, view })
@@ -274,7 +290,7 @@ impl Drop for PooledSip {
                         reason: scidive_sip::bstr::ByteStr::EMPTY,
                     },
                     headers: scidive_sip::header::Headers::new(),
-                    body: bytes::Bytes::new(),
+                    body: Bytes::new(),
                 };
                 pool.push(boxed);
             }

@@ -239,7 +239,6 @@ pub struct GenCtx<'a> {
     pub(crate) plane: &'a mut SessionPlane,
     pub(crate) trails: &'a TrailStore,
     pub(crate) out: &'a mut Vec<Event>,
-    pub(crate) emitted: u64,
 }
 
 impl GenCtx<'_> {
@@ -273,7 +272,6 @@ impl GenCtx<'_> {
 
     /// Emits one event.
     pub fn emit(&mut self, time: SimTime, session: Option<SessionKey>, kind: EventKind) {
-        self.emitted += 1;
         self.out.push(Event {
             time,
             session,
@@ -460,7 +458,6 @@ pub struct EventGenerator {
     /// The embedded identity plane; `None` in data-plane (shard) mode,
     /// where the dispatcher owns the single shared plane.
     identity: Option<IdentityPlane>,
-    events_emitted: u64,
 }
 
 impl EventGenerator {
@@ -478,7 +475,6 @@ impl EventGenerator {
             config,
             modules: protocols.fresh_modules(),
             identity,
-            events_emitted: 0,
         }
     }
 
@@ -495,13 +491,7 @@ impl EventGenerator {
             config,
             modules: protocols.fresh_modules(),
             identity: None,
-            events_emitted: 0,
         }
-    }
-
-    /// Events produced so far.
-    pub fn events_emitted(&self) -> u64 {
-        self.events_emitted
     }
 
     /// Sessions currently tracked.
@@ -564,16 +554,12 @@ impl EventGenerator {
             plane: &mut self.plane,
             trails: store,
             out,
-            emitted: 0,
         };
         for m in &mut self.modules {
             m.generate(fp, key, &mut ctx);
         }
-        self.events_emitted += ctx.emitted;
         if let Some(plane) = self.identity.as_mut() {
-            let extra = plane.on_footprint(fp);
-            self.events_emitted += extra.len() as u64;
-            out.extend(extra);
+            out.extend(plane.on_footprint(fp));
         }
     }
 }

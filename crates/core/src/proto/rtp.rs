@@ -102,18 +102,12 @@ fn on_rtp(fp: &Footprint, key: &TrailKey, ssrc: u32, seq: u16, ctx: &mut GenCtx<
     }
     let monitor_window = ctx.config.monitor_window;
     let grace = ctx.config.rtcp_bye_grace;
-    let GenCtx {
-        plane,
-        out,
-        emitted,
-        ..
-    } = ctx;
+    let GenCtx { plane, out, .. } = ctx;
     let Some(state) = plane.sessions.get_mut(&key.session, time) else {
         return;
     };
     // First sighting of this flow in the session.
     if state.active_flows.insert(flow) {
-        *emitted += 1;
         out.push(Event {
             time,
             session: Some(key.session.clone()),
@@ -139,7 +133,6 @@ fn on_rtp(fp: &Footprint, key: &TrailKey, ssrc: u32, seq: u16, ctx: &mut GenCtx<
         }
     }
     if any_legit && !src_legit && state.unknown_src_flows.insert(flow) {
-        *emitted += 1;
         out.push(Event {
             time,
             session: Some(key.session.clone()),
@@ -157,7 +150,6 @@ fn on_rtp(fp: &Footprint, key: &TrailKey, ssrc: u32, seq: u16, ctx: &mut GenCtx<
     };
     if let Some((gap, bye)) = bye_orphan {
         state.orphan_bye_emitted = true;
-        *emitted += 1;
         out.push(Event {
             time,
             session: Some(key.session.clone()),
@@ -182,7 +174,6 @@ fn on_rtp(fp: &Footprint, key: &TrailKey, ssrc: u32, seq: u16, ctx: &mut GenCtx<
     };
     if let Some(gap) = redirect_orphan {
         state.orphan_redirect_emitted = true;
-        *emitted += 1;
         out.push(Event {
             time,
             session: Some(key.session.clone()),
@@ -200,7 +191,6 @@ fn on_rtp(fp: &Footprint, key: &TrailKey, ssrc: u32, seq: u16, ctx: &mut GenCtx<
     };
     if let Some(gap) = rtcp_orphan {
         state.rtcp_byes.insert(ssrc, (time, true));
-        *emitted += 1;
         out.push(Event {
             time,
             session: Some(key.session.clone()),

@@ -66,8 +66,8 @@ impl ProtocolModule for SipModule {
         if on_sip_port {
             // A signalling port consumes its traffic: what does not
             // parse is a malformed-SIP footprint, not someone else's.
-            return Some(match SipMessage::parse_bytes(payload.clone()) {
-                Ok(msg) => FootprintBody::Sip(PooledSip::new(msg)),
+            return Some(match PooledSip::parse(payload.clone()) {
+                Ok(msg) => FootprintBody::Sip(msg),
                 Err(e) => FootprintBody::SipMalformed {
                     reason: e.to_string(),
                     prefix: payload.iter().take(32).copied().collect(),
@@ -76,8 +76,8 @@ impl ProtocolModule for SipModule {
         }
         // Off-port SIP (attackers do not respect port conventions).
         if looks_like_sip(payload) {
-            if let Ok(msg) = SipMessage::parse_bytes(payload.clone()) {
-                return Some(FootprintBody::Sip(PooledSip::new(msg)));
+            if let Ok(msg) = PooledSip::parse(payload.clone()) {
+                return Some(FootprintBody::Sip(msg));
             }
         }
         None

@@ -1173,7 +1173,9 @@ fn check_view_against_oracles(msg: &SipMessage) {
 /// A From/To value at and around the `name-addr` grammar's edges:
 /// quoted, token and unterminated display names; `<` with and without
 /// `>`; wrong schemes; empty users and hosts; ports valid, out of range,
-/// signed and non-numeric; URI and header parameters; padding.
+/// signed and non-numeric; URI and header parameters; padding, including
+/// the whitespace a byte scanner can get wrong (VT, which `trim_ascii`
+/// keeps, and Unicode NBSP, EM SPACE and NEL).
 fn name_addr_value() -> impl Strategy<Value = String> {
     let display = prop_oneof![
         Just(""),
@@ -1181,6 +1183,11 @@ fn name_addr_value() -> impl Strategy<Value = String> {
         Just("\"q\""),
         Just("Bob "),
         Just("\"unterminated "),
+        Just("\x0B"),
+        Just("\x0B\"unterminated "),
+        Just("\u{A0}"),
+        Just("\"q\"\u{2003}"),
+        Just("Bob\u{85}"),
     ];
     let scheme = prop_oneof![Just("sip:"), Just("sip:"), Just("sips:"), Just("http://")];
     let user = prop_oneof![
@@ -1211,7 +1218,12 @@ fn name_addr_value() -> impl Strategy<Value = String> {
         Just(";tag=a1"),
         Just(" ;tag=b2;x"),
         Just(" "),
-        Just(">")
+        Just(">"),
+        Just("\x0B"),
+        Just("\x0B;tag=a1"),
+        Just("\u{A0}"),
+        Just("\u{2003};tag=a1"),
+        Just("\u{85}"),
     ];
     (
         display, scheme, user, host, port, uri_params, brackets, tail,
@@ -1235,8 +1247,19 @@ fn via_value() -> impl Strategy<Value = String> {
         Just("SIP/2.0/"),
         Just("SIP/2.0"),
         Just(" SIP/2.0/"),
+        Just("\x0BSIP/2.0/"),
+        Just("\u{A0}SIP/2.0/"),
     ];
-    let sent_by = prop_oneof![Just("10.0.0.9:5060"), Just(""), Just("  "), Just("h")];
+    let sent_by = prop_oneof![
+        Just("10.0.0.9:5060"),
+        Just(""),
+        Just("  "),
+        Just("h"),
+        Just("\x0B"),
+        Just("\u{A0}"),
+        Just("\u{2003}"),
+        Just("\u{85}"),
+    ];
     (
         prefix,
         prop_oneof![Just("UDP "), Just("UDP"), Just("TCP  ")],
@@ -1265,12 +1288,18 @@ fn cseq_value() -> impl Strategy<Value = String> {
         Just(" NOPE"),
         Just(""),
         Just(" INVITE extra"),
+        Just("\x0BINVITE"),
+        Just("\x0BBYE\x0B"),
+        Just("\u{A0}INVITE"),
+        Just(" INVITE\u{2003}"),
+        Just("\u{85}BYE"),
     ];
     (seq, method).prop_map(|(seq, method)| format!("{seq}{method}"))
 }
 
 /// An SDP body: a well-formed offer, one without audio, one with the
-/// connection or origin missing, or a broken line.
+/// connection or origin missing, or a broken line; or an offer whose
+/// fields are separated or padded by VT or Unicode whitespace.
 fn sdp_body() -> impl Strategy<Value = String> {
     let offer = SessionDescription::audio_offer("alice", Ipv4Addr::new(10, 0, 0, 2), 8000);
     let mut silent = offer.clone();
@@ -1291,6 +1320,11 @@ fn sdp_body() -> impl Strategy<Value = String> {
             "{offer}m=audio 9 RTP/AVP 0\r\nc=IN IP4 10.0.0.9\r\n"
         )),
         Just("v=0\r\n".to_string()),
+        Just(offer.to_string().replace(' ', "\x0B")),
+        Just(offer.to_string().replace("v=0", "v=0\x0B")),
+        Just(offer.to_string().replace("IN IP4 ", "IN IP4\u{A0}")),
+        Just(offer.to_string().replace("v=0", "v=0\u{2003}")),
+        Just(offer.to_string().replace("m=audio ", "m=audio\u{85}")),
     ]
 }
 
@@ -1421,6 +1455,40 @@ proptest! {
         }
     }
 }
+/// The view built in the parse's line scan equals the one computed from
+/// the parsed message afterwards, and so does the message.
+fn check_fused_view(bytes: Bytes) {
+    let two_pass = SipMessage::parse_bytes(bytes.clone()).map(|msg| {
+        let view = msg.view();
+        (msg, view)
+    });
+    prop_assert_eq!(
+        SipMessage::parse_viewed(bytes.clone()),
+        two_pass,
+        "on {:?}",
+        bytes
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn fused_view_matches_two_pass_on_built_messages((msg, _) in built_sip_message()) {
+        check_fused_view(msg.to_bytes());
+    }
+
+    #[test]
+    fn fused_view_matches_two_pass_on_wire_input(input in sip_like_input()) {
+        check_fused_view(Bytes::from(input));
+    }
+
+    #[test]
+    fn fused_view_matches_two_pass_on_byte_soup(soup in proptest::collection::vec(any::<u8>(), 0..256)) {
+        check_fused_view(Bytes::from(soup));
+    }
+}
+
 // ----------------------------------------------------------------------
 // The rule DSL: derived interests are sound, printing is a fixed point
 // ----------------------------------------------------------------------

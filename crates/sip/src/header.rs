@@ -2,6 +2,7 @@
 
 use crate::bstr::ByteStr;
 use crate::method::Method;
+use crate::scan;
 use crate::uri::SipUri;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -534,23 +535,26 @@ impl NameAddr {
     /// `uri.aor()`. Display names and parameters never fail a parse, so
     /// only the URI and the `<`/`>` and quote framing are checked.
     pub fn aor_of(s: &str) -> Option<&str> {
-        // Mirrors `from_str` decision for decision.
-        let s = s.trim();
+        // Mirrors `from_str` decision for decision. `trim_ws` is
+        // `str::trim`, and a `memchr` for an ASCII byte is `str::find`
+        // for that char on any text, both decided byte by byte.
+        let s = scan::trim_ws(s);
         let rest = match s.strip_prefix('"') {
             Some(stripped) => {
-                let end = stripped.find('"')?;
+                let end = scan::memchr(b'"', stripped.as_bytes())?;
                 stripped[end + 1..].trim_start()
             }
             None => s,
         };
-        match rest.find('<') {
+        let bytes = rest.as_bytes();
+        match scan::memchr(b'<', bytes) {
             Some(start) => {
-                let end = start + rest[start..].find('>')?;
+                let end = start + scan::memchr(b'>', &bytes[start..])?;
                 SipUri::aor_of(&rest[start + 1..end])
             }
             None => {
-                let uri_part = rest.split_once(';').map_or(rest, |(u, _)| u);
-                SipUri::aor_of(uri_part.trim())
+                let uri_part = scan::memchr(b';', bytes).map_or(rest, |i| &rest[..i]);
+                SipUri::aor_of(scan::trim_ws(uri_part))
             }
         }
     }
@@ -657,15 +661,17 @@ impl Via {
 
     /// Whether `s.parse::<Via>()` succeeds, decided without allocating.
     pub fn is_valid(s: &str) -> bool {
-        // Mirrors `from_str` decision for decision.
-        let Some(rest) = s.trim().strip_prefix("SIP/2.0/") else {
+        // Mirrors `from_str` decision for decision (`trim_ws` is
+        // `str::trim`, `memchr` is `split_once` for an ASCII byte).
+        let Some(rest) = scan::trim_ws(s).strip_prefix("SIP/2.0/") else {
             return false;
         };
-        let Some((_, rest)) = rest.split_once(' ') else {
+        let Some(space) = scan::memchr(b' ', rest.as_bytes()) else {
             return false;
         };
-        let sent_by = rest.split_once(';').map_or(rest, |(sb, _)| sb);
-        !sent_by.trim().is_empty()
+        let rest = &rest[space + 1..];
+        let sent_by = scan::memchr(b';', rest.as_bytes()).map_or(rest, |i| &rest[..i]);
+        !scan::trim_ws(sent_by).is_empty()
     }
 }
 
@@ -875,6 +881,14 @@ mod tests {
             "sip:a@",
             "\"x\" sip:a@h>;p",
             "",
+            // Padding a byte-level trim can get wrong: VT, which
+            // `trim_ascii` keeps, and Unicode whitespace.
+            "\x0B<sip:a@h>\x0B",
+            "\x0Bsip:a@h\x0B;tag=1",
+            "\"q\"\x0B<sip:a@h>",
+            "\u{A0}<sip:a@h>\u{2003}",
+            "\"\u{85}\"\u{A0}sip:a@h",
+            "sip:a@h\u{2003};x",
         ] {
             assert_eq!(
                 NameAddr::aor_of(s),
@@ -890,6 +904,11 @@ mod tests {
             "UDP 10.0.0.1",
             "SIP/2.0/ x",
             "",
+            "\x0BSIP/2.0/UDP h\x0B",
+            "SIP/2.0/UDP \x0B;branch=z9",
+            "\u{A0}SIP/2.0/UDP h",
+            "SIP/2.0/UDP \u{2003};branch=z9",
+            "SIP/2.0/UDP \u{85}",
         ] {
             assert_eq!(Via::is_valid(s), s.parse::<Via>().is_ok(), "via diverged on {s:?}");
         }

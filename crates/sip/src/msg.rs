@@ -3,7 +3,7 @@
 use crate::bstr::ByteStr;
 use crate::header::{CSeq, HeaderName, Headers, NameAddr, ParseHeaderError, Via};
 use crate::method::Method;
-use crate::sdp::SessionDescription;
+use crate::sdp;
 use crate::status::StatusCode;
 use crate::uri::SipUri;
 use bytes::Bytes;
@@ -252,56 +252,14 @@ impl SipMessage {
     }
 
     /// Computes the message's [`SipView`] in one pass over the headers,
-    /// without allocating.
+    /// without allocating. A message read off the wire gets the same
+    /// view from [`SipMessage::parse_viewed`] without this second pass.
     pub fn view(&self) -> SipView {
-        let (mut from, mut to, mut cseq, mut via) = (None, None, None, None);
-        let (mut call_id, mut max_forwards, mut content_type) = (false, false, None);
+        let mut scan = ViewScan::default();
         for h in self.headers.iter() {
-            // The first value of each header counts, as for `get`.
-            let v = h.value.as_str();
-            match h.name {
-                HeaderName::From if from.is_none() => from = Some(v),
-                HeaderName::To if to.is_none() => to = Some(v),
-                HeaderName::CSeq if cseq.is_none() => cseq = Some(v),
-                HeaderName::Via if via.is_none() => via = Some(v),
-                HeaderName::ContentType if content_type.is_none() => content_type = Some(v),
-                HeaderName::CallId => call_id = true,
-                HeaderName::MaxForwards => max_forwards = true,
-                _ => {}
-            }
+            scan.header(&h.name, h.value.as_str());
         }
-        let aor_span = |value: Option<&str>| {
-            let value = value?;
-            Some(Span::of(value, NameAddr::aor_of(value)?))
-        };
-        let (from_aor, to_aor) = (aor_span(from), aor_span(to));
-        let cseq = cseq.and_then(|v| v.parse::<CSeq>().ok());
-        let method_agrees = match (self.method(), cseq) {
-            (Some(method), Some(cseq)) => {
-                cseq.method == method || method == Method::Ack || method == Method::Cancel
-            }
-            _ => true,
-        };
-        let clean = from_aor.is_some()
-            && to_aor.is_some()
-            && cseq.is_some()
-            && call_id
-            && via.is_some_and(Via::is_valid)
-            && (max_forwards || self.is_response())
-            && method_agrees;
-        let rtp_target = match content_type {
-            Some("application/sdp") => std::str::from_utf8(&self.body)
-                .ok()
-                .and_then(SessionDescription::rtp_target_of),
-            _ => None,
-        };
-        SipView {
-            clean,
-            from_aor,
-            to_aor,
-            cseq,
-            rtp_target,
-        }
+        scan.finish(&self.start, &self.body)
     }
 
     /// A one-line summary for ladder diagrams, e.g. `INVITE` or `200 OK`.
@@ -364,9 +322,10 @@ impl Span {
     }
 }
 
-/// What the IDS reads from a SIP message, decided once by
-/// [`SipMessage::view`] with the accept/reject decisions of the typed
-/// parsers, and without allocating:
+/// What the IDS reads from a SIP message, decided once — in the wire
+/// parse's line scan by [`SipMessage::parse_viewed`], or by
+/// [`SipMessage::view`] for a built message — with the accept/reject
+/// decisions of the typed parsers, and without allocating:
 ///
 /// - whether the message is *clean*, i.e. exactly
 ///   `format_violations().is_empty()`;
@@ -412,6 +371,80 @@ impl SipView {
     /// Where the SDP body asks for RTP, if the message carries one.
     pub fn rtp_target(&self) -> Option<(Ipv4Addr, u16)> {
         self.rtp_target
+    }
+}
+
+/// The decisions behind a [`SipView`], fed one header at a time: the
+/// wire parse feeds each value as its line scan validates it, and
+/// [`SipMessage::view`] feeds the stored headers, so both decide alike.
+/// A header's value is read when it is fed, so nothing borrows past
+/// the call.
+#[derive(Default)]
+pub(crate) struct ViewScan {
+    // Outer `None`: the header has not been seen. The first value of
+    // each header counts, as for `Headers::get`.
+    from_aor: Option<Option<Span>>,
+    to_aor: Option<Option<Span>>,
+    cseq: Option<Option<CSeq>>,
+    via_valid: Option<bool>,
+    sdp_body: Option<bool>,
+    call_id: bool,
+    max_forwards: bool,
+}
+
+impl ViewScan {
+    /// Reads one header, in message order.
+    #[inline]
+    pub(crate) fn header(&mut self, name: &HeaderName, value: &str) {
+        let aor_span = |value: &str| Some(Span::of(value, NameAddr::aor_of(value)?));
+        match name {
+            HeaderName::From if self.from_aor.is_none() => self.from_aor = Some(aor_span(value)),
+            HeaderName::To if self.to_aor.is_none() => self.to_aor = Some(aor_span(value)),
+            HeaderName::CSeq if self.cseq.is_none() => self.cseq = Some(value.parse().ok()),
+            HeaderName::Via if self.via_valid.is_none() => {
+                self.via_valid = Some(Via::is_valid(value));
+            }
+            HeaderName::ContentType if self.sdp_body.is_none() => {
+                self.sdp_body = Some(value == "application/sdp");
+            }
+            HeaderName::CallId => self.call_id = true,
+            HeaderName::MaxForwards => self.max_forwards = true,
+            _ => {}
+        }
+    }
+
+    /// The view, once every header has been read.
+    pub(crate) fn finish(self, start: &StartLine, body: &[u8]) -> SipView {
+        let method = match start {
+            StartLine::Request { method, .. } => Some(*method),
+            StartLine::Response { .. } => None,
+        };
+        let (from_aor, to_aor) = (self.from_aor.flatten(), self.to_aor.flatten());
+        let cseq = self.cseq.flatten();
+        let method_agrees = match (method, cseq) {
+            (Some(method), Some(cseq)) => {
+                cseq.method == method || method == Method::Ack || method == Method::Cancel
+            }
+            _ => true,
+        };
+        let clean = from_aor.is_some()
+            && to_aor.is_some()
+            && cseq.is_some()
+            && self.call_id
+            && self.via_valid == Some(true)
+            && (self.max_forwards || method.is_none())
+            && method_agrees;
+        let rtp_target = match self.sdp_body {
+            Some(true) => sdp::rtp_target_of_body(body),
+            _ => None,
+        };
+        SipView {
+            clean,
+            from_aor,
+            to_aor,
+            cseq,
+            rtp_target,
+        }
     }
 }
 
@@ -558,6 +591,7 @@ pub fn response_to(req: &SipMessage, code: StatusCode, to_tag: Option<&str>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sdp::SessionDescription;
 
     fn invite() -> SipMessage {
         RequestBuilder::new(Method::Invite, "sip:bob@10.0.0.2".parse().unwrap())

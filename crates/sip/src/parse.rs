@@ -12,6 +12,8 @@
 //! * [`SipMessage::parse_bytes`] — the production path: SWAR
 //!   terminator scanning (see [`crate::scan`]), length + first-byte
 //!   dispatch for method and header-name matching.
+//!   [`SipMessage::parse_viewed`] is the same scan, building the
+//!   message's [`SipView`] from each header value as it passes.
 //! * [`SipMessage::parse_bytes_reference`] — the retained naive
 //!   per-byte tokenizer. It is the *specification*: the fast path must
 //!   agree with it byte-for-byte on every input, which the differential
@@ -20,7 +22,7 @@
 use crate::bstr::ByteStr;
 use crate::header::{HeaderName, Headers};
 use crate::method::Method;
-use crate::msg::{SipMessage, StartLine};
+use crate::msg::{SipMessage, SipView, StartLine, ViewScan};
 use crate::scan;
 use crate::status::StatusCode;
 use crate::uri::SipUri;
@@ -109,93 +111,23 @@ impl SipMessage {
     ///
     /// Same contract as [`SipMessage::parse`].
     pub fn parse_bytes(input: Bytes) -> Result<SipMessage, SipParseError> {
-        if input.is_empty() {
-            return Err(SipParseError::Empty);
-        }
-        // Find the header/body separator: SWAR scan for `\r\n\r\n`
-        // first, over the whole input, then the bare-LF fallback —
-        // exactly the reference's search order.
-        let sep = find_header_end(&input).ok_or(SipParseError::MissingHeaderTerminator)?;
-        let head =
-            std::str::from_utf8(&input[..sep.header_end]).map_err(|_| SipParseError::NotText)?;
+        parse_fast(input, |_, _| {})
+    }
 
-        // Re-anchors a `&str` derived from `head` as a slice of the
-        // shared buffer (or inlines it), without copying long values.
-        // Short values inline via one fixed-size window copy when a
-        // full window of `input` follows the value (the tail bytes are
-        // unobservable padding); only values butting up against the end
-        // of the buffer fall back to the length-dispatched copy.
-        let base = head.as_ptr() as usize;
-        let anchor = |s: &str| -> ByteStr {
-            let off = s.as_ptr() as usize - base;
-            if s.len() <= ByteStr::INLINE_CAP {
-                match input.get(off..off + ByteStr::INLINE_CAP) {
-                    Some(window) => {
-                        ByteStr::inline_padded(window.try_into().expect("sized slice"), s.len())
-                    }
-                    None => ByteStr::from(s),
-                }
-            } else {
-                // `s` is a subslice of the UTF-8-validated `head`, so
-                // the slice needs no re-validation.
-                ByteStr::shared_validated(input.slice(off..off + s.len()))
-            }
-        };
-
-        // Tolerate bare-LF line endings alongside canonical CRLF: a
-        // cursor walks LF-delimited lines, trimming a trailing CR and
-        // skipping empties — the same view the reference's
-        // split/strip/filter chain produces, but the line breaks are
-        // located by one SWAR pass over the whole head up front
-        // (per-line scanning pays loop setup on every ~40-byte line).
-        let mut cursor = LineCursor::new(head);
-        let start = parse_start_line(cursor.next().ok_or(SipParseError::Empty)?)?;
-
-        let mut headers = Headers::for_parse(cursor.lines_left());
-        let mut pending = cursor.next();
-        while let Some(line) = pending.take() {
-            // Header folding: continuation lines start with SP/HT. Only
-            // a folded header pays for an owned joined line. The
-            // lookahead line is either consumed as a continuation or
-            // carried into the next loop turn as `pending`.
-            let mut folded: Option<String> = None;
-            loop {
-                match cursor.next() {
-                    Some(cont) if matches!(cont.as_bytes().first(), Some(b' ' | b'\t')) => {
-                        let joined = folded.get_or_insert_with(|| line.to_string());
-                        joined.push(' ');
-                        joined.push_str(cont.trim_start());
-                    }
-                    other => {
-                        pending = other;
-                        break;
-                    }
-                }
-            }
-            match folded {
-                None => {
-                    let colon = scan::memchr(b':', line.as_bytes())
-                        .ok_or_else(|| SipParseError::BadHeaderLine(line.to_string()))?;
-                    headers.push(
-                        HeaderName::parse(trim_ws(&line[..colon])),
-                        anchor(trim_ws(&line[colon + 1..])),
-                    );
-                }
-                Some(joined) => {
-                    let (name, value) = joined
-                        .split_once(':')
-                        .ok_or_else(|| SipParseError::BadHeaderLine(joined.clone()))?;
-                    headers.push(HeaderName::parse(name.trim()), ByteStr::from(value.trim()));
-                }
-            }
-        }
-
-        let body = slice_body(&input, sep.body_start, &headers)?;
-        Ok(SipMessage {
-            start,
-            headers,
-            body,
-        })
+    /// [`SipMessage::parse_bytes`] that also returns the message's
+    /// [`SipView`], built in the same line scan from the header values
+    /// the scan has just validated: equal to `parse_bytes(input)`
+    /// followed by [`SipMessage::view`], without the second pass over
+    /// the headers.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SipMessage::parse`].
+    pub fn parse_viewed(input: Bytes) -> Result<(SipMessage, SipView), SipParseError> {
+        let mut scan = ViewScan::default();
+        let msg = parse_fast(input, |name, value| scan.header(name, value))?;
+        let view = scan.finish(&msg.start, &msg.body);
+        Ok((msg, view))
     }
 
     /// The retained naive tokenizer: per-byte window search for the
@@ -276,6 +208,108 @@ impl SipMessage {
             body,
         })
     }
+}
+
+/// The production parse. `on_header` sees each header's name and
+/// value (trimmed, as stored) in message order, before the header is
+/// stored: a folded value as its joined text, any other as a slice of
+/// the UTF-8-validated header section.
+fn parse_fast(
+    input: Bytes,
+    mut on_header: impl FnMut(&HeaderName, &str),
+) -> Result<SipMessage, SipParseError> {
+    if input.is_empty() {
+        return Err(SipParseError::Empty);
+    }
+    // Find the header/body separator: SWAR scan for `\r\n\r\n`
+    // first, over the whole input, then the bare-LF fallback —
+    // exactly the reference's search order.
+    let sep = find_header_end(&input).ok_or(SipParseError::MissingHeaderTerminator)?;
+    let head = std::str::from_utf8(&input[..sep.header_end]).map_err(|_| SipParseError::NotText)?;
+
+    // Re-anchors a `&str` derived from `head` as a slice of the
+    // shared buffer (or inlines it), without copying long values.
+    // Short values inline via one fixed-size window copy when a
+    // full window of `input` follows the value (the tail bytes are
+    // unobservable padding); only values butting up against the end
+    // of the buffer fall back to the length-dispatched copy.
+    let base = head.as_ptr() as usize;
+    let anchor = |s: &str| -> ByteStr {
+        let off = s.as_ptr() as usize - base;
+        if s.len() <= ByteStr::INLINE_CAP {
+            match input.get(off..off + ByteStr::INLINE_CAP) {
+                Some(window) => {
+                    ByteStr::inline_padded(window.try_into().expect("sized slice"), s.len())
+                }
+                None => ByteStr::from(s),
+            }
+        } else {
+            // `s` is a subslice of the UTF-8-validated `head`, so
+            // the slice needs no re-validation.
+            ByteStr::shared_validated(input.slice(off..off + s.len()))
+        }
+    };
+
+    // Tolerate bare-LF line endings alongside canonical CRLF: a
+    // cursor walks LF-delimited lines, trimming a trailing CR and
+    // skipping empties — the same view the reference's
+    // split/strip/filter chain produces, but the line breaks are
+    // located by one SWAR pass over the whole head up front
+    // (per-line scanning pays loop setup on every ~40-byte line).
+    let mut cursor = LineCursor::new(head);
+    let start = parse_start_line(cursor.next().ok_or(SipParseError::Empty)?)?;
+
+    let mut headers = Headers::for_parse(cursor.lines_left());
+    let mut pending = cursor.next();
+    while let Some(line) = pending.take() {
+        // Header folding: continuation lines start with SP/HT. Only
+        // a folded header pays for an owned joined line. The
+        // lookahead line is either consumed as a continuation or
+        // carried into the next loop turn as `pending`.
+        let mut folded: Option<String> = None;
+        loop {
+            match cursor.next() {
+                Some(cont) if matches!(cont.as_bytes().first(), Some(b' ' | b'\t')) => {
+                    let joined = folded.get_or_insert_with(|| line.to_string());
+                    joined.push(' ');
+                    joined.push_str(cont.trim_start());
+                }
+                other => {
+                    pending = other;
+                    break;
+                }
+            }
+        }
+        let (name, value) = match &folded {
+            None => {
+                let colon = scan::memchr(b':', line.as_bytes())
+                    .ok_or_else(|| SipParseError::BadHeaderLine(line.to_string()))?;
+                (
+                    HeaderName::parse(scan::trim_ws(&line[..colon])),
+                    scan::trim_ws(&line[colon + 1..]),
+                )
+            }
+            Some(joined) => {
+                let (name, value) = joined
+                    .split_once(':')
+                    .ok_or_else(|| SipParseError::BadHeaderLine(joined.clone()))?;
+                (HeaderName::parse(name.trim()), value.trim())
+            }
+        };
+        on_header(&name, value);
+        let value = match folded {
+            None => anchor(value),
+            Some(_) => ByteStr::from(value),
+        };
+        headers.push(name, value);
+    }
+
+    let body = slice_body(&input, sep.body_start, &headers)?;
+    Ok(SipMessage {
+        start,
+        headers,
+        body,
+    })
 }
 
 /// `Content-Length` check when declared; the body shares `input`.
@@ -457,29 +491,6 @@ fn next_line<'a>(head: &'a str, pos: &mut usize) -> Option<&'a str> {
         }
     }
     None
-}
-
-/// Byte-level `str::trim`: strips ASCII whitespace with two byte scans,
-/// deferring to the unicode-aware `trim` only when a trimmed boundary
-/// byte is `>= 0x80` (every multibyte whitespace char — NBSP, NEL, the
-/// U+2000 block — both starts and ends with such a byte, so the fallback
-/// triggers whenever unicode whitespace could remain). The stripped
-/// bytes are all ASCII, so `i` and `j` stay on `char` boundaries.
-#[inline]
-fn trim_ws(s: &str) -> &str {
-    let b = s.as_bytes();
-    let mut i = 0;
-    while i < b.len() && matches!(b[i], b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ') {
-        i += 1;
-    }
-    let mut j = b.len();
-    while j > i && matches!(b[j - 1], b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ') {
-        j -= 1;
-    }
-    if i < j && (b[i] >= 0x80 || b[j - 1] >= 0x80) {
-        return s[i..j].trim();
-    }
-    &s[i..j]
 }
 
 struct HeaderEnd {
@@ -707,24 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn trim_ws_matches_str_trim() {
-        for s in [
-            "",
-            "   ",
-            "x",
-            "  spaced out  ",
-            "\t\r\nmixed\x0B\x0C ",
-            "\u{00A0}nbsp-led",
-            "nbsp-trailed\u{00A0}",
-            " \u{2003}em-space sandwich\u{2003} ",
-            "inner \u{00A0} stays",
-            "\u{85}",
-        ] {
-            assert_eq!(trim_ws(s), s.trim(), "diverged on {s:?}");
-        }
-    }
-
-    #[test]
     fn binary_garbage_rejected() {
         let garbage: Vec<u8> = (0..64).map(|i| (i * 37 % 251) as u8).collect();
         assert!(SipMessage::parse(&garbage).is_err());
@@ -749,6 +742,14 @@ mod tests {
             b"\r\n\r\n".to_vec(),
             b"INVITE  sip:b@h  SIP/2.0\r\n\r\n".to_vec(),
         ];
+        // LF then VT, at every alignment in a word: a VT is not a line
+        // break, so it cannot start a continuation line either.
+        for pad in 0..8 {
+            let mut raw = b"INVITE sip:bob@lab SIP/2.0\r\nSubject: h".to_vec();
+            raw.extend(std::iter::repeat_n(b'i', pad));
+            raw.extend(b"\n\x0B there\r\nCall-ID: x\n\x0BX: y\r\n\r\n");
+            corpus.push(raw);
+        }
         // Oversized value that cannot inline.
         let mut long = b"REGISTER sip:h SIP/2.0\r\nX-Pad: ".to_vec();
         long.extend(std::iter::repeat_n(b'y', 200));
@@ -768,8 +769,14 @@ mod tests {
             for cut in 0..=raw.len() {
                 let input = Bytes::copy_from_slice(&raw[..cut]);
                 let fast = SipMessage::parse_bytes(input.clone());
+                let viewed = SipMessage::parse_viewed(input.clone());
                 let reference = SipMessage::parse_bytes_reference(input);
                 assert_eq!(fast, reference, "diverged at cut {cut} of {raw:?}");
+                let fast = fast.map(|msg| {
+                    let view = msg.view();
+                    (msg, view)
+                });
+                assert_eq!(viewed, fast, "view diverged at cut {cut} of {raw:?}");
             }
         }
     }

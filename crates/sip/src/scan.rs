@@ -5,13 +5,16 @@
 //! `from_le_bytes` — the compiler lowers them to aligned vector loads
 //! and the classic zero-byte trick, giving memchr-like throughput
 //! without platform intrinsics. They back [`crate::parse`]'s
-//! CRLF/terminator scanning and the UTF-8-validated slicing in
-//! [`crate::bstr`].
+//! CRLF/terminator scanning, the UTF-8-validated slicing in
+//! [`crate::bstr`], and the byte-level scanners behind the SIP view
+//! (`trim_ws` is `str::trim` on any text; the field and line splitters
+//! below mirror `str`'s on ASCII text).
 //!
 //! The zero-byte trick: for a word `w`, `(w - 0x0101..01) & !w &
-//! 0x8080..80` has the high bit set in exactly the lanes that were
-//! zero. XORing `w` with a broadcast of the target byte first turns
-//! "find byte `b`" into "find zero".
+//! 0x8080..80` has the high bit set in the lowest lane that was zero
+//! (and may, through the borrow, flag lanes above it; `zero_lanes_exact`
+//! is the variant without that). XORing `w` with a broadcast of the
+//! target byte first turns "find byte `b`" into "find zero".
 
 const LO: u64 = 0x0101_0101_0101_0101;
 const HI: u64 = 0x8080_8080_8080_8080;
@@ -23,10 +26,21 @@ const fn broadcast(b: u8) -> u64 {
 }
 
 /// A word with the high bit set in every lane equal to `b` (given
-/// `x = w ^ broadcast(b)`), and clear elsewhere.
+/// `x = w ^ broadcast(b)`). The subtraction's borrow can also flag a
+/// lane above a zero lane (a `0x01` lane of `x`), so only the lowest
+/// flag is exact: [`memchr`] reads just that one, and `find_seq`
+/// confirms every candidate. [`memchr_all`] needs every flag exact and
+/// uses [`zero_lanes_exact`].
 #[inline]
 const fn zero_lanes(x: u64) -> u64 {
     x.wrapping_sub(LO) & !x & HI
+}
+
+/// A word with the high bit set in exactly the zero lanes of `x`: adding
+/// `0x7F` to each lane's low seven bits cannot carry into the next lane.
+#[inline]
+const fn zero_lanes_exact(x: u64) -> u64 {
+    !((x & !HI).wrapping_add(!HI) | x) & HI
 }
 
 /// Index of the first occurrence of `needle` in `haystack`, if any.
@@ -122,8 +136,8 @@ pub fn memchr_all(needle: u8, haystack: &[u8], out: &mut [u32; HIT_CAP]) -> Opti
     for chunk in &mut chunks {
         let w0 = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte half"));
         let w1 = u64::from_le_bytes(chunk[8..].try_into().expect("8-byte half"));
-        let h0 = zero_lanes(w0 ^ bcast);
-        let h1 = zero_lanes(w1 ^ bcast);
+        let h0 = zero_lanes_exact(w0 ^ bcast);
+        let h1 = zero_lanes_exact(w1 ^ bcast);
         if h0 | h1 != 0 {
             for (word_off, mut hits) in [(offset, h0), (offset + 8, h1)] {
                 while hits != 0 {
@@ -148,6 +162,80 @@ pub fn memchr_all(needle: u8, haystack: &[u8], out: &mut [u32; HIT_CAP]) -> Opti
         }
     }
     Some(n)
+}
+
+/// Whether `b` is one of the six ASCII bytes `char::is_whitespace`
+/// accepts: HT, LF, VT, FF, CR and space. `u8::is_ascii_whitespace`
+/// and `<[u8]>::trim_ascii` leave out VT (`\x0B`), so a scanner built
+/// on them would split and trim differently from `str::trim` and
+/// `str::split_whitespace`.
+#[inline]
+pub(crate) fn is_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// Byte-level `str::trim`: strips [`is_space`] bytes with two byte
+/// scans, deferring to the Unicode-aware `trim` only when a trimmed
+/// boundary byte is `>= 0x80` (every multibyte whitespace char — NBSP,
+/// NEL, the U+2000 block — both starts and ends with such a byte, so
+/// the fallback triggers whenever Unicode whitespace could remain). The
+/// stripped bytes are all ASCII, so `i` and `j` stay on `char`
+/// boundaries. Equal to `str::trim` on any text.
+#[inline]
+pub(crate) fn trim_ws(s: &str) -> &str {
+    let b = s.as_bytes();
+    let mut i = 0;
+    while i < b.len() && is_space(b[i]) {
+        i += 1;
+    }
+    let mut j = b.len();
+    while j > i && is_space(b[j - 1]) {
+        j -= 1;
+    }
+    if i < j && (b[i] >= 0x80 || b[j - 1] >= 0x80) {
+        return s[i..j].trim();
+    }
+    &s[i..j]
+}
+
+/// `str::split_whitespace` for ASCII text, one byte at a time: the
+/// fields of `s` between runs of [`is_space`] bytes. On text with a
+/// byte `>= 0x80` it may disagree (Unicode whitespace such as NBSP is
+/// not split on), so callers check `is_ascii` first. Every cut is next
+/// to an ASCII byte, so slicing never splits a `char`.
+#[inline]
+pub(crate) fn ascii_fields(s: &str) -> impl Iterator<Item = &str> {
+    let b = s.as_bytes();
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        while pos < b.len() && is_space(b[pos]) {
+            pos += 1;
+        }
+        if pos == b.len() {
+            return None;
+        }
+        let start = pos;
+        while pos < b.len() && !is_space(b[pos]) {
+            pos += 1;
+        }
+        Some(&s[start..pos])
+    })
+}
+
+/// The lines of `s` split at LF, each located by [`memchr`]; a line
+/// keeps any CR before its LF, and a final LF yields no empty line.
+#[inline]
+pub(crate) fn lf_lines(s: &str) -> impl Iterator<Item = &str> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        if pos >= s.len() {
+            return None;
+        }
+        let start = pos;
+        let end = memchr(b'\n', &s.as_bytes()[start..]).map_or(s.len(), |i| start + i);
+        pos = end + 1;
+        Some(&s[start..end])
+    })
 }
 
 /// First occurrence of `needle` (which starts with `first`) in
@@ -279,11 +367,44 @@ mod tests {
                 }
             }
         }
+        // A byte one above the needle right after it (`\n\x0B`) shares a
+        // word with a hit at every alignment: it is not a hit.
+        for pad in 0..24 {
+            let mut hay = vec![b'x'; pad];
+            hay.extend(b"\n\x0B\n\x0B\x0Bx");
+            let naive: Vec<u32> = (0..hay.len() as u32)
+                .filter(|&i| hay[i as usize] == b'\n')
+                .collect();
+            assert_eq!(
+                memchr_all(b'\n', &hay, &mut out),
+                Some(naive.len()),
+                "pad {pad}"
+            );
+            assert_eq!(&out[..naive.len()], &naive[..], "pad {pad}");
+        }
         // Overflow: more hits than the table holds.
         let dense = vec![b'\n'; HIT_CAP + 1];
         assert_eq!(memchr_all(b'\n', &dense, &mut out), None);
         let exact = vec![b'\n'; HIT_CAP];
         assert_eq!(memchr_all(b'\n', &exact, &mut out), Some(HIT_CAP));
+    }
+
+    #[test]
+    fn trim_ws_matches_str_trim() {
+        for s in [
+            "",
+            "   ",
+            "x",
+            "  spaced out  ",
+            "\t\r\nmixed\x0B\x0C ",
+            "\u{00A0}nbsp-led",
+            "nbsp-trailed\u{00A0}",
+            " \u{2003}em-space sandwich\u{2003} ",
+            "inner \u{00A0} stays",
+            "\u{85}",
+        ] {
+            assert_eq!(trim_ws(s), s.trim(), "diverged on {s:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! the RTP flow will live, which is how a SIP trail gets linked to an RTP
 //! trail (paper §3.2) and how a forged re-INVITE redirects media (§4.2.3).
 
+use crate::scan;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -88,48 +89,15 @@ impl SessionDescription {
     /// The RTP target of the SDP text `s`, decided without allocating:
     /// equal to `s.parse::<SessionDescription>().ok()` followed by
     /// [`SessionDescription::rtp_target`].
+    ///
+    /// This is the Unicode-aware scan. The wire parse
+    /// ([`crate::msg::SipMessage::parse_viewed`]) scans an ASCII body
+    /// byte by byte and falls back to this function otherwise.
     pub fn rtp_target_of(s: &str) -> Option<(Ipv4Addr, u16)> {
-        // Mirrors `from_str` decision for decision: every line that
-        // would fail the parse returns `None`; the last `v=`/`c=` wins
-        // and the first audio `m=` is the target.
-        let mut version_seen = false;
-        let mut origin_seen = false;
-        let mut connection = None;
-        let mut audio_port = None;
-        for line in s.lines().map(|l| l.trim_end_matches('\r')) {
-            let Some((kind, value)) = line.split_once('=') else {
-                continue;
-            };
-            let mut parts = value.split_whitespace();
-            match kind {
-                "v" => version_seen = value.trim() == "0",
-                "o" => {
-                    let (_user, id, version) = (parts.next()?, parts.next()?, parts.next()?);
-                    id.parse::<u64>().ok()?;
-                    version.parse::<u64>().ok()?;
-                    origin_seen = true;
-                }
-                "c" => {
-                    let (net, family, addr) = (parts.next()?, parts.next()?, parts.next()?);
-                    if parts.next().is_some() || net != "IN" || family != "IP4" {
-                        return None;
-                    }
-                    connection = Some(addr.parse::<Ipv4Addr>().ok()?);
-                }
-                "m" => {
-                    let (media, port, _proto) = (parts.next()?, parts.next()?, parts.next()?);
-                    let port = port.parse::<u16>().ok()?;
-                    if media == "audio" && audio_port.is_none() {
-                        audio_port = Some(port);
-                    }
-                }
-                _ => {}
-            }
-        }
-        if !(version_seen && origin_seen) {
-            return None;
-        }
-        Some((connection?, audio_port?))
+        rtp_target_in(
+            s.lines().map(|l| l.trim_end_matches('\r')),
+            str::split_whitespace,
+        )
     }
 
     /// Returns a copy re-targeted at a new address/port with the session
@@ -145,6 +113,70 @@ impl SessionDescription {
         }
         next
     }
+}
+
+/// [`SessionDescription::rtp_target_of`] over a message body's bytes.
+/// An ASCII body is scanned byte by byte: lines are found with
+/// [`scan::memchr`] and fields split on the six ASCII whitespace bytes.
+/// Any other body takes the `str` path, so both decide alike.
+pub(crate) fn rtp_target_of_body(body: &[u8]) -> Option<(Ipv4Addr, u16)> {
+    let text = std::str::from_utf8(body).ok()?;
+    if !text.is_ascii() {
+        return SessionDescription::rtp_target_of(text);
+    }
+    // A line keeps its trailing CRs here; they are whitespace to the
+    // field split, so no decision sees them.
+    rtp_target_in(scan::lf_lines(text), scan::ascii_fields)
+}
+
+/// The decisions of `from_str` followed by `rtp_target`, over `lines`
+/// and a field splitter: every line that would fail the parse returns
+/// `None`; the last `v=`/`c=` wins and the first audio `m=` is the
+/// target. Only a line that starts `v=`, `o=`, `c=` or `m=` decides
+/// anything (its kind is the text before the first `=`).
+fn rtp_target_in<'a, F: Iterator<Item = &'a str>>(
+    lines: impl Iterator<Item = &'a str>,
+    fields: impl Fn(&'a str) -> F,
+) -> Option<(Ipv4Addr, u16)> {
+    let mut version_seen = false;
+    let mut origin_seen = false;
+    let mut connection = None;
+    let mut audio_port = None;
+    for line in lines {
+        let (kind, value) = match line.as_bytes() {
+            [kind @ (b'v' | b'o' | b'c' | b'm'), b'=', ..] => (*kind, &line[2..]),
+            _ => continue,
+        };
+        let mut parts = fields(value);
+        match kind {
+            // `value.trim() == "0"`: the only field is `0`.
+            b'v' => version_seen = parts.next() == Some("0") && parts.next().is_none(),
+            b'o' => {
+                let (_user, id, version) = (parts.next()?, parts.next()?, parts.next()?);
+                id.parse::<u64>().ok()?;
+                version.parse::<u64>().ok()?;
+                origin_seen = true;
+            }
+            b'c' => {
+                let (net, family, addr) = (parts.next()?, parts.next()?, parts.next()?);
+                if parts.next().is_some() || net != "IN" || family != "IP4" {
+                    return None;
+                }
+                connection = Some(addr.parse::<Ipv4Addr>().ok()?);
+            }
+            _ => {
+                let (media, port, _proto) = (parts.next()?, parts.next()?, parts.next()?);
+                let port = port.parse::<u16>().ok()?;
+                if media == "audio" && audio_port.is_none() {
+                    audio_port = Some(port);
+                }
+            }
+        }
+    }
+    if !(version_seen && origin_seen) {
+        return None;
+    }
+    Some((connection?, audio_port?))
 }
 
 impl fmt::Display for SessionDescription {
@@ -334,13 +366,27 @@ mod tests {
             "v=0\r\no=a 1 1\r\nc=IN IP4 10.0.0.1\r\n",
             "v=0\r\no=a 1 1\r\nm=audio 5 x\r\n",
             "",
+            // Separators a byte scanner can get wrong: VT, which
+            // `is_ascii_whitespace` leaves out, and Unicode whitespace.
+            "v=0\x0B\r\no=a\x0B1 1\r\nc=IN\x0BIP4 10.0.0.1\r\nm=audio\x0B5 x\r\n",
+            "v=0\r\no=a 1 1\r\nc=IN IP4\u{A0}10.0.0.1\r\nm=audio 5 x\r\n",
+            "v=0\u{2003}\r\no=a 1 1\r\nc=IN IP4 10.0.0.1\r\nm=audio 5 x\r\n",
+            "v=0\r\no=a\u{85}1 1\r\nc=IN IP4 10.0.0.1\r\nm=audio 5 x\r\n",
+            "v=0\r\r\no=a 1 1\rc=IN IP4 10.0.0.1\r\nm=audio 5 x",
         ] {
-            assert_eq!(
-                SessionDescription::rtp_target_of(text),
-                text.parse::<SessionDescription>().ok().and_then(|d| d.rtp_target()),
-                "diverged on {text:?}"
-            );
+            let oracle = text.parse::<SessionDescription>().ok().and_then(|d| d.rtp_target());
+            assert_eq!(SessionDescription::rtp_target_of(text), oracle, "diverged on {text:?}");
+            assert_eq!(rtp_target_of_body(text.as_bytes()), oracle, "scan diverged on {text:?}");
         }
+        for cut in 0..good.len() {
+            let text = &good[..cut];
+            let oracle = text
+                .parse::<SessionDescription>()
+                .ok()
+                .and_then(|d| d.rtp_target());
+            assert_eq!(rtp_target_of_body(text.as_bytes()), oracle, "cut at {cut}");
+        }
+        assert_eq!(rtp_target_of_body(b"v=0\r\n\xff"), None);
     }
 
     #[test]

@@ -104,14 +104,14 @@ impl SipUri {
             Some(i) => &rest[..i],
             None => rest,
         };
-        let (user_len, hostport) = match core.split_once('@') {
-            Some((u, hp)) => (u.len(), hp),
+        let (user_len, hostport) = match crate::scan::memchr(b'@', core.as_bytes()) {
+            Some(at) => (at, &core[at + 1..]),
             None => (0, core),
         };
-        let host = match hostport.split_once(':') {
-            Some((h, p)) => {
-                p.parse::<u16>().ok()?;
-                h
+        let host = match crate::scan::memchr(b':', hostport.as_bytes()) {
+            Some(colon) => {
+                hostport[colon + 1..].parse::<u16>().ok()?;
+                &hostport[..colon]
             }
             None => hostport,
         };
