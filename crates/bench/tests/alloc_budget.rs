@@ -25,13 +25,14 @@ use scidive_voip::synth::SynthConfig;
 
 /// Heap allocations allowed per frame on the RTP-heavy testbed
 /// captures, end to end (distill → route → trails → events → rules).
-/// Measured ~3.2 after the interning/zero-copy
-/// work, ~2.6 once sink-based rule emission removed the per-(event,
-/// rule) `Vec<Alert>` returns, and ~1.8/~1.4 (benign/bye) with pooled
-/// header vectors, recycled footprint slots, and the per-media-frame
-/// endpoint `Vec` gone; 2 gives headroom for noise without letting any
-/// per-frame allocation back into the distiller, router, trail store,
-/// or event generator.
+/// Measured ~3.2 after the interning/zero-copy work, ~2.6 once
+/// sink-based rule emission removed the per-(event, rule) `Vec<Alert>`
+/// returns, ~1.8/~1.4 (benign/bye) once the per-media-frame endpoint
+/// `Vec` went, and 0.23/0.09 (87 allocations over 381 frames, 40 over
+/// 447) since a SIP footprint is its wire text plus the fields the IDS
+/// reads: no header list or message box is built per frame. 2 gives
+/// headroom for noise without letting any per-frame allocation back
+/// into the distiller, router, trail store, or event generator.
 const ALLOCS_PER_FRAME_BUDGET: f64 = 2.0;
 
 /// Heap allocations allowed per frame on a signalling-only capture,
@@ -39,11 +40,12 @@ const ALLOCS_PER_FRAME_BUDGET: f64 = 2.0;
 /// generator re-parsed From/To/CSeq/Via and the SDP body per consumer,
 /// 5.28 once every consumer read the one view computed per message
 /// (DESIGN §14), and 2.2 (14.6k allocations over 6.5k frames) since
-/// trails stopped retaining footprints, so each message box and header
-/// vector returns to its pool when its frame is done. What remains is
-/// per-session state (the trail, dialog and rule entries of each new
-/// Call-ID) and the AOR and Call-ID text that events carry. 3.0 leaves
-/// room for noise; one more allocation per SIP frame fails it.
+/// trails stopped retaining footprints; a footprint that holds the wire
+/// text and spans instead of a parsed message reads the same 2.2. What
+/// remains is per-session state (the trail, dialog and rule entries of
+/// each new Call-ID) and the AOR and Call-ID text that events carry.
+/// 3.0 leaves room for noise; one more allocation per SIP frame fails
+/// it.
 const SIGNALLING_ALLOCS_PER_FRAME_BUDGET: f64 = 3.0;
 
 /// The counter is process-global and `cargo test` runs tests on parallel

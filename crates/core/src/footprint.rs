@@ -15,11 +15,15 @@ use scidive_netsim::packet::PacketError;
 use scidive_netsim::time::SimTime;
 use scidive_rtp::packet::RtpHeader;
 use scidive_rtp::rtcp::RtcpPacket;
-use scidive_sip::msg::{SipMessage, SipView};
+use scidive_sip::header::CSeq;
+use scidive_sip::method::Method;
+use scidive_sip::msg::{SipMessage, SipView, Span};
 use scidive_sip::parse::SipParseError;
+use scidive_sip::status::StatusCode;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::num::NonZeroU16;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -168,169 +172,171 @@ impl PartialEq for ExtBody {
     }
 }
 
-/// Bound on idle recycled SIP message boxes kept per thread. Sized like
-/// the header-vector pool in the sip crate: enough for every in-flight
-/// footprint of a distill batch, small enough to be irrelevant memory.
-const SIP_POOL_CAP: usize = 32;
-
-/// A parsed message and its view: the contents of a [`PooledSip`] box.
-struct ViewedSip {
-    msg: SipMessage,
-    view: SipView,
+/// A byte range of a [`SipFootprint`]'s text in 16 bits, its end stored
+/// plus one so that `Option<Span16>` is no larger. `decode_udp` rejects
+/// a datagram whose 16-bit UDP length disagrees with its size, so every
+/// wire span fits; a built message whose headers reach past is refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span16 {
+    start: u16,
+    end_plus_one: NonZeroU16,
 }
 
-thread_local! {
-    // The Box IS the pooled resource — its heap slot is what gets
-    // recycled — so clippy's `Vec<ViewedSip>` suggestion would defeat
-    // the pool (every pop would need a fresh `Box::new`).
-    #[allow(clippy::vec_box)]
-    static SIP_BOX_POOL: std::cell::RefCell<Vec<Box<ViewedSip>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+impl Span16 {
+    fn new(span: Option<Span>) -> Result<Option<Span16>, SipTextError> {
+        span.map(|s| {
+            let end_plus_one = u16::try_from(s.end + 1).ok().and_then(NonZeroU16::new);
+            match (u16::try_from(s.start), end_plus_one) {
+                (Ok(start), Some(end_plus_one)) => Ok(Span16 {
+                    start,
+                    end_plus_one,
+                }),
+                _ => Err(SipTextError::TooLong(s.end)),
+            }
+        })
+        .transpose()
+    }
 }
 
-/// A boxed [`SipMessage`] and its [`SipView`], in a heap slot recycled
-/// through a thread-local pool: dropping a SIP footprint returns the box
-/// for the next parsed message to reuse, so the steady-state distill
-/// path stops paying one `Box` allocation per signalling frame.
-///
-/// The view is computed once, when the footprint is built — in the wire
-/// parse's line scan ([`PooledSip::parse`]), or from the headers of a
-/// built message ([`PooledSip::new`]) — and every consumer — the event
-/// generator, the identity plane, media learning in the trail store and
-/// the shard router, trail-reading rules — reads it instead of parsing
-/// headers again. The wrapper is immutable after construction, so the
-/// view crosses the shard ring with the message.
-///
-/// Dereferences to [`SipMessage`]; equality, `Debug`, and `Clone` all
-/// follow the message, so the wrapper is invisible to rule code. Before
-/// a box enters the pool its contents are replaced with an empty
-/// placeholder, so pooling never pins packet buffers alive.
-pub struct PooledSip {
-    /// `Some` until drop.
-    slot: Option<Box<ViewedSip>>,
+/// Why bytes did not become a [`SipFootprint`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SipTextError {
+    /// The text does not parse as SIP.
+    Parse(SipParseError),
+    /// A header the IDS reads ends at this offset, past 65,534.
+    TooLong(usize),
 }
 
-impl PooledSip {
-    /// Parses wire bytes, with the view built in the parse's line scan
-    /// ([`SipMessage::parse_viewed`]), and wraps both in a recycled box
-    /// (or a fresh one when the pool is empty). The distiller's entry.
+impl fmt::Display for SipTextError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SipTextError::Parse(e) => fmt::Display::fmt(e, f),
+            SipTextError::TooLong(end) => write!(f, "sip header ends past byte 65534 ({end})"),
+        }
+    }
+}
+
+impl std::error::Error for SipTextError {}
+
+/// A SIP footprint: the message's text, shared with the packet, and the
+/// fields the IDS reads, decided in the parse's line scan
+/// ([`SipView::parse`]). The Call-ID, the From and To AORs and the
+/// Authorization value are spans of the text, which the accessors
+/// slice. No header list is built, so nothing allocated per frame
+/// crosses the shard queue with it.
+#[derive(Clone, PartialEq)]
+pub struct SipFootprint {
+    /// The wire text, or its unfolded rendering ([`SipView::parse`]).
+    text: Bytes,
+    method: Option<Method>,
+    status: Option<StatusCode>,
+    clean: bool,
+    cseq: Option<CSeq>,
+    rtp_target: Option<(Ipv4Addr, u16)>,
+    call_id: Option<Span16>,
+    from_aor: Option<Span16>,
+    to_aor: Option<Span16>,
+    authorization: Option<Span16>,
+}
+
+impl SipFootprint {
+    /// Reads a footprint off wire bytes; a built message enters as
+    /// [`SipMessage::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Fails as [`SipMessage::parse_bytes`] does.
-    pub(crate) fn parse(payload: Bytes) -> Result<PooledSip, SipParseError> {
-        let (msg, view) = SipMessage::parse_viewed(payload)?;
-        Ok(PooledSip::boxed(ViewedSip { msg, view }))
+    /// Fails as [`SipMessage::parse_bytes`] does, or when a header the
+    /// IDS reads ends past byte 65,534.
+    pub fn parse(payload: Bytes) -> Result<SipFootprint, SipTextError> {
+        let (text, view) = SipView::parse(payload).map_err(SipTextError::Parse)?;
+        Ok(SipFootprint {
+            method: view.method,
+            status: view.status,
+            clean: view.clean,
+            cseq: view.cseq,
+            rtp_target: view.rtp_target,
+            call_id: Span16::new(view.call_id)?,
+            from_aor: Span16::new(view.from_aor)?,
+            to_aor: Span16::new(view.to_aor)?,
+            authorization: Span16::new(view.authorization)?,
+            text,
+        })
     }
 
-    /// Computes a built message's view from its headers and wraps both
-    /// in a recycled box.
-    pub fn new(msg: SipMessage) -> PooledSip {
-        let view = msg.view();
-        PooledSip::boxed(ViewedSip { msg, view })
+    fn slice(&self, span: Option<Span16>) -> Option<&str> {
+        let span = span?;
+        let range = usize::from(span.start)..usize::from(span.end_plus_one.get()) - 1;
+        std::str::from_utf8(self.text.get(range)?).ok()
     }
 
-    fn boxed(contents: ViewedSip) -> PooledSip {
-        let boxed = match SIP_BOX_POOL.with_borrow_mut(|pool| pool.pop()) {
-            Some(mut b) => {
-                *b = contents;
-                b
-            }
-            None => Box::new(contents),
-        };
-        PooledSip { slot: Some(boxed) }
-    }
-
-    fn get(&self) -> &ViewedSip {
-        self.slot.as_ref().expect("present until drop")
-    }
-
-    /// The message's view, computed when the footprint was built.
-    pub fn view(&self) -> &SipView {
-        &self.get().view
+    /// The first Call-ID value.
+    pub fn call_id(&self) -> Option<&str> {
+        self.slice(self.call_id)
     }
 
     /// The From header's address-of-record, if the header parses.
     pub fn from_aor(&self) -> Option<&str> {
-        let ViewedSip { msg, view } = self.get();
-        view.from_aor(msg)
+        self.slice(self.from_aor)
     }
 
     /// The To header's address-of-record, if the header parses.
     pub fn to_aor(&self) -> Option<&str> {
-        let ViewedSip { msg, view } = self.get();
-        view.to_aor(msg)
+        self.slice(self.to_aor)
+    }
+
+    /// The first Authorization value.
+    pub fn authorization(&self) -> Option<&str> {
+        self.slice(self.authorization)
+    }
+
+    /// The request method, if a request.
+    pub fn method(&self) -> Option<Method> {
+        self.method
+    }
+
+    /// The status code, if a response.
+    pub fn status(&self) -> Option<StatusCode> {
+        self.status
+    }
+
+    /// Whether this is a request.
+    pub fn is_request(&self) -> bool {
+        self.method.is_some()
+    }
+
+    /// Whether `message().format_violations()` is empty.
+    pub fn is_clean(&self) -> bool {
+        self.clean
+    }
+
+    /// The CSeq, if present and well-formed.
+    pub fn cseq(&self) -> Option<CSeq> {
+        self.cseq
+    }
+
+    /// Where the SDP body asks for RTP, if the message carries one.
+    pub fn rtp_target(&self) -> Option<(Ipv4Addr, u16)> {
+        self.rtp_target
+    }
+
+    /// The message, parsed again from the text: for the rare paths
+    /// (violation text, labels, `Debug`) and tests.
+    pub fn message(&self) -> SipMessage {
+        SipMessage::parse_bytes(self.text.clone()).expect("the text parsed before")
     }
 }
 
-impl std::ops::Deref for PooledSip {
-    type Target = SipMessage;
-    fn deref(&self) -> &SipMessage {
-        &self.get().msg
-    }
-}
-
-impl Drop for PooledSip {
-    fn drop(&mut self) {
-        let Some(mut boxed) = self.slot.take() else {
-            return;
-        };
-        // `try_with`: during thread teardown the pool may already be
-        // gone, in which case the box just frees normally.
-        let _ = SIP_BOX_POOL.try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < SIP_POOL_CAP {
-                // Drop the message contents now; only the heap slot is
-                // retained. The placeholder is allocation-free and its
-                // empty header vector is below the header pool's
-                // recycling threshold.
-                boxed.msg = SipMessage {
-                    start: scidive_sip::msg::StartLine::Response {
-                        code: scidive_sip::status::StatusCode::OK,
-                        reason: scidive_sip::bstr::ByteStr::EMPTY,
-                    },
-                    headers: scidive_sip::header::Headers::new(),
-                    body: Bytes::new(),
-                };
-                pool.push(boxed);
-            }
-        });
-    }
-}
-
-impl Clone for PooledSip {
-    fn clone(&self) -> PooledSip {
-        let ViewedSip { msg, view } = self.get();
-        PooledSip::boxed(ViewedSip {
-            msg: msg.clone(),
-            view: *view,
-        })
-    }
-}
-
-impl PartialEq for PooledSip {
-    fn eq(&self, other: &PooledSip) -> bool {
-        **self == **other
-    }
-}
-
-impl fmt::Debug for PooledSip {
+impl fmt::Debug for SipFootprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl From<SipMessage> for PooledSip {
-    fn from(msg: SipMessage) -> PooledSip {
-        PooledSip::new(msg)
+        fmt::Debug::fmt(&self.message(), f)
     }
 }
 
 /// The protocol-dependent payload of a footprint.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FootprintBody {
-    /// A parsed SIP message.
-    Sip(PooledSip),
+    /// A SIP message.
+    Sip(SipFootprint),
     /// Traffic on a SIP port that failed to parse as SIP.
     SipMalformed {
         /// Why parsing failed.
@@ -381,7 +387,7 @@ impl Footprint {
     /// A short label for display and debugging.
     pub fn label(&self) -> String {
         match &self.body {
-            FootprintBody::Sip(msg) => format!("SIP {}", msg.summary()),
+            FootprintBody::Sip(sip) => format!("SIP {}", sip.message().summary()),
             FootprintBody::SipMalformed { reason, .. } => format!("SIP? ({reason})"),
             FootprintBody::Rtp { header, .. } => {
                 format!("RTP seq={} ssrc={:#x}", header.seq, header.ssrc)
@@ -557,12 +563,32 @@ mod tests {
         assert!(TrailProto::from_value(&v).is_err());
     }
 
-    /// The view rides in the pooled box, not in the enum: a footprint
-    /// stays 80 bytes, which every RTP footprint pays for as it moves
-    /// through the pipeline and the shard rings.
+    /// A SIP footprint's spans are 16-bit, so the body stays 80 bytes,
+    /// which every RTP footprint pays for as it moves through the
+    /// pipeline and the shard queues.
     #[test]
     fn footprint_body_stays_eighty_bytes() {
         assert_eq!(std::mem::size_of::<FootprintBody>(), 80);
+    }
+
+    /// A header the IDS reads that ends past 16 bits is refused, never
+    /// truncated; the same message with a short pad is read.
+    #[test]
+    fn a_span_past_sixteen_bits_is_refused() {
+        let text = |pad: usize| {
+            let pad = "p".repeat(pad);
+            Bytes::from(format!(
+                "OPTIONS sip:b@h SIP/2.0\r\nX-Pad: {pad}\r\nCall-ID: x\r\n\r\n"
+            ))
+        };
+        assert_eq!(
+            SipFootprint::parse(text(1_000)).unwrap().call_id(),
+            Some("x")
+        );
+        assert!(matches!(
+            SipFootprint::parse(text(70_000)),
+            Err(SipTextError::TooLong(end)) if end > 70_000
+        ));
     }
 
     #[test]

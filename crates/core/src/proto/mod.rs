@@ -568,7 +568,7 @@ impl EventGenerator {
 mod tests {
     use super::*;
     use crate::event::EventClass;
-    use crate::footprint::PacketMeta;
+    use crate::footprint::{PacketMeta, SipFootprint};
     use crate::trail::{TrailStore, TrailStoreConfig};
     use scidive_netsim::time::{SimDuration, SimTime};
     use scidive_rtp::packet::RtpHeader;
@@ -612,7 +612,7 @@ mod tests {
                     dst,
                     dst_port: 5060,
                 },
-                body: FootprintBody::Sip(msg.clone().into()),
+                body: FootprintBody::Sip(SipFootprint::parse(msg.to_bytes()).unwrap()),
             })
         }
 

@@ -5,7 +5,7 @@
 use crate::distill::DistillerConfig;
 use crate::alert::Severity;
 use crate::event::{ByeOrigin, Event, EventClass, EventGenConfig, EventKind, FlowKey};
-use crate::footprint::{Footprint, FootprintBody, PacketMeta, PooledSip};
+use crate::footprint::{Footprint, FootprintBody, PacketMeta, SipFootprint};
 use crate::idle::{IdleMap, StoreGauge};
 use crate::proto::{AttributeCtx, GenCtx, ProtocolModule, Redirect, Teardown};
 use crate::rate::{hash_parts, RateStats, ThresholdTable, DEFAULT_RATE_SEED, TABLE_BYTES_CAP};
@@ -14,9 +14,7 @@ use crate::trail::{SessionKey, TrailKey};
 use bytes::Bytes;
 use scidive_netsim::time::{SimDuration, SimTime};
 use scidive_sip::auth::DigestCredentials;
-use scidive_sip::header::HeaderName;
 use scidive_sip::method::Method;
-use scidive_sip::msg::SipMessage;
 use scidive_sip::parse::looks_like_sip;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -66,8 +64,8 @@ impl ProtocolModule for SipModule {
         if on_sip_port {
             // A signalling port consumes its traffic: what does not
             // parse is a malformed-SIP footprint, not someone else's.
-            return Some(match PooledSip::parse(payload.clone()) {
-                Ok(msg) => FootprintBody::Sip(msg),
+            return Some(match SipFootprint::parse(payload.clone()) {
+                Ok(sip) => FootprintBody::Sip(sip),
                 Err(e) => FootprintBody::SipMalformed {
                     reason: e.to_string(),
                     prefix: payload.iter().take(32).copied().collect(),
@@ -76,8 +74,8 @@ impl ProtocolModule for SipModule {
         }
         // Off-port SIP (attackers do not respect port conventions).
         if looks_like_sip(payload) {
-            if let Ok(msg) = PooledSip::parse(payload.clone()) {
-                return Some(FootprintBody::Sip(msg));
+            if let Ok(sip) = SipFootprint::parse(payload.clone()) {
+                return Some(FootprintBody::Sip(sip));
             }
         }
         None
@@ -85,9 +83,9 @@ impl ProtocolModule for SipModule {
 
     fn attribute(&self, fp: &Footprint, ctx: &mut AttributeCtx<'_>) -> SessionKey {
         match &fp.body {
-            FootprintBody::Sip(msg) => match msg.call_id() {
-                Ok(id) => ctx.intern(id),
-                Err(_) => ctx.synthetic("sip-anon", fp.meta.src, None),
+            FootprintBody::Sip(sip) => match sip.call_id() {
+                Some(id) => ctx.intern(id),
+                None => ctx.synthetic("sip-anon", fp.meta.src, None),
             },
             _ => ctx.synthetic("sip-malformed", fp.meta.src, None),
         }
@@ -99,10 +97,10 @@ impl ProtocolModule for SipModule {
         session: &SessionKey,
         ctx: &mut AttributeCtx<'_>,
     ) -> bool {
-        let FootprintBody::Sip(msg) = &fp.body else {
+        let FootprintBody::Sip(sip) = &fp.body else {
             return false;
         };
-        let Some((addr, port)) = msg.view().rtp_target() else {
+        let Some((addr, port)) = sip.rtp_target() else {
             return false;
         };
         ctx.learn_target(addr, port, session);
@@ -111,7 +109,7 @@ impl ProtocolModule for SipModule {
 
     fn generate(&mut self, fp: &Footprint, key: &TrailKey, ctx: &mut GenCtx<'_>) {
         match &fp.body {
-            FootprintBody::Sip(msg) => on_sip(fp, key, msg, ctx),
+            FootprintBody::Sip(sip) => on_sip(fp, key, sip, ctx),
             FootprintBody::SipMalformed { reason, .. } => {
                 ctx.emit(
                     fp.meta.time,
@@ -127,18 +125,19 @@ impl ProtocolModule for SipModule {
     }
 }
 
-fn on_sip(fp: &Footprint, key: &TrailKey, msg: &PooledSip, ctx: &mut GenCtx<'_>) {
+fn on_sip(fp: &Footprint, key: &TrailKey, msg: &SipFootprint, ctx: &mut GenCtx<'_>) {
     let time = fp.meta.time;
     let session = key.session.clone();
 
-    // Format discipline (billing-fraud condition 1): decided by the
-    // view; the violation text is rendered only for an unclean message.
-    if !msg.view().is_clean() {
+    // Format discipline (billing-fraud condition 1): decided in the
+    // parse's line scan; the violation text is rendered only for an
+    // unclean message.
+    if !msg.is_clean() {
         ctx.emit(
             time,
             Some(session.clone()),
             EventKind::SipMalformed {
-                violations: msg.format_violations(),
+                violations: msg.message().format_violations(),
                 src: fp.meta.src,
             },
         );
@@ -154,17 +153,12 @@ fn on_sip(fp: &Footprint, key: &TrailKey, msg: &PooledSip, ctx: &mut GenCtx<'_>)
     }
 }
 
-fn on_sip_invite(
-    fp: &Footprint,
-    session: &SessionKey,
-    msg: &PooledSip,
-    ctx: &mut GenCtx<'_>,
-) {
+fn on_sip_invite(fp: &Footprint, session: &SessionKey, msg: &SipFootprint, ctx: &mut GenCtx<'_>) {
     let time = fp.meta.time;
     let (Some(from_aor), Some(to_aor)) = (msg.from_aor(), msg.to_aor()) else {
         return;
     };
-    let sdp_target = msg.view().rtp_target();
+    let sdp_target = msg.rtp_target();
     let state = ctx.session_entry(session, time);
     if state.caller_aor.is_none() {
         // New session: the INVITE defines the caller.
@@ -234,12 +228,7 @@ fn on_sip_invite(
     );
 }
 
-fn on_sip_bye(
-    fp: &Footprint,
-    session: &SessionKey,
-    msg: &PooledSip,
-    ctx: &mut GenCtx<'_>,
-) {
+fn on_sip_bye(fp: &Footprint, session: &SessionKey, msg: &SipFootprint, ctx: &mut GenCtx<'_>) {
     let time = fp.meta.time;
     let Some(state) = ctx.session_mut(session, time) else {
         return;
@@ -251,7 +240,7 @@ fn on_sip_bye(
     let bye = ByeOrigin {
         claimed_aor: by_aor.map(str::to_string),
         src_ip: fp.meta.src,
-        cseq: msg.view().cseq().map(|c| c.seq),
+        cseq: msg.cseq().map(|c| c.seq),
     };
     if let Some(teardown) = &mut state.torn_down {
         teardown.bye = bye;
@@ -280,12 +269,7 @@ fn on_sip_bye(
     );
 }
 
-fn on_sip_response(
-    fp: &Footprint,
-    session: &SessionKey,
-    msg: &PooledSip,
-    ctx: &mut GenCtx<'_>,
-) {
+fn on_sip_response(fp: &Footprint, session: &SessionKey, msg: &SipFootprint, ctx: &mut GenCtx<'_>) {
     let time = fp.meta.time;
     let Some(status) = msg.status() else {
         return;
@@ -295,8 +279,7 @@ fn on_sip_response(
         // session plane.
         return;
     }
-    let view = msg.view();
-    if view.cseq().is_none_or(|cseq| cseq.method != Method::Invite) {
+    if msg.cseq().is_none_or(|cseq| cseq.method != Method::Invite) {
         return;
     }
     // 2xx to an INVITE: learn the answering side's media and mark
@@ -308,7 +291,7 @@ fn on_sip_response(
         .from_aor()
         .and_then(|aor| state.caller_aor.as_deref().map(|c| c == aor))
         .unwrap_or(true);
-    if let Some(target) = view.rtp_target() {
+    if let Some(target) = msg.rtp_target() {
         if answerer_is_callee {
             if state.callee_media.is_none() || !state.established {
                 state.callee_media = Some(target);
@@ -442,7 +425,7 @@ impl IdentityPlane {
         });
     }
 
-    fn on_sip(&mut self, fp: &Footprint, msg: &PooledSip, out: &mut Vec<Event>) {
+    fn on_sip(&mut self, fp: &Footprint, msg: &SipFootprint, out: &mut Vec<Event>) {
         let time = fp.meta.time;
         // Identity → IP learning from originating (non-relay) legs.
         let from_relay = self.config.infrastructure_ips.contains(&fp.meta.src);
@@ -473,13 +456,13 @@ impl IdentityPlane {
         }
     }
 
-    fn on_im(&mut self, fp: &Footprint, msg: &PooledSip, out: &mut Vec<Event>) {
+    fn on_im(&mut self, fp: &Footprint, msg: &SipFootprint, out: &mut Vec<Event>) {
         let time = fp.meta.time;
         let Some(claimed) = msg.from_aor() else {
             return;
         };
         let src = fp.meta.src;
-        if let Ok(call_id) = msg.call_id() {
+        if let Some(call_id) = msg.call_id() {
             self.emit(
                 out,
                 time,
@@ -582,13 +565,12 @@ impl IdentityPlane {
     fn track_auth_response(
         &mut self,
         src: Ipv4Addr,
-        msg: &SipMessage,
+        msg: &SipFootprint,
         time: SimTime,
         out: &mut Vec<Event>,
     ) {
         let Some(creds) = msg
-            .headers
-            .get(&HeaderName::Authorization)
+            .authorization()
             .and_then(|v| DigestCredentials::parse(v).ok())
         else {
             return;
@@ -633,7 +615,7 @@ mod tests {
     use super::*;
     use crate::footprint::PacketMeta;
     use scidive_sip::header::{CSeq, NameAddr, Via};
-    use scidive_sip::msg::{response_to, RequestBuilder};
+    use scidive_sip::msg::{response_to, RequestBuilder, SipMessage};
     use scidive_sip::status::StatusCode;
 
     fn footprint(ms: u64, src: Ipv4Addr, dst: Ipv4Addr, msg: &SipMessage) -> Footprint {
@@ -645,7 +627,7 @@ mod tests {
                 dst,
                 dst_port: 5060,
             },
-            body: FootprintBody::Sip(msg.clone().into()),
+            body: FootprintBody::Sip(SipFootprint::parse(msg.to_bytes()).unwrap()),
         }
     }
 

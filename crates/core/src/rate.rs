@@ -118,6 +118,9 @@ pub struct RateObservation {
 pub struct RateDelta {
     /// The observations.
     pub observations: Vec<RateObservation>,
+    /// The summed `display` capacity of what [`RateHub::forward`] queued,
+    /// so [`RateHub::stats`] need not walk the observations.
+    text_bytes: usize,
 }
 
 /// What rules reach through [`crate::rules::RuleCtx::rates`]: the seeded
@@ -182,12 +185,15 @@ impl RateHub {
     /// Queues one threshold-clause observation for the fold plane
     /// (aggregated mode); shipped by the next [`RateHub::take_delta`].
     pub fn forward(&self, clause: &'static str, key: u64, time: SimTime, item: u64, display: &str) {
-        self.delta.borrow_mut().observations.push(RateObservation {
+        let display = display.to_string();
+        let mut delta = self.delta.borrow_mut();
+        delta.text_bytes += display.capacity();
+        delta.observations.push(RateObservation {
             clause,
             key,
             time,
             item,
-            display: display.to_string(),
+            display,
         });
     }
 
@@ -198,13 +204,12 @@ impl RateHub {
     }
 
     /// Telemetry snapshot: the bytes queued for the next fold (zero
-    /// outside aggregated mode).
+    /// outside aggregated mode), in constant time.
     pub fn stats(&self) -> RateStats {
         let delta = self.delta.borrow();
         let queued = delta.observations.capacity() * std::mem::size_of::<RateObservation>();
-        let text: usize = delta.observations.iter().map(|o| o.display.capacity()).sum();
         RateStats {
-            bytes: (queued + text) as u64,
+            bytes: (queued + delta.text_bytes) as u64,
             ..RateStats::default()
         }
     }
@@ -247,5 +252,28 @@ mod tests {
         );
         assert!(hub.take_delta().observations.is_empty());
         assert_eq!(hub.stats().bytes, 0);
+    }
+
+    /// The bytes `stats` reports without walking the delta equal the
+    /// walk, after forwards and after a take.
+    #[test]
+    fn stats_equal_a_walk_of_the_delta() {
+        let walk = |hub: &RateHub| {
+            let delta = hub.delta.borrow();
+            let queued = delta.observations.capacity() * std::mem::size_of::<RateObservation>();
+            let text: usize = delta.observations.iter().map(|o| o.display.capacity()).sum();
+            (queued + text) as u64
+        };
+        let hub = RateHub::new_aggregated(RateConfig::default(), false);
+        for round in 0..3 {
+            for n in 0..(5 + round * 7) {
+                let display = "x".repeat(n * 3);
+                hub.forward("c", n as u64, SimTime::from_millis(n as u64), 0, &display);
+                assert_eq!(hub.stats().bytes, walk(&hub));
+            }
+            hub.take_delta();
+            assert_eq!(hub.stats().bytes, walk(&hub));
+            assert_eq!(hub.stats().bytes, 0);
+        }
     }
 }

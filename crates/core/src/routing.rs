@@ -370,7 +370,7 @@ impl SessionRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint::{FootprintBody, PacketMeta};
+    use crate::footprint::{FootprintBody, PacketMeta, SipFootprint};
     use scidive_netsim::time::SimTime;
     use scidive_sip::sdp::SessionDescription;
     use scidive_rtp::packet::RtpHeader;
@@ -403,7 +403,7 @@ mod tests {
             .body("application/sdp", sdp.to_string());
         Footprint {
             meta: meta_at(t, [10, 0, 0, 1], 5060),
-            body: FootprintBody::Sip(b.build().into()),
+            body: FootprintBody::Sip(SipFootprint::parse(b.build().to_bytes()).unwrap()),
         }
     }
 

@@ -639,7 +639,9 @@ impl ShardedScidive {
         if self.buffers[shard].is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.buffers[shard]);
+        // A buffer sized for a whole batch, so the next pushes do not
+        // regrow it.
+        let batch = std::mem::replace(&mut self.buffers[shard], Vec::with_capacity(self.batch));
         self.batches_sent += 1;
         if self.histograms {
             self.batch_fill.record(batch.len() as u64);

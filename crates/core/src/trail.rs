@@ -378,7 +378,7 @@ impl TrailStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint::{FootprintBody, PacketMeta};
+    use crate::footprint::{FootprintBody, PacketMeta, SipFootprint};
     use scidive_rtp::packet::RtpHeader;
     use scidive_sip::sdp::SessionDescription;
     use scidive_sip::header::{CSeq, NameAddr, Via};
@@ -406,7 +406,7 @@ mod tests {
             .body("application/sdp", sdp.to_string());
         Footprint {
             meta: meta(0, [10, 0, 0, 2], 5060, [10, 0, 0, 1], 5060),
-            body: FootprintBody::Sip(b.build().into()),
+            body: FootprintBody::Sip(SipFootprint::parse(b.build().to_bytes()).unwrap()),
         }
     }
 

@@ -721,7 +721,7 @@ fn sip_footprint(at: u64, src: Ipv4Addr, dst: Ipv4Addr, msg: SipMessage) -> Foot
             dst,
             dst_port: 5060,
         },
-        body: FootprintBody::Sip(msg.into()),
+        body: FootprintBody::Sip(SipFootprint::parse(msg.to_bytes()).unwrap()),
     }
 }
 
@@ -846,7 +846,7 @@ fn trail_footprint(kind: u8, session: usize, at: SimTime) -> Footprint {
                 dst: callee_ip(session),
                 dst_port: 5060,
             },
-            body: FootprintBody::Sip(invite_msg(session).into()),
+            body: FootprintBody::Sip(SipFootprint::parse(invite_msg(session).to_bytes()).unwrap()),
         },
         1 => rtp(caller_ip(session), caller_media_port(session)),
         _ => rtp(Ipv4Addr::new(10, 9, 0, 1), 40_000 + session as u16),
@@ -1130,32 +1130,51 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// The parse-once view: the accessor parsers and `format_violations` are
-// its oracles
+// The SIP footprint: `parse_bytes`, the accessor parsers and
+// `format_violations` are its oracles
 // ----------------------------------------------------------------------
 
-use scidive_core::footprint::PooledSip;
+use scidive_core::footprint::{SipFootprint, SipTextError};
 
-/// Every read the pipeline takes from the view equals the allocating
-/// accessor it replaced, both on the bare [`SipView`] and through the
-/// footprint's [`PooledSip`].
-///
-/// [`SipView`]: scidive_sip::msg::SipView
-fn check_view_against_oracles(msg: &SipMessage) {
-    let view = msg.view();
+/// The footprint read off `bytes` is refused exactly when `parse_bytes`
+/// refuses them, with its error; otherwise its message is the parsed
+/// one and every accessor equals the allocating accessor it replaced.
+fn check_footprint_against_oracles(bytes: Bytes) {
+    let (msg, fp) = match (
+        SipMessage::parse_bytes(bytes.clone()),
+        SipFootprint::parse(bytes.clone()),
+    ) {
+        (Err(parsed), Err(read)) => {
+            prop_assert_eq!(SipTextError::Parse(parsed), read, "on {:?}", bytes);
+            return;
+        }
+        (Ok(msg), Ok(fp)) => (msg, fp),
+        (parsed, read) => panic!("{parsed:?} against {read:?} on {bytes:?}"),
+    };
+    prop_assert_eq!(&fp.message(), &msg, "message of {:?}", bytes);
     let violations = msg.format_violations();
     prop_assert_eq!(
-        view.is_clean(),
+        fp.is_clean(),
         violations.is_empty(),
         "{:?} on {}",
         violations,
         msg
     );
+    prop_assert_eq!(fp.method(), msg.method(), "method of {}", msg);
+    prop_assert_eq!(fp.status(), msg.status(), "status of {}", msg);
+    prop_assert_eq!(fp.is_request(), msg.is_request(), "start of {}", msg);
+    prop_assert_eq!(fp.call_id(), msg.call_id().ok(), "Call-ID of {}", msg);
     let from = msg.from_().ok().map(|f| f.uri.aor());
     let to = msg.to().ok().map(|t| t.uri.aor());
-    prop_assert_eq!(view.from_aor(msg), from.as_deref(), "From of {}", msg);
-    prop_assert_eq!(view.to_aor(msg), to.as_deref(), "To of {}", msg);
-    prop_assert_eq!(view.cseq(), msg.cseq().ok(), "CSeq of {}", msg);
+    prop_assert_eq!(fp.from_aor(), from.as_deref(), "From of {}", msg);
+    prop_assert_eq!(fp.to_aor(), to.as_deref(), "To of {}", msg);
+    prop_assert_eq!(
+        fp.authorization(),
+        msg.headers.get(&HeaderName::Authorization),
+        "Authorization of {}",
+        msg
+    );
+    prop_assert_eq!(fp.cseq(), msg.cseq().ok(), "CSeq of {}", msg);
     let sdp = match msg.content_type() {
         Some("application/sdp") => std::str::from_utf8(&msg.body)
             .ok()
@@ -1163,11 +1182,7 @@ fn check_view_against_oracles(msg: &SipMessage) {
             .and_then(|sdp| sdp.rtp_target()),
         _ => None,
     };
-    prop_assert_eq!(view.rtp_target(), sdp, "SDP of {}", msg);
-    let pooled = PooledSip::new(msg.clone());
-    prop_assert_eq!(pooled.view(), &view);
-    prop_assert_eq!(pooled.from_aor(), from.as_deref());
-    prop_assert_eq!(pooled.to_aor(), to.as_deref());
+    prop_assert_eq!(fp.rtp_target(), sdp, "SDP of {}", msg);
 }
 
 /// A From/To value at and around the `name-addr` grammar's edges:
@@ -1360,7 +1375,7 @@ fn header_edit<S: Strategy<Value = String> + 'static>(
 /// CANCEL, which the CSeq rule exempts, and a 401), with or without an
 /// SDP body, whose mandatory headers are then kept, removed, replaced
 /// or duplicated.
-fn built_sip_message() -> impl Strategy<Value = (SipMessage, bool)> {
+fn built_sip_message() -> impl Strategy<Value = SipMessage> {
     let kind = 0u8..8;
     let edits = (
         header_edit(name_addr_value),
@@ -1379,7 +1394,7 @@ fn built_sip_message() -> impl Strategy<Value = (SipMessage, bool)> {
         ],
         sdp_body(),
     ));
-    (kind, edits, body, any::<bool>()).prop_map(|(kind, edits, body, wire)| {
+    (kind, edits, body).prop_map(|(kind, edits, body)| {
         let method = match kind {
             0 | 5 | 7 => Method::Invite,
             1 => Method::Bye,
@@ -1426,66 +1441,112 @@ fn built_sip_message() -> impl Strategy<Value = (SipMessage, bool)> {
             msg.headers.set(HeaderName::ContentType, content_type);
             msg.body = Bytes::from(sdp);
         }
-        (msg, wire)
+        msg
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// On the adversarial wire generator, every message `parse_bytes`
-    /// accepts gets a view equal to its oracles.
-    #[test]
-    fn sip_view_matches_the_oracles_on_wire_input(input in sip_like_input()) {
-        if let Ok(msg) = SipMessage::parse_bytes(Bytes::from(input)) {
-            check_view_against_oracles(&msg);
-        }
-    }
-
-    /// On builder-made messages with edited headers and SDP bodies, as
-    /// built and after a trip over the wire, the view equals its
-    /// oracles.
-    #[test]
-    fn sip_view_matches_the_oracles_on_built_messages((msg, wire) in built_sip_message()) {
-        check_view_against_oracles(&msg);
-        if wire {
-            if let Ok(parsed) = SipMessage::parse_bytes(msg.to_bytes()) {
-                check_view_against_oracles(&parsed);
+/// A dialog header line as a peer may send it: long, compact or
+/// odd-case name; a name-addr, Via, CSeq, digest or arbitrary value,
+/// padded with SP, VT or NBSP; and sometimes folded at any character
+/// boundary of the value, continuation indent included.
+fn dialog_header_line() -> impl Strategy<Value = String> {
+    let name = prop_oneof![
+        Just("Call-ID"),
+        Just("i"),
+        Just("CALL-ID"),
+        Just("From"),
+        Just("f"),
+        Just("To"),
+        Just("t"),
+        Just("Authorization"),
+        Just("CSeq"),
+        Just("Via"),
+        Just("v"),
+        Just("Max-Forwards"),
+    ];
+    let value = prop_oneof![
+        name_addr_value(),
+        via_value(),
+        cseq_value(),
+        Just("Digest username=\"u\", realm=\"lab\", response=\"r1\"".to_string()),
+        "[ -~]{0,24}",
+    ];
+    let pad = || prop_oneof![Just(""), Just(""), Just(" "), Just("\x0B"), Just("\u{A0}")];
+    let fold = prop_oneof![
+        Just(None),
+        Just(None),
+        Just(Some("\r\n ")),
+        Just(Some("\n\t")),
+        Just(Some("\r\n \u{A0}")),
+        Just(Some("\r\n\n\t")),
+    ];
+    (name, value, pad(), pad(), fold, any::<u8>()).prop_map(
+        |(name, value, lead, trail, fold, at)| {
+            let mut value = format!("{lead}{value}{trail}");
+            if let Some(fold) = fold {
+                let mut at = usize::from(at) % (value.len() + 1);
+                while !value.is_char_boundary(at) {
+                    at -= 1;
+                }
+                value.insert_str(at, fold);
             }
-        }
-    }
+            format!("{name}:{value}\r\n")
+        },
+    )
 }
-/// The view built in the parse's line scan equals the one computed from
-/// the parsed message afterwards, and so does the message.
-fn check_fused_view(bytes: Bytes) {
-    let two_pass = SipMessage::parse_bytes(bytes.clone()).map(|msg| {
-        let view = msg.view();
-        (msg, view)
-    });
-    prop_assert_eq!(
-        SipMessage::parse_viewed(bytes.clone()),
-        two_pass,
-        "on {:?}",
-        bytes
-    );
+
+/// A SIP message whose dialog headers are drawn, repeated (the first
+/// counts) and folded by [`dialog_header_line`], with or without an
+/// SDP body.
+fn dialog_wire_input() -> impl Strategy<Value = Vec<u8>> {
+    (
+        start_line(),
+        proptest::collection::vec(dialog_header_line(), 0..10),
+        proptest::option::of(sdp_body()),
+    )
+        .prop_map(|(start, headers, sdp)| {
+            let mut text = start;
+            for h in headers {
+                text.push_str(&h);
+            }
+            if let Some(sdp) = &sdp {
+                text.push_str("Content-Type: application/sdp\r\n");
+                text.push_str(&format!("Content-Length: {}\r\n", sdp.len()));
+            }
+            text.push_str("\r\n");
+            text.push_str(sdp.as_deref().unwrap_or(""));
+            text.into_bytes()
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
+    /// On the adversarial wire generator (torn lines, folds, stomped
+    /// bytes), every footprint accessor equals its oracle.
     #[test]
-    fn fused_view_matches_two_pass_on_built_messages((msg, _) in built_sip_message()) {
-        check_fused_view(msg.to_bytes());
+    fn sip_footprint_matches_the_oracles_on_wire_input(input in sip_like_input()) {
+        check_footprint_against_oracles(Bytes::from(input));
+    }
+
+    /// On folded, compact, repeated and VT- or NBSP-padded dialog
+    /// headers, every footprint accessor equals its oracle.
+    #[test]
+    fn sip_footprint_matches_the_oracles_on_dialog_headers(input in dialog_wire_input()) {
+        check_footprint_against_oracles(Bytes::from(input));
+    }
+
+    /// On builder-made messages with edited headers and SDP bodies,
+    /// which enter as their wire text, every footprint accessor equals
+    /// its oracle.
+    #[test]
+    fn sip_footprint_matches_the_oracles_on_built_messages(msg in built_sip_message()) {
+        check_footprint_against_oracles(msg.to_bytes());
     }
 
     #[test]
-    fn fused_view_matches_two_pass_on_wire_input(input in sip_like_input()) {
-        check_fused_view(Bytes::from(input));
-    }
-
-    #[test]
-    fn fused_view_matches_two_pass_on_byte_soup(soup in proptest::collection::vec(any::<u8>(), 0..256)) {
-        check_fused_view(Bytes::from(soup));
+    fn sip_footprint_matches_the_oracles_on_byte_soup(soup in proptest::collection::vec(any::<u8>(), 0..256)) {
+        check_footprint_against_oracles(Bytes::from(soup));
     }
 }
 

@@ -222,38 +222,15 @@ pub struct Headers {
     fields: Vec<Header>,
 }
 
-/// Thread-local freelist of header vectors. A parsed message's `Vec`
-/// backing is returned here when the [`Headers`] drop, so the
-/// steady-state parse path reuses capacity instead of allocating per
-/// message. Bounded: beyond [`POOL_CAP`] retired vectors (or for
-/// trivially small ones) the memory goes back to the allocator.
-const POOL_CAP: usize = 64;
-
-thread_local! {
-    static HEADER_POOL: std::cell::RefCell<Vec<Vec<Header>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 impl Headers {
     /// Creates an empty collection.
     pub fn new() -> Headers {
         Headers::default()
     }
 
-    /// Creates an empty collection with room for `fields` headers,
-    /// backed by a recycled vector from the thread-local pool when one
-    /// is available. Behaviorally identical to [`Headers::new`]; only
-    /// the allocator traffic differs: a parse that knows its line count
-    /// sizes a fresh vector once instead of growing it by doubling.
-    pub fn for_parse(fields: usize) -> Headers {
-        let fields = match HEADER_POOL.with_borrow_mut(|pool| pool.pop()) {
-            Some(mut recycled) => {
-                recycled.reserve(fields);
-                recycled
-            }
-            None => Vec::with_capacity(fields),
-        };
-        Headers { fields }
+    /// Makes room for `additional` more headers.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.fields.reserve(additional);
     }
 
     /// Appends a header.
@@ -317,25 +294,6 @@ impl Headers {
     /// Whether the collection is empty.
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
-    }
-}
-
-impl Drop for Headers {
-    fn drop(&mut self) {
-        // Recycle the backing vector. Clearing first drops the header
-        // values now (they'd be dropped here regardless); only the raw
-        // capacity is retained.
-        if self.fields.capacity() >= 4 {
-            // `try_with`: during thread teardown the pool may already be
-            // gone, in which case the vector just frees normally.
-            let _ = HEADER_POOL.try_with(|pool| {
-                let mut pool = pool.borrow_mut();
-                if pool.len() < POOL_CAP {
-                    self.fields.clear();
-                    pool.push(std::mem::take(&mut self.fields));
-                }
-            });
-        }
     }
 }
 
@@ -760,21 +718,6 @@ mod tests {
                 HeaderName::parse_reference(s),
                 "diverged on {s:?}"
             );
-        }
-    }
-
-    #[test]
-    fn pooled_headers_behave_like_fresh() {
-        // Retire a populated collection, then reuse the pool: the
-        // recycled vector must present as empty and equal to new().
-        for _ in 0..3 {
-            let mut h = Headers::for_parse(2);
-            h.push(HeaderName::CallId, "x");
-            h.push(HeaderName::Via, "SIP/2.0/UDP h;branch=z9");
-            drop(h);
-            let reused = Headers::for_parse(0);
-            assert!(reused.is_empty());
-            assert_eq!(reused, Headers::new());
         }
     }
 

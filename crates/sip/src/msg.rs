@@ -193,7 +193,7 @@ impl SipMessage {
     /// 1: "the SIP message should follow the correct format") keys on a
     /// non-empty result.
     ///
-    /// This is the oracle for [`SipView::is_clean`] and the renderer of
+    /// This is the oracle for [`SipView::clean`] and the renderer of
     /// the violation text: the pipeline decides cleanliness from the
     /// view and calls this only for a message the view found unclean.
     /// It is not cheap even on a clean message: it parses From, To and
@@ -251,17 +251,6 @@ impl SipMessage {
         violations
     }
 
-    /// Computes the message's [`SipView`] in one pass over the headers,
-    /// without allocating. A message read off the wire gets the same
-    /// view from [`SipMessage::parse_viewed`] without this second pass.
-    pub fn view(&self) -> SipView {
-        let mut scan = ViewScan::default();
-        for h in self.headers.iter() {
-            scan.header(&h.name, h.value.as_str());
-        }
-        scan.finish(&self.start, &self.body)
-    }
-
     /// A one-line summary for ladder diagrams, e.g. `INVITE` or `200 OK`.
     pub fn summary(&self) -> String {
         match &self.start {
@@ -299,107 +288,106 @@ impl fmt::Display for SipMessage {
     }
 }
 
-/// A byte range of a header value, relative to the value's start.
+/// A byte range of a message's text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Span {
-    start: usize,
-    end: usize,
+pub struct Span {
+    /// Offset of the first byte.
+    pub start: usize,
+    /// Offset one past the last byte.
+    pub end: usize,
 }
 
 impl Span {
-    /// The range `part` occupies in `whole`; `part` must be a subslice
-    /// of `whole`.
-    fn of(whole: &str, part: &str) -> Span {
-        let start = part.as_ptr() as usize - whole.as_ptr() as usize;
+    /// The range `part` occupies in `whole`, shifted by `at`; `part`
+    /// must be a subslice of `whole`.
+    fn within(whole: &str, part: &str, at: usize) -> Span {
+        let start = at + (part.as_ptr() as usize - whole.as_ptr() as usize);
         Span {
             start,
             end: start + part.len(),
         }
     }
-
-    fn slice(self, value: &str) -> Option<&str> {
-        value.get(self.start..self.end)
-    }
 }
 
-/// What the IDS reads from a SIP message, decided once — in the wire
-/// parse's line scan by [`SipMessage::parse_viewed`], or by
-/// [`SipMessage::view`] for a built message — with the accept/reject
-/// decisions of the typed parsers, and without allocating:
+/// What the IDS reads from a SIP message, decided in one line scan of
+/// its text ([`SipView::parse`]) with the accept/reject decisions of the
+/// typed parsers, and without building a header list:
 ///
+/// - the request method or the response status;
 /// - whether the message is *clean*, i.e. exactly
 ///   `format_violations().is_empty()`;
-/// - the From and To addresses-of-record, as spans into those header
-///   values (an AOR `user@host` is contiguous in the URI text), equal to
-///   `from_().ok().map(|f| f.uri.aor())` and likewise for `to()`;
 /// - the parsed `CSeq`, equal to `cseq().ok()`;
 /// - the SDP RTP target: for a body of `Content-Type: application/sdp`,
-///   the parsed description's `rtp_target()`.
+///   the parsed description's `rtp_target()`;
+/// - spans of the text: the first `Call-ID` and `Authorization` values
+///   (`call_id().ok()`, `headers.get(&HeaderName::Authorization)`), and
+///   the From and To addresses-of-record, equal to
+///   `from_().ok().map(|f| f.uri.aor())` and likewise for `to()` (an AOR
+///   `user@host` is contiguous in the URI text).
 ///
-/// A view belongs to the message it was computed from; the span
-/// accessors take that message back.
+/// An optional field is `None` when the message lacks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SipView {
-    clean: bool,
-    from_aor: Option<Span>,
-    to_aor: Option<Span>,
-    cseq: Option<CSeq>,
-    rtp_target: Option<(Ipv4Addr, u16)>,
-}
-
-impl SipView {
+    /// The request method, if a request.
+    pub method: Option<Method>,
+    /// The status code, if a response.
+    pub status: Option<StatusCode>,
     /// Whether the message has no format violation.
-    pub fn is_clean(&self) -> bool {
-        self.clean
-    }
-
-    /// The From header's AOR in `msg`, if the header parses.
-    pub fn from_aor<'m>(&self, msg: &'m SipMessage) -> Option<&'m str> {
-        self.from_aor?.slice(msg.headers.get(&HeaderName::From)?)
-    }
-
-    /// The To header's AOR in `msg`, if the header parses.
-    pub fn to_aor<'m>(&self, msg: &'m SipMessage) -> Option<&'m str> {
-        self.to_aor?.slice(msg.headers.get(&HeaderName::To)?)
-    }
-
+    pub clean: bool,
     /// The CSeq, if present and well-formed.
-    pub fn cseq(&self) -> Option<CSeq> {
-        self.cseq
-    }
-
+    pub cseq: Option<CSeq>,
     /// Where the SDP body asks for RTP, if the message carries one.
-    pub fn rtp_target(&self) -> Option<(Ipv4Addr, u16)> {
-        self.rtp_target
-    }
+    pub rtp_target: Option<(Ipv4Addr, u16)>,
+    /// The first Call-ID value.
+    pub call_id: Option<Span>,
+    /// The From header's AOR, if the header parses.
+    pub from_aor: Option<Span>,
+    /// The To header's AOR, if the header parses.
+    pub to_aor: Option<Span>,
+    /// The first Authorization value.
+    pub authorization: Option<Span>,
 }
 
-/// The decisions behind a [`SipView`], fed one header at a time: the
-/// wire parse feeds each value as its line scan validates it, and
-/// [`SipMessage::view`] feeds the stored headers, so both decide alike.
-/// A header's value is read when it is fed, so nothing borrows past
-/// the call.
+/// The decisions behind a [`SipView`], fed one header at a time as the
+/// parse's line scan validates it. A header's value is read when it is
+/// fed, so nothing borrows past the call.
 #[derive(Default)]
 pub(crate) struct ViewScan {
     // Outer `None`: the header has not been seen. The first value of
-    // each header counts, as for `Headers::get`.
+    // each header counts, as for `Headers::get`. An inner span is
+    // `None` for a folded value, which is not contiguous in the text.
     from_aor: Option<Option<Span>>,
     to_aor: Option<Option<Span>>,
+    call_id: Option<Option<Span>>,
+    authorization: Option<Option<Span>>,
     cseq: Option<Option<CSeq>>,
     via_valid: Option<bool>,
     sdp_body: Option<bool>,
-    call_id: bool,
     max_forwards: bool,
+    /// The first `Content-Length` value, parsed (`Some(None)`: present
+    /// but not a number).
+    pub(crate) declared_length: Option<Option<usize>>,
+    /// Text ranges that header folding replaced by one space, in order.
+    pub(crate) folds: Vec<std::ops::Range<usize>>,
 }
 
 impl ViewScan {
-    /// Reads one header, in message order.
+    /// Reads one header, in message order; `at` is the value's offset in
+    /// the text, `None` for a folded value.
     #[inline]
-    pub(crate) fn header(&mut self, name: &HeaderName, value: &str) {
-        let aor_span = |value: &str| Some(Span::of(value, NameAddr::aor_of(value)?));
+    pub(crate) fn header(&mut self, name: &HeaderName, value: &str, at: Option<usize>) {
+        let whole = |value: &str| at.map(|at| Span::within(value, value, at));
+        let aor = |value: &str| match (at, NameAddr::aor_of(value)) {
+            (Some(at), Some(aor)) => Some(Span::within(value, aor, at)),
+            _ => None,
+        };
         match name {
-            HeaderName::From if self.from_aor.is_none() => self.from_aor = Some(aor_span(value)),
-            HeaderName::To if self.to_aor.is_none() => self.to_aor = Some(aor_span(value)),
+            HeaderName::From if self.from_aor.is_none() => self.from_aor = Some(aor(value)),
+            HeaderName::To if self.to_aor.is_none() => self.to_aor = Some(aor(value)),
+            HeaderName::CallId if self.call_id.is_none() => self.call_id = Some(whole(value)),
+            HeaderName::Authorization if self.authorization.is_none() => {
+                self.authorization = Some(whole(value));
+            }
             HeaderName::CSeq if self.cseq.is_none() => self.cseq = Some(value.parse().ok()),
             HeaderName::Via if self.via_valid.is_none() => {
                 self.via_valid = Some(Via::is_valid(value));
@@ -407,19 +395,22 @@ impl ViewScan {
             HeaderName::ContentType if self.sdp_body.is_none() => {
                 self.sdp_body = Some(value == "application/sdp");
             }
-            HeaderName::CallId => self.call_id = true,
+            HeaderName::ContentLength if self.declared_length.is_none() => {
+                self.declared_length = Some(declared_length(value));
+            }
             HeaderName::MaxForwards => self.max_forwards = true,
             _ => {}
         }
     }
 
-    /// The view, once every header has been read.
+    /// The view, once every header has been read. Only a scan that met
+    /// no fold decides alike with the parsers: a folded value has no
+    /// span, so its AOR would read as absent.
     pub(crate) fn finish(self, start: &StartLine, body: &[u8]) -> SipView {
-        let method = match start {
-            StartLine::Request { method, .. } => Some(*method),
-            StartLine::Response { .. } => None,
+        let (method, status) = match start {
+            StartLine::Request { method, .. } => (Some(*method), None),
+            StartLine::Response { code, .. } => (None, Some(*code)),
         };
-        let (from_aor, to_aor) = (self.from_aor.flatten(), self.to_aor.flatten());
         let cseq = self.cseq.flatten();
         let method_agrees = match (method, cseq) {
             (Some(method), Some(cseq)) => {
@@ -427,10 +418,11 @@ impl ViewScan {
             }
             _ => true,
         };
+        let (from_aor, to_aor) = (self.from_aor.flatten(), self.to_aor.flatten());
         let clean = from_aor.is_some()
             && to_aor.is_some()
             && cseq.is_some()
-            && self.call_id
+            && self.call_id.is_some()
             && self.via_valid == Some(true)
             && (self.max_forwards || method.is_none())
             && method_agrees;
@@ -439,13 +431,23 @@ impl ViewScan {
             _ => None,
         };
         SipView {
+            method,
+            status,
             clean,
-            from_aor,
-            to_aor,
             cseq,
             rtp_target,
+            call_id: self.call_id.flatten(),
+            from_aor,
+            to_aor,
+            authorization: self.authorization.flatten(),
         }
     }
+}
+
+/// A `Content-Length` value as the framing reads it: `None` when it is
+/// not a number.
+pub(crate) fn declared_length(value: &str) -> Option<usize> {
+    value.trim().parse().ok()
 }
 
 /// Builder for SIP requests.
@@ -636,23 +638,28 @@ mod tests {
         let sdp = SessionDescription::audio_offer("alice", Ipv4Addr::new(10, 0, 0, 1), 8000);
         let mut msg = invite();
         msg.body = Bytes::from(sdp.to_string());
-        let view = msg.view();
-        assert!(view.is_clean());
-        assert_eq!(view.from_aor(&msg), Some("alice@10.0.0.1"));
-        assert_eq!(view.to_aor(&msg), Some("bob@10.0.0.2"));
-        assert_eq!(view.cseq(), Some(CSeq::new(1, Method::Invite)));
-        assert_eq!(view.rtp_target(), sdp.rtp_target());
+        let (text, view) = SipView::parse(msg.to_bytes()).unwrap();
+        let slice = |span: Option<Span>| span.map(|s| &text[s.start..s.end]);
+        assert!(view.clean);
+        assert_eq!(view.method, Some(Method::Invite));
+        assert_eq!(slice(view.from_aor), Some(&b"alice@10.0.0.1"[..]));
+        assert_eq!(slice(view.to_aor), Some(&b"bob@10.0.0.2"[..]));
+        assert_eq!(slice(view.call_id), Some(&b"call-1@10.0.0.1"[..]));
+        assert_eq!(view.authorization, None);
+        assert_eq!(view.cseq, Some(CSeq::new(1, Method::Invite)));
+        assert_eq!(view.rtp_target, sdp.rtp_target());
         // "v=0" alone is not a session description.
-        assert_eq!(invite().view().rtp_target(), None);
+        let (_, view) = SipView::parse(invite().to_bytes()).unwrap();
+        assert_eq!(view.rtp_target, None);
     }
 
     #[test]
     fn view_of_a_bare_request_is_unclean() {
         let msg = RequestBuilder::new(Method::Invite, "sip:bob@h".parse().unwrap()).build();
-        let view = msg.view();
-        assert!(!view.is_clean());
-        assert_eq!(view.from_aor(&msg), None);
-        assert_eq!(view.cseq(), None);
+        let (_, view) = SipView::parse(msg.to_bytes()).unwrap();
+        assert!(!view.clean);
+        assert_eq!(view.from_aor, None);
+        assert_eq!(view.cseq, None);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * [`SipMessage::parse_bytes`] — the production path: SWAR
 //!   terminator scanning (see [`crate::scan`]), length + first-byte
 //!   dispatch for method and header-name matching.
-//!   [`SipMessage::parse_viewed`] is the same scan, building the
-//!   message's [`SipView`] from each header value as it passes.
+//!   [`SipView::parse`] is the same scan with another header sink: it
+//!   decides the message's [`SipView`] from each header value as it
+//!   passes and stores no header.
 //! * [`SipMessage::parse_bytes_reference`] — the retained naive
 //!   per-byte tokenizer. It is the *specification*: the fast path must
 //!   agree with it byte-for-byte on every input, which the differential
@@ -22,12 +23,13 @@
 use crate::bstr::ByteStr;
 use crate::header::{HeaderName, Headers};
 use crate::method::Method;
-use crate::msg::{SipMessage, SipView, StartLine, ViewScan};
+use crate::msg::{declared_length, SipMessage, SipView, StartLine, ViewScan};
 use crate::scan;
 use crate::status::StatusCode;
 use crate::uri::SipUri;
 use bytes::Bytes;
 use std::fmt;
+use std::ops::Range;
 
 /// Error parsing bytes as a SIP message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,23 +113,13 @@ impl SipMessage {
     ///
     /// Same contract as [`SipMessage::parse`].
     pub fn parse_bytes(input: Bytes) -> Result<SipMessage, SipParseError> {
-        parse_fast(input, |_, _| {})
-    }
-
-    /// [`SipMessage::parse_bytes`] that also returns the message's
-    /// [`SipView`], built in the same line scan from the header values
-    /// the scan has just validated: equal to `parse_bytes(input)`
-    /// followed by [`SipMessage::view`], without the second pass over
-    /// the headers.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SipMessage::parse`].
-    pub fn parse_viewed(input: Bytes) -> Result<(SipMessage, SipView), SipParseError> {
-        let mut scan = ViewScan::default();
-        let msg = parse_fast(input, |name, value| scan.header(name, value))?;
-        let view = scan.finish(&msg.start, &msg.body);
-        Ok((msg, view))
+        let mut headers = Headers::new();
+        let (start, body) = parse_fast(&input, &mut headers)?;
+        Ok(SipMessage {
+            start,
+            headers,
+            body: input.slice(body),
+        })
     }
 
     /// The retained naive tokenizer: per-byte window search for the
@@ -201,54 +193,158 @@ impl SipMessage {
             }
         }
 
-        let body = slice_body(&input, sep.body_start, &headers)?;
+        let body = slice_body(
+            input.len(),
+            sep.body_start,
+            headers_declared_length(&headers),
+        )?;
         Ok(SipMessage {
             start,
             headers,
-            body,
+            body: input.slice(body),
         })
     }
 }
 
-/// The production parse. `on_header` sees each header's name and
-/// value (trimmed, as stored) in message order, before the header is
-/// stored: a folded value as its joined text, any other as a slice of
-/// the UTF-8-validated header section.
+impl SipView {
+    /// Reads a SIP message's [`SipView`] off its wire text in the line
+    /// scan of [`SipMessage::parse_bytes`], storing no header. Returns
+    /// the text the view's spans index with the view: `input` itself,
+    /// or — when a header line was folded, so a value is not contiguous
+    /// in the wire — the unfolded rendering, `input` with each fold
+    /// replaced by the one space the parse joins it with. Both texts
+    /// parse to the same message.
+    ///
+    /// # Errors
+    ///
+    /// Exactly when [`SipMessage::parse_bytes`] fails, with its error.
+    pub fn parse(input: Bytes) -> Result<(Bytes, SipView), SipParseError> {
+        let mut scan = ViewScan::default();
+        let (start, body) = parse_fast(&input, &mut scan)?;
+        if scan.folds.is_empty() {
+            let view = scan.finish(&start, &input[body]);
+            return Ok((input, view));
+        }
+        let text = unfold(&input, &scan.folds);
+        let mut scan = ViewScan::default();
+        let (start, body) = parse_fast(&text, &mut scan)?;
+        debug_assert!(scan.folds.is_empty(), "an unfolded rendering has no fold");
+        let view = scan.finish(&start, &text[body]);
+        Ok((text, view))
+    }
+}
+
+/// `input` with every fold range replaced by one space. A fold spans at
+/// least the line break and the continuation's leading SP or HT, so the
+/// rendering is shorter than the input.
+fn unfold(input: &[u8], folds: &[Range<usize>]) -> Bytes {
+    let mut text = Vec::with_capacity(input.len());
+    let mut at = 0;
+    for fold in folds {
+        text.extend_from_slice(&input[at..fold.start]);
+        text.push(b' ');
+        at = fold.end;
+    }
+    text.extend_from_slice(&input[at..]);
+    Bytes::from(text)
+}
+
+/// Where the line scan hands each header: a header list for
+/// [`SipMessage::parse_bytes`], the view's decisions for
+/// [`SipView::parse`].
+trait HeaderSink {
+    /// Room for about `lines` headers.
+    fn reserve(&mut self, _lines: usize) {}
+
+    /// One header, in message order: its value trimmed, and the
+    /// value's offset in `input` — `None` for a folded value, which is
+    /// its joined text.
+    fn header(&mut self, input: &Bytes, name: HeaderName, value: &str, at: Option<usize>);
+
+    /// A fold: the `input` range from the end of one line's text to the
+    /// start of its continuation's, which the joined value reads as one
+    /// space.
+    fn fold(&mut self, _range: Range<usize>) {}
+
+    /// The first `Content-Length` value, parsed: `None` without one,
+    /// `Some(None)` when it is not a number.
+    fn declared_length(&self) -> Option<Option<usize>>;
+}
+
+impl HeaderSink for Headers {
+    fn reserve(&mut self, lines: usize) {
+        Headers::reserve(self, lines);
+    }
+
+    fn header(&mut self, input: &Bytes, name: HeaderName, value: &str, at: Option<usize>) {
+        let value = match at {
+            Some(at) => anchor(input, at, value),
+            None => ByteStr::from(value),
+        };
+        self.push(name, value);
+    }
+
+    fn declared_length(&self) -> Option<Option<usize>> {
+        headers_declared_length(self)
+    }
+}
+
+impl HeaderSink for ViewScan {
+    fn header(&mut self, _input: &Bytes, name: HeaderName, value: &str, at: Option<usize>) {
+        ViewScan::header(self, &name, value, at);
+    }
+
+    fn fold(&mut self, range: Range<usize>) {
+        self.folds.push(range);
+    }
+
+    fn declared_length(&self) -> Option<Option<usize>> {
+        self.declared_length
+    }
+}
+
+fn headers_declared_length(headers: &Headers) -> Option<Option<usize>> {
+    headers.get(&HeaderName::ContentLength).map(declared_length)
+}
+
+/// The value `s`, found at offset `at` of `input`, as a slice of the
+/// shared buffer (or inlined), without copying long values. Short
+/// values inline via one fixed-size window copy when a full window of
+/// `input` follows the value (the tail bytes are unobservable padding);
+/// only values butting up against the end of the buffer fall back to
+/// the length-dispatched copy.
+fn anchor(input: &Bytes, at: usize, s: &str) -> ByteStr {
+    if s.len() <= ByteStr::INLINE_CAP {
+        match input.get(at..at + ByteStr::INLINE_CAP) {
+            Some(window) => {
+                ByteStr::inline_padded(window.try_into().expect("sized slice"), s.len())
+            }
+            None => ByteStr::from(s),
+        }
+    } else {
+        // `s` is a subslice of the UTF-8-validated header section, so
+        // the slice needs no re-validation.
+        ByteStr::shared_validated(input.slice(at..at + s.len()))
+    }
+}
+
+/// The production parse: frames `input`, hands each header to `sink`
+/// in message order, and returns the start line and the body's range.
 fn parse_fast(
-    input: Bytes,
-    mut on_header: impl FnMut(&HeaderName, &str),
-) -> Result<SipMessage, SipParseError> {
+    input: &Bytes,
+    sink: &mut impl HeaderSink,
+) -> Result<(StartLine, Range<usize>), SipParseError> {
     if input.is_empty() {
         return Err(SipParseError::Empty);
     }
     // Find the header/body separator: SWAR scan for `\r\n\r\n`
     // first, over the whole input, then the bare-LF fallback —
     // exactly the reference's search order.
-    let sep = find_header_end(&input).ok_or(SipParseError::MissingHeaderTerminator)?;
+    let sep = find_header_end(input).ok_or(SipParseError::MissingHeaderTerminator)?;
     let head = std::str::from_utf8(&input[..sep.header_end]).map_err(|_| SipParseError::NotText)?;
-
-    // Re-anchors a `&str` derived from `head` as a slice of the
-    // shared buffer (or inlines it), without copying long values.
-    // Short values inline via one fixed-size window copy when a
-    // full window of `input` follows the value (the tail bytes are
-    // unobservable padding); only values butting up against the end
-    // of the buffer fall back to the length-dispatched copy.
+    // The head starts the input, so an offset in one is one in the other.
     let base = head.as_ptr() as usize;
-    let anchor = |s: &str| -> ByteStr {
-        let off = s.as_ptr() as usize - base;
-        if s.len() <= ByteStr::INLINE_CAP {
-            match input.get(off..off + ByteStr::INLINE_CAP) {
-                Some(window) => {
-                    ByteStr::inline_padded(window.try_into().expect("sized slice"), s.len())
-                }
-                None => ByteStr::from(s),
-            }
-        } else {
-            // `s` is a subslice of the UTF-8-validated `head`, so
-            // the slice needs no re-validation.
-            ByteStr::shared_validated(input.slice(off..off + s.len()))
-        }
-    };
+    let offset = |s: &str| s.as_ptr() as usize - base;
 
     // Tolerate bare-LF line endings alongside canonical CRLF: a
     // cursor walks LF-delimited lines, trimming a trailing CR and
@@ -259,7 +355,7 @@ fn parse_fast(
     let mut cursor = LineCursor::new(head);
     let start = parse_start_line(cursor.next().ok_or(SipParseError::Empty)?)?;
 
-    let mut headers = Headers::for_parse(cursor.lines_left());
+    sink.reserve(cursor.lines_left());
     let mut pending = cursor.next();
     while let Some(line) = pending.take() {
         // Header folding: continuation lines start with SP/HT. Only
@@ -267,12 +363,16 @@ fn parse_fast(
         // lookahead line is either consumed as a continuation or
         // carried into the next loop turn as `pending`.
         let mut folded: Option<String> = None;
+        let mut text_end = offset(line) + line.len();
         loop {
             match cursor.next() {
                 Some(cont) if matches!(cont.as_bytes().first(), Some(b' ' | b'\t')) => {
+                    let cont = cont.trim_start();
+                    sink.fold(text_end..offset(cont));
+                    text_end = offset(cont) + cont.len();
                     let joined = folded.get_or_insert_with(|| line.to_string());
                     joined.push(' ');
-                    joined.push_str(cont.trim_start());
+                    joined.push_str(cont);
                 }
                 other => {
                     pending = other;
@@ -280,59 +380,47 @@ fn parse_fast(
                 }
             }
         }
-        let (name, value) = match &folded {
+        match &folded {
             None => {
                 let colon = scan::memchr(b':', line.as_bytes())
                     .ok_or_else(|| SipParseError::BadHeaderLine(line.to_string()))?;
-                (
-                    HeaderName::parse(scan::trim_ws(&line[..colon])),
-                    scan::trim_ws(&line[colon + 1..]),
-                )
+                let value = scan::trim_ws(&line[colon + 1..]);
+                let name = HeaderName::parse(scan::trim_ws(&line[..colon]));
+                sink.header(input, name, value, Some(offset(value)));
             }
             Some(joined) => {
                 let (name, value) = joined
                     .split_once(':')
                     .ok_or_else(|| SipParseError::BadHeaderLine(joined.clone()))?;
-                (HeaderName::parse(name.trim()), value.trim())
+                sink.header(input, HeaderName::parse(name.trim()), value.trim(), None);
             }
-        };
-        on_header(&name, value);
-        let value = match folded {
-            None => anchor(value),
-            Some(_) => ByteStr::from(value),
-        };
-        headers.push(name, value);
+        }
     }
 
-    let body = slice_body(&input, sep.body_start, &headers)?;
-    Ok(SipMessage {
-        start,
-        headers,
-        body,
-    })
+    let body = slice_body(input.len(), sep.body_start, sink.declared_length())?;
+    Ok((start, body))
 }
 
-/// `Content-Length` check when declared; the body shares `input`.
-/// Common to both implementations — the rule is framing policy, not
-/// scanning.
-fn slice_body(input: &Bytes, body_start: usize, headers: &Headers) -> Result<Bytes, SipParseError> {
-    let body_len = input.len() - body_start;
-    if let Some(decl) = headers.get(&HeaderName::ContentLength) {
-        match decl.trim().parse::<usize>() {
-            Ok(declared) if declared == body_len => Ok(input.slice(body_start..)),
-            Ok(declared) if declared < body_len => {
-                // Extra trailing bytes beyond the declared body are
-                // truncated, as a UDP stack would.
-                Ok(input.slice(body_start..body_start + declared))
-            }
-            Ok(declared) => Err(SipParseError::BodyLengthMismatch {
-                declared,
-                actual: body_len,
-            }),
-            Err(_) => Ok(input.slice(body_start..)),
+/// The body's range: the rest of the input, cut to the declared
+/// `Content-Length` when it is a number. Common to both
+/// implementations — the rule is framing policy, not scanning.
+fn slice_body(
+    len: usize,
+    body_start: usize,
+    declared: Option<Option<usize>>,
+) -> Result<Range<usize>, SipParseError> {
+    let body_len = len - body_start;
+    match declared {
+        Some(Some(declared)) if declared <= body_len => {
+            // Extra trailing bytes beyond the declared body are
+            // truncated, as a UDP stack would.
+            Ok(body_start..body_start + declared)
         }
-    } else {
-        Ok(input.slice(body_start..))
+        Some(Some(declared)) => Err(SipParseError::BodyLengthMismatch {
+            declared,
+            actual: body_len,
+        }),
+        _ => Ok(body_start..len),
     }
 }
 
@@ -769,15 +857,71 @@ mod tests {
             for cut in 0..=raw.len() {
                 let input = Bytes::copy_from_slice(&raw[..cut]);
                 let fast = SipMessage::parse_bytes(input.clone());
-                let viewed = SipMessage::parse_viewed(input.clone());
-                let reference = SipMessage::parse_bytes_reference(input);
+                let reference = SipMessage::parse_bytes_reference(input.clone());
                 assert_eq!(fast, reference, "diverged at cut {cut} of {raw:?}");
-                let fast = fast.map(|msg| {
-                    let view = msg.view();
-                    (msg, view)
-                });
-                assert_eq!(viewed, fast, "view diverged at cut {cut} of {raw:?}");
+                check_view(input);
             }
         }
+    }
+
+    /// [`SipView::parse`] fails exactly as `parse_bytes` does, and
+    /// otherwise returns a text that parses to the same message and a
+    /// view equal to that message's accessors.
+    fn check_view(input: Bytes) {
+        let (text, view) = match (
+            SipMessage::parse_bytes(input.clone()),
+            SipView::parse(input.clone()),
+        ) {
+            (Err(parsed), Err(viewed)) => return assert_eq!(parsed, viewed),
+            (Ok(msg), Ok((text, view))) => {
+                assert_eq!(
+                    SipMessage::parse_bytes(text.clone()).as_ref(),
+                    Ok(&msg),
+                    "{input:?}"
+                );
+                (text, view)
+            }
+            (parsed, viewed) => panic!("{parsed:?} against {viewed:?} on {input:?}"),
+        };
+        let msg = SipMessage::parse_bytes(text.clone()).unwrap();
+        let slice = |span: Option<crate::msg::Span>| {
+            span.map(|s| std::str::from_utf8(&text[s.start..s.end]).unwrap())
+        };
+        assert_eq!(view.method, msg.method(), "{input:?}");
+        assert_eq!(view.status, msg.status(), "{input:?}");
+        assert_eq!(view.clean, msg.format_violations().is_empty(), "{input:?}");
+        assert_eq!(view.cseq, msg.cseq().ok(), "{input:?}");
+        assert_eq!(slice(view.call_id), msg.call_id().ok(), "{input:?}");
+        assert_eq!(
+            slice(view.authorization),
+            msg.headers.get(&HeaderName::Authorization),
+            "{input:?}"
+        );
+        let from = msg.from_().ok().map(|f| f.uri.aor());
+        assert_eq!(slice(view.from_aor), from.as_deref(), "{input:?}");
+        let to = msg.to().ok().map(|t| t.uri.aor());
+        assert_eq!(slice(view.to_aor), to.as_deref(), "{input:?}");
+    }
+
+    /// Folded, compact and repeated dialog headers: the view's spans
+    /// index the unfolded rendering, and the first value wins.
+    #[test]
+    fn view_spans_survive_folding_and_compact_forms() {
+        for raw in [
+            &b"INVITE sip:b@h SIP/2.0\r\nf: <sip:a@h>\r\n ;tag=1\r\nt:\r\n\t<sip:b@h>\r\ni: x\r\n\x0B\r\n\r\n"[..],
+            b"BYE sip:b@h SIP/2.0\ni:  first \ni: second\nf: \xC2\xA0<sip:a@h>\nCall-ID: third\n\n",
+            b"REGISTER sip:h SIP/2.0\r\nAuthorization: Digest\r\n   username=\"u\"\r\nAuthorization: Digest x\r\n\r\n",
+            b"INVITE sip:b@h SIP/2.0\r\nSubject: a\r\n\r\n b\r\nCall-ID:\r\n \xC2\xA0 c\r\n\r\nbody",
+            b"SIP/2.0 200 OK\r\nFrom: <sip:a@h>\n \n  \r\nTo: <sip:b@h>\r\nContent-Length: 2\r\n\r\nxyz",
+        ] {
+            for cut in 0..=raw.len() {
+                check_view(Bytes::copy_from_slice(&raw[..cut]));
+            }
+        }
+        let raw = b"INVITE sip:b@h SIP/2.0\r\nCall-ID: x\r\n y\r\n\r\n";
+        let (text, view) = SipView::parse(Bytes::from_static(raw)).unwrap();
+        assert_eq!(&text[..], b"INVITE sip:b@h SIP/2.0\r\nCall-ID: x y\r\n\r\n");
+        let span = view.call_id.unwrap();
+        assert_eq!(&text[span.start..span.end], b"x y");
     }
 }

@@ -91,7 +91,7 @@ impl SessionDescription {
     /// [`SessionDescription::rtp_target`].
     ///
     /// This is the Unicode-aware scan. The wire parse
-    /// ([`crate::msg::SipMessage::parse_viewed`]) scans an ASCII body
+    /// ([`crate::msg::SipView::parse`]) scans an ASCII body
     /// byte by byte and falls back to this function otherwise.
     pub fn rtp_target_of(s: &str) -> Option<(Ipv4Addr, u16)> {
         rtp_target_in(

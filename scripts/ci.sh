@@ -66,7 +66,10 @@
 #     keeps footprint retention out of it (a trail is a session summary;
 #     no `Arc<Footprint>` may hold a footprint past its frame), a fourth
 #     keeps hand-built synchronisation out of it (no `Condvar`, no
-#     atomic fence: queues and parking come from std's channels), and
+#     atomic fence: queues and parking come from std's channels), a
+#     fifth keeps thread-local pools out of crates/core/src and
+#     crates/sip/src (a footprint is a small value, not a recycled
+#     box), and
 #     the .scid compile gate (dsl_rules --check) denies warnings on
 #     every shipped rule file;
 #   - the 100k-dialog release soak (tests/soak.rs) holds the identity
@@ -157,6 +160,12 @@ fi
 echo "== synchronisation comes from std (no hand-built queues or parking) =="
 if grep -rnE 'Condvar|atomic::fence|fence\(' crates/core/src; then
   echo "shard queues are std::sync::mpsc channels: no Condvar or atomic fence in crates/core/src" >&2
+  exit 1
+fi
+
+echo "== no thread-local pools (nothing allocated per frame is recycled per thread) =="
+if grep -rn 'thread_local!' crates/core/src crates/sip/src; then
+  echo "a thread-local pool refills on the thread that frees, so across the shard queue it never recycles: no thread_local! in crates/core/src or crates/sip/src" >&2
   exit 1
 fi
 
