@@ -588,7 +588,7 @@ impl Scidive {
             dispatch: DispatchCounters::default(),
             gauges: eo.gauges,
             hist: ObservedHistograms {
-                rule_eval_us: eo.rule_eval_us,
+                rule_eval_ns: eo.rule_eval_ns,
                 detection_delay_ms: eo.detection_delay_ms,
                 ..ObservedHistograms::default()
             },
@@ -694,6 +694,26 @@ mod tests {
         let mut replay = Scidive::new(ScidiveConfig::default());
         replay.process_capture(frames.iter().map(|(t, f)| (*t, f)));
         assert_eq!(streaming.alerts(), replay.alerts());
+    }
+
+    /// Sampled rule evaluations reach the engine's histogram, with a
+    /// nonzero time. A release-build evaluation takes well under a
+    /// microsecond, so there this also fails a histogram of whole
+    /// microseconds; a debug build's can exceed one, and
+    /// `observe::tests::rule_eval_records_nanoseconds` holds the unit.
+    #[test]
+    fn rule_evaluation_time_is_recorded() {
+        let mut ids = Scidive::new(ScidiveConfig::default());
+        for i in 0..(2 * crate::observe::RULE_EVAL_SAMPLE as u64) {
+            ids.on_frame(
+                SimTime::from_millis(i),
+                &sip_frame("OPTIONS sip:b@lab SIP/2.0\r\nCall-ID: x\r\n\r\n"),
+            );
+        }
+        assert!(ids.stats().events > 0);
+        let hist = ids.observation().hist.rule_eval_ns;
+        assert_eq!(hist.count, 2);
+        assert!(hist.max > 0, "{hist:?}");
     }
 
     #[test]

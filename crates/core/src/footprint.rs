@@ -304,7 +304,7 @@ impl SipFootprint {
         self.method.is_some()
     }
 
-    /// Whether `message().format_violations()` is empty.
+    /// Whether `format_violations()` is empty.
     pub fn is_clean(&self) -> bool {
         self.clean
     }
@@ -319,8 +319,14 @@ impl SipFootprint {
         self.rtp_target
     }
 
-    /// The message, parsed again from the text: for the rare paths
-    /// (violation text, labels, `Debug`) and tests.
+    /// `message().format_violations()`, read off the text without
+    /// building the message.
+    pub fn format_violations(&self) -> Vec<String> {
+        SipView::format_violations(&self.text).expect("the text parsed before")
+    }
+
+    /// The message, parsed again from the text: for labels, `Debug`
+    /// and tests.
     pub fn message(&self) -> SipMessage {
         SipMessage::parse_bytes(self.text.clone()).expect("the text parsed before")
     }

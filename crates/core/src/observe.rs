@@ -61,8 +61,10 @@ impl Default for ObserveConfig {
 }
 
 /// Bucket upper bounds for rule-evaluation wall-clock latency, in
-/// microseconds.
-pub const RULE_EVAL_BUCKETS_US: [u64; 11] = [1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 5_000];
+/// nanoseconds: one footprint's evaluation takes tens to hundreds.
+pub const RULE_EVAL_BUCKETS_NS: [u64; 11] = [
+    25, 50, 100, 250, 500, 1_000, 2_500, 10_000, 100_000, 1_000_000, 10_000_000,
+];
 
 /// Bucket upper bounds for detection delay (trail creation → alert), in
 /// sim-time milliseconds.
@@ -398,8 +400,8 @@ pub struct DispatchCounters {
 /// The fixed histogram set recorded across the pipeline.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObservedHistograms {
-    /// Wall-clock rule-evaluation latency per footprint, microseconds.
-    pub rule_eval_us: Histogram,
+    /// Wall-clock rule-evaluation latency per footprint, nanoseconds.
+    pub rule_eval_ns: Histogram,
     /// Sim-time from the triggering trail's creation to each alert,
     /// milliseconds.
     pub detection_delay_ms: Histogram,
@@ -413,7 +415,7 @@ pub struct ObservedHistograms {
 impl Default for ObservedHistograms {
     fn default() -> ObservedHistograms {
         ObservedHistograms {
-            rule_eval_us: Histogram::new(&RULE_EVAL_BUCKETS_US),
+            rule_eval_ns: Histogram::new(&RULE_EVAL_BUCKETS_NS),
             detection_delay_ms: Histogram::new(&DETECTION_DELAY_BUCKETS_MS),
             batch_linger_ms: Histogram::new(&BATCH_LINGER_BUCKETS_MS),
             batch_fill: Histogram::new(&BATCH_FILL_BUCKETS),
@@ -424,7 +426,7 @@ impl Default for ObservedHistograms {
 impl ObservedHistograms {
     /// Folds another set into this one.
     pub fn merge(&mut self, other: &ObservedHistograms) {
-        self.rule_eval_us.merge(&other.rule_eval_us);
+        self.rule_eval_ns.merge(&other.rule_eval_ns);
         self.detection_delay_ms.merge(&other.detection_delay_ms);
         self.batch_linger_ms.merge(&other.batch_linger_ms);
         self.batch_fill.merge(&other.batch_fill);
@@ -562,8 +564,8 @@ pub struct EngineObservation {
     pub stats: PipelineStats,
     /// Its alerts by severity.
     pub severity: SeverityCounts,
-    /// Rule-evaluation latency histogram.
-    pub rule_eval_us: Histogram,
+    /// Rule-evaluation latency histogram, nanoseconds.
+    pub rule_eval_ns: Histogram,
     /// Detection-delay histogram.
     pub detection_delay_ms: Histogram,
     /// Exact per-rule `on_event` invocation counts.
@@ -579,7 +581,7 @@ pub struct EngineObservation {
 #[derive(Debug)]
 pub struct EngineObserver {
     histograms: bool,
-    rule_eval_us: Histogram,
+    rule_eval_ns: Histogram,
     detection_delay_ms: Histogram,
     severity: SeverityCounts,
     trace: DecisionTrace,
@@ -600,7 +602,7 @@ impl EngineObserver {
     pub fn new(config: &ObserveConfig) -> EngineObserver {
         EngineObserver {
             histograms: config.histograms,
-            rule_eval_us: Histogram::new(&RULE_EVAL_BUCKETS_US),
+            rule_eval_ns: Histogram::new(&RULE_EVAL_BUCKETS_NS),
             detection_delay_ms: Histogram::new(&DETECTION_DELAY_BUCKETS_MS),
             severity: SeverityCounts::default(),
             trace: DecisionTrace::new(config.trace_depth),
@@ -625,7 +627,7 @@ impl EngineObserver {
     /// Records the elapsed rule-evaluation time.
     pub fn record_match(&mut self, timer: Option<std::time::Instant>) {
         if let Some(t) = timer {
-            self.rule_eval_us.record(t.elapsed().as_micros() as u64);
+            self.rule_eval_ns.record(t.elapsed().as_nanos() as u64);
         }
     }
 
@@ -679,7 +681,7 @@ impl EngineObserver {
         EngineObservation {
             stats,
             severity: self.severity,
-            rule_eval_us: self.rule_eval_us.clone(),
+            rule_eval_ns: self.rule_eval_ns.clone(),
             detection_delay_ms: self.detection_delay_ms.clone(),
             rule_evals,
             gauges,
@@ -815,7 +817,7 @@ impl PipelineObservation {
             }
             let _ = writeln!(out);
         }
-        let _ = writeln!(out, "{}", self.hist.rule_eval_us.summary("rule_eval", "us"));
+        let _ = writeln!(out, "{}", self.hist.rule_eval_ns.summary("rule_eval", "ns"));
         let _ = writeln!(
             out,
             "{}",
@@ -873,14 +875,28 @@ mod tests {
 
     #[test]
     fn histogram_merge_sums() {
-        let mut a = Histogram::new(&RULE_EVAL_BUCKETS_US);
-        let mut b = Histogram::new(&RULE_EVAL_BUCKETS_US);
+        let mut a = Histogram::new(&RULE_EVAL_BUCKETS_NS);
+        let mut b = Histogram::new(&RULE_EVAL_BUCKETS_NS);
         a.record(3);
         b.record(30);
         b.record(300_000);
         a.merge(&b);
         assert_eq!(a.count, 3);
         assert_eq!(a.max, 300_000);
+    }
+
+    /// A sub-microsecond rule evaluation reads as its nanoseconds, not
+    /// as zero.
+    #[test]
+    fn rule_eval_records_nanoseconds() {
+        let mut observer = EngineObserver::new(&ObserveConfig::default());
+        let started = std::time::Instant::now() - std::time::Duration::from_nanos(600);
+        observer.record_match(Some(started));
+        let hist = observer
+            .observation(Default::default(), StateGauges::default(), Vec::new())
+            .rule_eval_ns;
+        assert_eq!(hist.count, 1);
+        assert!(hist.max >= 600, "{hist:?}");
     }
 
     #[test]

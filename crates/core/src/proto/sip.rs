@@ -137,7 +137,7 @@ fn on_sip(fp: &Footprint, key: &TrailKey, msg: &SipFootprint, ctx: &mut GenCtx<'
             time,
             Some(session.clone()),
             EventKind::SipMalformed {
-                violations: msg.message().format_violations(),
+                violations: msg.format_violations(),
                 src: fp.meta.src,
             },
         );

@@ -96,10 +96,8 @@ use std::thread::JoinHandle;
 /// Frames accumulated per shard before one channel send. The per-send
 /// cost (channel synchronization + wakeup) amortizes over eight frames,
 /// and the heap held in flight stays small: a shard queue holds
-/// `queue_depth` batches and a parsed SIP frame holds ~2 KB until its
-/// worker drops it, so whatever a worker stall lets the queue fill with
-/// is added to the pipeline's peak heap (32-frame batches in a 64-batch
-/// queue: ~4 MB, as the scheduler decides).
+/// `queue_depth` batches, and a SIP frame in one holds only its
+/// footprint and the datagram buffer that the footprint's text slices.
 const DEFAULT_BATCH: usize = 8;
 
 /// Capture-time bound on how long a buffered frame may wait for its
@@ -922,7 +920,7 @@ impl ShardedScidive {
                     severity: engine.severity,
                     gauges: engine.gauges,
                 };
-            hist.rule_eval_us.merge(&engine.rule_eval_us);
+            hist.rule_eval_ns.merge(&engine.rule_eval_ns);
             hist.detection_delay_ms.merge(&engine.detection_delay_ms);
             merge_rule_evals(&mut rule_evals, &engine.rule_evals);
             for mut entry in engine.trace {

@@ -20,7 +20,7 @@ use scidive_netsim::time::SimTime;
 use scidive_rtp::packet::{RtpHeader, RtpPacket};
 use scidive_sip::header::{CSeq, HeaderName, NameAddr, Via};
 use scidive_sip::method::Method;
-use scidive_sip::msg::{response_to, RequestBuilder, SipMessage};
+use scidive_sip::msg::{response_to, RequestBuilder, SipMessage, SipView};
 use scidive_sip::sdp::SessionDescription;
 use scidive_sip::status::StatusCode;
 use std::collections::HashMap;
@@ -1005,11 +1005,9 @@ fn header_name() -> impl Strategy<Value = String> {
     ]
 }
 
-/// Header values spanning every `ByteStr` representation boundary: the
-/// empty value, short inlined values, values straddling both the
-/// reference's 38-byte and the fast path's current inline capacity, and
-/// oversized ones that must slice the shared wire buffer. Interior
-/// whitespace and non-ASCII exercise the trim paths.
+/// Header values of many lengths: the empty value, short values,
+/// values of 30-45 and 55-70 bytes, and long ones past 90 bytes.
+/// Interior whitespace and non-ASCII exercise the trim paths.
 fn header_value() -> impl Strategy<Value = String> {
     prop_oneof![
         Just(String::new()),
@@ -1057,6 +1055,15 @@ fn start_line() -> impl Strategy<Value = String> {
         Just("SIP/2.0 180\r\n".to_string()),
         Just("BANANA sip:x SIP/2.0\r\n".to_string()),
         Just("INVITE\r\n".to_string()),
+        // Request URIs at the edges of the URI grammar: the view's
+        // start-line decision must stay the owned parse's.
+        Just("INVITE sip: SIP/2.0\r\n".to_string()),
+        Just("INVITE sip:@ SIP/2.0\r\n".to_string()),
+        Just("INVITE sips:a@h SIP/2.0\r\n".to_string()),
+        Just("BYE sip:a@h:99999 SIP/2.0\r\n".to_string()),
+        Just("MESSAGE sip:a@h:+5 SIP/2.0\r\n".to_string()),
+        Just("INVITE sip:h;lr SIP/2.0\r\n".to_string()),
+        Just("INVITE sip:a@h:5060;transport=udp SIP/2.0\r\n".to_string()),
         "[ -~]{0,30}\r\n",
     ]
 }
@@ -1099,11 +1106,10 @@ fn sip_like_input() -> impl Strategy<Value = Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The zero-copy fast parser and the retained reference parser are
+    /// The fast parser and the retained reference parser are
     /// observationally identical over adversarial SIP-shaped inputs:
-    /// same accept/reject decision, same error, and — via `SipMessage`'s
-    /// content-based equality — the same parsed message, independent of
-    /// inline/shared `ByteStr` representation choices.
+    /// same accept/reject decision, same error, and the same parsed
+    /// message.
     #[test]
     fn fast_sip_parser_matches_reference(input in sip_like_input()) {
         let bytes = bytes::Bytes::from(input);
@@ -1183,6 +1189,22 @@ fn check_footprint_against_oracles(bytes: Bytes) {
         _ => None,
     };
     prop_assert_eq!(fp.rtp_target(), sdp, "SDP of {}", msg);
+}
+
+/// The violation text the IDS renders off a message's text without
+/// building the message is `format_violations` of the parsed message:
+/// on the wire bytes, which may fold, and on the footprint's text.
+fn check_violations_against_oracle(bytes: Bytes) {
+    let parsed = SipMessage::parse_bytes(bytes.clone());
+    prop_assert_eq!(
+        SipView::format_violations(&bytes),
+        parsed.as_ref().map(SipMessage::format_violations).map_err(Clone::clone),
+        "on {:?}",
+        bytes
+    );
+    if let (Ok(msg), Ok(fp)) = (&parsed, SipFootprint::parse(bytes)) {
+        prop_assert_eq!(fp.format_violations(), msg.format_violations(), "on {}", msg);
+    }
 }
 
 /// A From/To value at and around the `name-addr` grammar's edges:
@@ -1547,6 +1569,27 @@ proptest! {
     #[test]
     fn sip_footprint_matches_the_oracles_on_byte_soup(soup in proptest::collection::vec(any::<u8>(), 0..256)) {
         check_footprint_against_oracles(Bytes::from(soup));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Unclean messages are the point of these generators: missing,
+    /// repeated, folded and malformed dialog headers, torn start lines.
+    #[test]
+    fn sip_violation_text_matches_the_message_on_wire_input(input in sip_like_input()) {
+        check_violations_against_oracle(Bytes::from(input));
+    }
+
+    #[test]
+    fn sip_violation_text_matches_the_message_on_dialog_headers(input in dialog_wire_input()) {
+        check_violations_against_oracle(Bytes::from(input));
+    }
+
+    #[test]
+    fn sip_violation_text_matches_the_message_on_built_messages(msg in built_sip_message()) {
+        check_violations_against_oracle(msg.to_bytes());
     }
 }
 

@@ -1,6 +1,5 @@
 //! SIP headers: names, the ordered header collection, and typed values.
 
-use crate::bstr::ByteStr;
 use crate::method::Method;
 use crate::scan;
 use crate::uri::SipUri;
@@ -49,12 +48,12 @@ pub enum HeaderName {
     /// `Record-Route`.
     RecordRoute,
     /// Any other header.
-    Extension(ByteStr),
+    Extension(String),
 }
 
 impl HeaderName {
     /// Creates an extension (non-standard) header name.
-    pub fn extension(name: impl Into<ByteStr>) -> HeaderName {
+    pub fn extension(name: impl Into<String>) -> HeaderName {
         HeaderName::Extension(name.into())
     }
 
@@ -81,10 +80,14 @@ impl HeaderName {
         }
     }
 
-    /// Parses a field name, folding compact forms and casing. Known
-    /// names (and compact forms) match case-insensitively without
-    /// allocating; only genuinely unknown extension headers build an
-    /// owned name.
+    /// Parses a field name, folding compact forms and casing: the
+    /// [`HeaderName::known`] name, or an owned `Extension`.
+    pub fn parse(s: &str) -> HeaderName {
+        HeaderName::known(s).unwrap_or_else(|| HeaderName::Extension(s.to_owned()))
+    }
+
+    /// The known name `s` spells, with compact forms and casing folded,
+    /// or `None` for an extension name; never allocates.
     ///
     /// This is the branch-lean dispatch: `(length, lowercased first
     /// byte)` selects at most two candidates (only `Call-ID`/`Contact`
@@ -92,10 +95,8 @@ impl HeaderName {
     /// equivalent to the linear table scan retained as
     /// [`HeaderName::parse_reference`] — full-name confirmation makes
     /// table order irrelevant.
-    pub fn parse(s: &str) -> HeaderName {
-        let Some(first) = s.as_bytes().first().map(u8::to_ascii_lowercase) else {
-            return HeaderName::Extension(ByteStr::from(s));
-        };
+    pub fn known(s: &str) -> Option<HeaderName> {
+        let first = s.as_bytes().first()?.to_ascii_lowercase();
         // Single-letter compact forms need no confirm: length 1 plus a
         // matching lowercased byte pins the string down completely.
         // Confirms a dispatch candidate: an exact compare against the
@@ -106,7 +107,7 @@ impl HeaderName {
         fn confirm(s: &str, canonical: &str, lower: &str) -> bool {
             s == canonical || s.eq_ignore_ascii_case(lower)
         }
-        let known = match (s.len(), first) {
+        match (s.len(), first) {
             (1, b'v') => Some(HeaderName::Via),
             (3, b'v') if confirm(s, "Via", "via") => Some(HeaderName::Via),
             (1, b'f') => Some(HeaderName::From),
@@ -144,8 +145,7 @@ impl HeaderName {
                 Some(HeaderName::RecordRoute)
             }
             _ => None,
-        };
-        known.unwrap_or_else(|| HeaderName::Extension(ByteStr::from(s)))
+        }
     }
 
     /// The retained linear-scan name matcher, for differential testing
@@ -182,7 +182,7 @@ impl HeaderName {
                 return variant.clone();
             }
         }
-        HeaderName::Extension(ByteStr::from(s))
+        HeaderName::Extension(s.to_owned())
     }
 }
 
@@ -193,21 +193,17 @@ impl fmt::Display for HeaderName {
 }
 
 /// One header field: a name and its raw value text.
-///
-/// The value is a [`ByteStr`]: parsing a message from wire bytes slices
-/// the shared packet buffer (or inlines short values) instead of
-/// allocating a `String` per header.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Header {
     /// Field name.
     pub name: HeaderName,
     /// Raw field value (typed values are parsed on demand).
-    pub value: ByteStr,
+    pub value: String,
 }
 
 impl Header {
     /// Creates a header.
-    pub fn new(name: HeaderName, value: impl Into<ByteStr>) -> Header {
+    pub fn new(name: HeaderName, value: impl Into<String>) -> Header {
         Header {
             name,
             value: value.into(),
@@ -228,18 +224,13 @@ impl Headers {
         Headers::default()
     }
 
-    /// Makes room for `additional` more headers.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.fields.reserve(additional);
-    }
-
     /// Appends a header.
-    pub fn push(&mut self, name: HeaderName, value: impl Into<ByteStr>) {
+    pub fn push(&mut self, name: HeaderName, value: impl Into<String>) {
         self.fields.push(Header::new(name, value));
     }
 
     /// Prepends a header (proxies push `Via` on top).
-    pub fn push_front(&mut self, name: HeaderName, value: impl Into<ByteStr>) {
+    pub fn push_front(&mut self, name: HeaderName, value: impl Into<String>) {
         self.fields.insert(0, Header::new(name, value));
     }
 
@@ -263,7 +254,7 @@ impl Headers {
     }
 
     /// Replaces all values of `name` with a single value.
-    pub fn set(&mut self, name: HeaderName, value: impl Into<ByteStr>) {
+    pub fn set(&mut self, name: HeaderName, value: impl Into<String>) {
         self.fields.retain(|h| h.name != name);
         self.push(name, value);
     }
@@ -276,7 +267,7 @@ impl Headers {
     }
 
     /// Removes the topmost (first) value of `name`, returning it.
-    pub fn remove_front(&mut self, name: &HeaderName) -> Option<ByteStr> {
+    pub fn remove_front(&mut self, name: &HeaderName) -> Option<String> {
         let idx = self.fields.iter().position(|h| &h.name == name)?;
         Some(self.fields.remove(idx).value)
     }
@@ -327,11 +318,11 @@ impl Extend<Header> for Headers {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NameAddr {
     /// Optional display name (without quotes).
-    pub display: Option<ByteStr>,
+    pub display: Option<String>,
     /// The SIP URI.
     pub uri: SipUri,
     /// Header parameters after the URI, e.g. `tag`.
-    pub params: Vec<(ByteStr, ByteStr)>,
+    pub params: Vec<(String, String)>,
 }
 
 impl NameAddr {
@@ -345,21 +336,21 @@ impl NameAddr {
     }
 
     /// Sets the display name (builder-style).
-    pub fn with_display(mut self, display: impl Into<ByteStr>) -> NameAddr {
+    pub fn with_display(mut self, display: impl Into<String>) -> NameAddr {
         self.display = Some(display.into());
         self
     }
 
     /// Adds a parameter (builder-style).
-    pub fn with_param(mut self, name: impl Into<ByteStr>, value: impl Into<ByteStr>) -> NameAddr {
+    pub fn with_param(mut self, name: impl Into<String>, value: impl Into<String>) -> NameAddr {
         self.params.push((name.into(), value.into()));
         self
     }
 
     /// Adds/replaces the `tag` parameter (builder-style).
-    pub fn with_tag(mut self, tag: impl Into<ByteStr>) -> NameAddr {
+    pub fn with_tag(mut self, tag: impl Into<String>) -> NameAddr {
         self.params.retain(|(n, _)| n != "tag");
-        self.params.push((ByteStr::from_static("tag"), tag.into()));
+        self.params.push(("tag".to_owned(), tag.into()));
         self
     }
 
@@ -441,7 +432,7 @@ impl FromStr for NameAddr {
                 .find('"')
                 .ok_or_else(|| ParseHeaderError::new("name-addr", "unterminated display name"))?;
             (
-                Some(ByteStr::from(&stripped[..end])),
+                Some(stripped[..end].to_owned()),
                 stripped[end + 1..].trim_start(),
             )
         } else {
@@ -455,7 +446,7 @@ impl FromStr for NameAddr {
             // An unquoted token display name may precede `<`.
             let display = display.or_else(|| {
                 let token = rest[..start].trim();
-                (!token.is_empty()).then(|| ByteStr::from(token))
+                (!token.is_empty()).then(|| token.to_owned())
             });
             let uri: SipUri = rest[start + 1..end]
                 .parse()
@@ -518,11 +509,11 @@ impl NameAddr {
     }
 }
 
-fn parse_params(s: &str) -> Vec<(ByteStr, ByteStr)> {
+fn parse_params(s: &str) -> Vec<(String, String)> {
     parse_params_str(s.strip_prefix(';').unwrap_or(s))
 }
 
-fn parse_params_str(s: &str) -> Vec<(ByteStr, ByteStr)> {
+fn parse_params_str(s: &str) -> Vec<(String, String)> {
     if s.trim().is_empty() {
         return Vec::new(); // `Vec::new` never allocates
     }
@@ -530,8 +521,8 @@ fn parse_params_str(s: &str) -> Vec<(ByteStr, ByteStr)> {
         .map(str::trim)
         .filter(|p| !p.is_empty())
         .map(|p| match p.split_once('=') {
-            Some((n, v)) => (ByteStr::from(n.trim()), ByteStr::from(v.trim())),
-            None => (ByteStr::from(p), ByteStr::EMPTY),
+            Some((n, v)) => (n.trim().to_owned(), v.trim().to_owned()),
+            None => (p.to_owned(), String::new()),
         })
         .collect()
 }
@@ -592,20 +583,20 @@ impl FromStr for CSeq {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Via {
     /// Transport token, e.g. `UDP`.
-    pub transport: ByteStr,
+    pub transport: String,
     /// The `sent-by` host (and optional `:port`).
-    pub sent_by: ByteStr,
+    pub sent_by: String,
     /// Via parameters (`branch`, `received`, ...).
-    pub params: Vec<(ByteStr, ByteStr)>,
+    pub params: Vec<(String, String)>,
 }
 
 impl Via {
     /// Creates a UDP Via with the RFC 3261 magic-cookie branch.
-    pub fn udp(sent_by: impl Into<ByteStr>, branch: impl Into<ByteStr>) -> Via {
+    pub fn udp(sent_by: impl Into<String>, branch: impl Into<String>) -> Via {
         Via {
-            transport: ByteStr::from_static("UDP"),
+            transport: "UDP".to_owned(),
             sent_by: sent_by.into(),
-            params: vec![(ByteStr::from_static("branch"), branch.into())],
+            params: vec![("branch".to_owned(), branch.into())],
         }
     }
 
@@ -666,8 +657,8 @@ impl FromStr for Via {
             return Err(ParseHeaderError::new("Via", "empty sent-by"));
         }
         Ok(Via {
-            transport: ByteStr::from(transport),
-            sent_by: ByteStr::from(sent_by.trim()),
+            transport: transport.to_owned(),
+            sent_by: sent_by.trim().to_owned(),
             params: parse_params_str(params_part),
         })
     }

@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 pub mod auth;
-pub mod bstr;
 pub mod dialog;
 pub mod header;
 pub mod md5;
@@ -51,7 +50,6 @@ pub mod uri;
 /// Convenient glob import of the common SIP types.
 pub mod prelude {
     pub use crate::auth::{DigestChallenge, DigestCredentials};
-    pub use crate::bstr::ByteStr;
     pub use crate::dialog::{Dialog, DialogRole, DialogState};
     pub use crate::header::{CSeq, Header, HeaderName, Headers, NameAddr, Via};
     pub use crate::method::Method;

@@ -1,6 +1,5 @@
 //! SIP messages: start lines, the message type, builders and serialization.
 
-use crate::bstr::ByteStr;
 use crate::header::{CSeq, HeaderName, Headers, NameAddr, ParseHeaderError, Via};
 use crate::method::Method;
 use crate::sdp;
@@ -25,11 +24,8 @@ pub enum StartLine {
     Response {
         /// The status code.
         code: StatusCode,
-        /// The reason phrase as transmitted. A [`ByteStr`]: building a
-        /// response from a [`crate::status::StatusCode`] uses the static
-        /// default phrase and parsing inlines short phrases, so neither
-        /// allocates.
-        reason: ByteStr,
+        /// The reason phrase as transmitted.
+        reason: String,
     },
 }
 
@@ -193,62 +189,11 @@ impl SipMessage {
     /// 1: "the SIP message should follow the correct format") keys on a
     /// non-empty result.
     ///
-    /// This is the oracle for [`SipView::clean`] and the renderer of
-    /// the violation text: the pipeline decides cleanliness from the
-    /// view and calls this only for a message the view found unclean.
-    /// It is not cheap even on a clean message: it parses From, To and
-    /// the top Via into owned values (their parameter lists allocate)
-    /// and CSeq twice — about 2.8 allocations per clean message on the
-    /// benchmark's signalling workload.
+    /// This is the oracle for [`SipView::clean`]. The IDS renders the
+    /// same text off the wire with [`SipView::format_violations`], and
+    /// only for a message its view found unclean.
     pub fn format_violations(&self) -> Vec<String> {
-        const NEED: &[(HeaderName, &str)] = &[
-            (HeaderName::To, "To"),
-            (HeaderName::From, "From"),
-            (HeaderName::CSeq, "CSeq"),
-            (HeaderName::CallId, "Call-ID"),
-            (HeaderName::Via, "Via"),
-            (HeaderName::MaxForwards, "Max-Forwards"),
-        ];
-        let need = if self.is_request() {
-            NEED
-        } else {
-            &NEED[..NEED.len() - 1] // responses don't need Max-Forwards
-        };
-        let mut violations = Vec::new();
-        for (name, label) in need {
-            if self.headers.get(name).is_none() {
-                violations.push(format!("missing mandatory header {label}"));
-            }
-        }
-        if self.headers.get(&HeaderName::From).is_some() {
-            if let Err(e) = self.from_() {
-                violations.push(e.to_string());
-            }
-        }
-        if self.headers.get(&HeaderName::To).is_some() {
-            if let Err(e) = self.to() {
-                violations.push(e.to_string());
-            }
-        }
-        if self.headers.get(&HeaderName::CSeq).is_some() {
-            if let Err(e) = self.cseq() {
-                violations.push(e.to_string());
-            }
-        }
-        if self.headers.get(&HeaderName::Via).is_some() {
-            if let Err(e) = self.via_top() {
-                violations.push(e.to_string());
-            }
-        }
-        if let (StartLine::Request { method, .. }, Ok(cseq)) = (&self.start, self.cseq()) {
-            if cseq.method != *method && *method != Method::Ack && *method != Method::Cancel {
-                violations.push(format!(
-                    "CSeq method {} disagrees with request method {method}",
-                    cseq.method
-                ));
-            }
-        }
-        violations
+        format_violations(self.method(), |name| self.headers.get(name), false)
     }
 
     /// A one-line summary for ladder diagrams, e.g. `INVITE` or `200 OK`.
@@ -406,11 +351,12 @@ impl ViewScan {
     /// The view, once every header has been read. Only a scan that met
     /// no fold decides alike with the parsers: a folded value has no
     /// span, so its AOR would read as absent.
-    pub(crate) fn finish(self, start: &StartLine, body: &[u8]) -> SipView {
-        let (method, status) = match start {
-            StartLine::Request { method, .. } => (Some(*method), None),
-            StartLine::Response { code, .. } => (None, Some(*code)),
-        };
+    pub(crate) fn finish(
+        self,
+        method: Option<Method>,
+        status: Option<StatusCode>,
+        body: &[u8],
+    ) -> SipView {
         let cseq = self.cseq.flatten();
         let method_agrees = match (method, cseq) {
             (Some(method), Some(cseq)) => {
@@ -442,6 +388,71 @@ impl ViewScan {
             authorization: self.authorization.flatten(),
         }
     }
+}
+
+/// The headers every request must carry (RFC 3261 §8.1.1) and their
+/// names in violation text; a response needs all but Max-Forwards.
+pub(crate) const MANDATORY: [(HeaderName, &str); 6] = [
+    (HeaderName::To, "To"),
+    (HeaderName::From, "From"),
+    (HeaderName::CSeq, "CSeq"),
+    (HeaderName::CallId, "Call-ID"),
+    (HeaderName::Via, "Via"),
+    (HeaderName::MaxForwards, "Max-Forwards"),
+];
+
+/// [`SipMessage::format_violations`] of a message with request method
+/// `method` (`None` for a response) whose first value of each header is
+/// `first(name)`. With `twins`, a From, To or Via value is checked by
+/// its parser's non-allocating twin and parsed only when that rejects
+/// it, for the error text. Without, every value is parsed: the owned
+/// message's check stays an oracle for the twins.
+pub(crate) fn format_violations<'v>(
+    method: Option<Method>,
+    first: impl Fn(&HeaderName) -> Option<&'v str>,
+    twins: bool,
+) -> Vec<String> {
+    let need = match method {
+        Some(_) => &MANDATORY[..],
+        None => &MANDATORY[..MANDATORY.len() - 1],
+    };
+    let mut violations = Vec::new();
+    for (name, label) in need {
+        if first(name).is_none() {
+            violations.push(format!("missing mandatory header {label}"));
+        }
+    }
+    for name in [HeaderName::From, HeaderName::To] {
+        match first(&name) {
+            Some(value) if !twins || NameAddr::aor_of(value).is_none() => {
+                if let Err(e) = value.parse::<NameAddr>() {
+                    violations.push(e.to_string());
+                }
+            }
+            _ => {}
+        }
+    }
+    let cseq = first(&HeaderName::CSeq).map(str::parse::<CSeq>);
+    if let Some(Err(e)) = &cseq {
+        violations.push(e.to_string());
+    }
+    match first(&HeaderName::Via) {
+        Some(value) if !twins || !Via::is_valid(value) => {
+            if let Err(e) = value.parse::<Via>() {
+                violations.push(e.to_string());
+            }
+        }
+        _ => {}
+    }
+    if let (Some(method), Some(Ok(cseq))) = (method, cseq) {
+        if cseq.method != method && method != Method::Ack && method != Method::Cancel {
+            violations.push(format!(
+                "CSeq method {} disagrees with request method {method}",
+                cseq.method
+            ));
+        }
+    }
+    violations
 }
 
 /// A `Content-Length` value as the framing reads it: `None` when it is
@@ -518,11 +529,7 @@ impl RequestBuilder {
     }
 
     /// Adds an arbitrary header.
-    pub fn header(
-        &mut self,
-        name: HeaderName,
-        value: impl Into<crate::bstr::ByteStr>,
-    ) -> &mut RequestBuilder {
+    pub fn header(&mut self, name: HeaderName, value: impl Into<String>) -> &mut RequestBuilder {
         self.headers.push(name, value);
         self
     }
@@ -583,7 +590,7 @@ pub fn response_to(req: &SipMessage, code: StatusCode, to_tag: Option<&str>) -> 
     SipMessage {
         start: StartLine::Response {
             code,
-            reason: ByteStr::from_static(code.default_reason()),
+            reason: code.default_reason().to_owned(),
         },
         headers,
         body: Bytes::new(),

@@ -9,21 +9,26 @@
 //!
 //! Two implementations share the contract:
 //!
-//! * [`SipMessage::parse_bytes`] — the production path: SWAR
-//!   terminator scanning (see [`crate::scan`]), length + first-byte
-//!   dispatch for method and header-name matching.
-//!   [`SipView::parse`] is the same scan with another header sink: it
-//!   decides the message's [`SipView`] from each header value as it
-//!   passes and stores no header.
+//! * the fast line scan — SWAR terminator scanning (see [`crate::scan`]),
+//!   length + first-byte dispatch for method and header-name matching —
+//!   which hands each header to a sink. [`SipView::parse`] is the IDS's
+//!   path: its sink decides the message's [`SipView`] from each header
+//!   value as it passes and builds no owned value — no header, no
+//!   extension name, no request URI and no reason phrase.
+//!   [`SipView::format_violations`] renders an unclean message's
+//!   violation text with a sink that keeps only the first value of each
+//!   mandatory header. [`SipMessage::parse_bytes`] is the same scan with
+//!   the owned [`Headers`] sink, for the testbed and for rendering.
 //! * [`SipMessage::parse_bytes_reference`] — the retained naive
 //!   per-byte tokenizer. It is the *specification*: the fast path must
 //!   agree with it byte-for-byte on every input, which the differential
 //!   property tests enforce.
 
-use crate::bstr::ByteStr;
 use crate::header::{HeaderName, Headers};
 use crate::method::Method;
-use crate::msg::{declared_length, SipMessage, SipView, StartLine, ViewScan};
+use crate::msg::{
+    declared_length, format_violations, SipMessage, SipView, StartLine, ViewScan, MANDATORY,
+};
 use crate::scan;
 use crate::status::StatusCode;
 use crate::uri::SipUri;
@@ -99,10 +104,8 @@ impl SipMessage {
         SipMessage::parse_bytes(Bytes::copy_from_slice(input))
     }
 
-    /// Parses a SIP message from a shared wire buffer, zero-copy: header
-    /// values and the body are stored as slices of `input` (short values
-    /// are inlined), so the steady-state parse path performs no
-    /// per-header heap allocation.
+    /// Parses a SIP message from a shared wire buffer. Header values
+    /// are owned copies; the body is a slice of `input`.
     ///
     /// This is the fast implementation: the header/body separator is
     /// found by a SWAR scan and method/header names match by length +
@@ -116,7 +119,7 @@ impl SipMessage {
         let mut headers = Headers::new();
         let (start, body) = parse_fast(&input, &mut headers)?;
         Ok(SipMessage {
-            start,
+            start: start.owned()?,
             headers,
             body: input.slice(body),
         })
@@ -138,23 +141,6 @@ impl SipMessage {
         let head =
             std::str::from_utf8(&input[..sep.header_end]).map_err(|_| SipParseError::NotText)?;
 
-        // The pre-optimization `ByteStr` inlined at most 38 bytes; the
-        // reference keeps that threshold (independent of the current
-        // `ByteStr::INLINE_CAP`) so it pays the shared-slice refcount
-        // and re-validation costs the old parser paid. Representation
-        // differs, content (and thus equality) does not.
-        const REFERENCE_INLINE_CAP: usize = 38;
-        let base = head.as_ptr() as usize;
-        let anchor = |s: &str| -> ByteStr {
-            if s.len() <= REFERENCE_INLINE_CAP {
-                ByteStr::from(s)
-            } else {
-                let off = s.as_ptr() as usize - base;
-                ByteStr::from_utf8(input.slice(off..off + s.len()))
-                    .expect("substring of validated head")
-            }
-        };
-
         let mut lines = head
             .split('\n')
             .map(|l| l.strip_suffix('\r').unwrap_or(l))
@@ -174,23 +160,11 @@ impl SipMessage {
                 joined.push(' ');
                 joined.push_str(cont.trim_start());
             }
-            match folded {
-                None => {
-                    let (name, value) = line
-                        .split_once(':')
-                        .ok_or_else(|| SipParseError::BadHeaderLine(line.to_string()))?;
-                    headers.push(HeaderName::parse_reference(name.trim()), anchor(value.trim()));
-                }
-                Some(joined) => {
-                    let (name, value) = joined
-                        .split_once(':')
-                        .ok_or_else(|| SipParseError::BadHeaderLine(joined.clone()))?;
-                    headers.push(
-                        HeaderName::parse_reference(name.trim()),
-                        ByteStr::from(value.trim()),
-                    );
-                }
-            }
+            let line = folded.as_deref().unwrap_or(line);
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| SipParseError::BadHeaderLine(line.to_string()))?;
+            headers.push(HeaderName::parse_reference(name.trim()), value.trim());
         }
 
         let body = slice_body(
@@ -222,15 +196,39 @@ impl SipView {
         let mut scan = ViewScan::default();
         let (start, body) = parse_fast(&input, &mut scan)?;
         if scan.folds.is_empty() {
-            let view = scan.finish(&start, &input[body]);
+            let view = scan.finish(start.method(), start.status(), &input[body]);
             return Ok((input, view));
         }
         let text = unfold(&input, &scan.folds);
         let mut scan = ViewScan::default();
         let (start, body) = parse_fast(&text, &mut scan)?;
         debug_assert!(scan.folds.is_empty(), "an unfolded rendering has no fold");
-        let view = scan.finish(&start, &text[body]);
+        let view = scan.finish(start.method(), start.status(), &text[body]);
         Ok((text, view))
+    }
+
+    /// [`SipMessage::format_violations`] of the message `input` frames,
+    /// read off its text without building the message: only the first
+    /// value of each mandatory header is kept, as a range of `input`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly when [`SipMessage::parse_bytes`] fails, with its error.
+    pub fn format_violations(input: &[u8]) -> Result<Vec<String>, SipParseError> {
+        let mut first = FirstValues::default();
+        let (start, body) = parse_fast(input, &mut first)?;
+        // `parse_fast` validated the head as UTF-8 and the blank line
+        // after it is ASCII, so this holds, and each kept range lies on
+        // char boundaries: a trimmed value starts and ends at one.
+        let head = std::str::from_utf8(&input[..body.start]).map_err(|_| SipParseError::NotText)?;
+        let value = |name: &HeaderName| {
+            let slot = MANDATORY.iter().position(|(n, _)| n == name)?;
+            match first.values[slot].as_ref()? {
+                FirstValue::At(range) => Some(&head[range.clone()]),
+                FirstValue::Folded(value) => Some(value.as_str()),
+            }
+        };
+        Ok(format_violations(start.method(), value, true))
     }
 }
 
@@ -253,13 +251,10 @@ fn unfold(input: &[u8], folds: &[Range<usize>]) -> Bytes {
 /// [`SipMessage::parse_bytes`], the view's decisions for
 /// [`SipView::parse`].
 trait HeaderSink {
-    /// Room for about `lines` headers.
-    fn reserve(&mut self, _lines: usize) {}
-
-    /// One header, in message order: its value trimmed, and the
-    /// value's offset in `input` — `None` for a folded value, which is
-    /// its joined text.
-    fn header(&mut self, input: &Bytes, name: HeaderName, value: &str, at: Option<usize>);
+    /// One header, in message order: its name and value trimmed, and
+    /// the value's offset in the input — `None` for a folded value,
+    /// which is its joined text.
+    fn header(&mut self, name: &str, value: &str, at: Option<usize>);
 
     /// A fold: the `input` range from the end of one line's text to the
     /// start of its continuation's, which the joined value reads as one
@@ -272,16 +267,8 @@ trait HeaderSink {
 }
 
 impl HeaderSink for Headers {
-    fn reserve(&mut self, lines: usize) {
-        Headers::reserve(self, lines);
-    }
-
-    fn header(&mut self, input: &Bytes, name: HeaderName, value: &str, at: Option<usize>) {
-        let value = match at {
-            Some(at) => anchor(input, at, value),
-            None => ByteStr::from(value),
-        };
-        self.push(name, value);
+    fn header(&mut self, name: &str, value: &str, _at: Option<usize>) {
+        self.push(HeaderName::parse(name), value);
     }
 
     fn declared_length(&self) -> Option<Option<usize>> {
@@ -290,8 +277,11 @@ impl HeaderSink for Headers {
 }
 
 impl HeaderSink for ViewScan {
-    fn header(&mut self, _input: &Bytes, name: HeaderName, value: &str, at: Option<usize>) {
-        ViewScan::header(self, &name, value, at);
+    /// Extension names are skipped unbuilt: the view reads none.
+    fn header(&mut self, name: &str, value: &str, at: Option<usize>) {
+        if let Some(name) = HeaderName::known(name) {
+            ViewScan::header(self, &name, value, at);
+        }
     }
 
     fn fold(&mut self, range: Range<usize>) {
@@ -303,37 +293,52 @@ impl HeaderSink for ViewScan {
     }
 }
 
+/// The first value of each [`MANDATORY`] header, in its order, for
+/// [`SipView::format_violations`].
+#[derive(Default)]
+struct FirstValues {
+    values: [Option<FirstValue>; MANDATORY.len()],
+    declared_length: Option<Option<usize>>,
+}
+
+enum FirstValue {
+    /// The value's range of the input.
+    At(Range<usize>),
+    /// A folded value's joined text, which is not contiguous in it.
+    Folded(String),
+}
+
+impl HeaderSink for FirstValues {
+    fn header(&mut self, name: &str, value: &str, at: Option<usize>) {
+        let Some(name) = HeaderName::known(name) else {
+            return;
+        };
+        if name == HeaderName::ContentLength && self.declared_length.is_none() {
+            self.declared_length = Some(declared_length(value));
+        }
+        if let Some(slot) = MANDATORY.iter().position(|(n, _)| *n == name) {
+            self.values[slot].get_or_insert_with(|| match at {
+                Some(at) => FirstValue::At(at..at + value.len()),
+                None => FirstValue::Folded(value.to_owned()),
+            });
+        }
+    }
+
+    fn declared_length(&self) -> Option<Option<usize>> {
+        self.declared_length
+    }
+}
+
 fn headers_declared_length(headers: &Headers) -> Option<Option<usize>> {
     headers.get(&HeaderName::ContentLength).map(declared_length)
 }
 
-/// The value `s`, found at offset `at` of `input`, as a slice of the
-/// shared buffer (or inlined), without copying long values. Short
-/// values inline via one fixed-size window copy when a full window of
-/// `input` follows the value (the tail bytes are unobservable padding);
-/// only values butting up against the end of the buffer fall back to
-/// the length-dispatched copy.
-fn anchor(input: &Bytes, at: usize, s: &str) -> ByteStr {
-    if s.len() <= ByteStr::INLINE_CAP {
-        match input.get(at..at + ByteStr::INLINE_CAP) {
-            Some(window) => {
-                ByteStr::inline_padded(window.try_into().expect("sized slice"), s.len())
-            }
-            None => ByteStr::from(s),
-        }
-    } else {
-        // `s` is a subslice of the UTF-8-validated header section, so
-        // the slice needs no re-validation.
-        ByteStr::shared_validated(input.slice(at..at + s.len()))
-    }
-}
-
 /// The production parse: frames `input`, hands each header to `sink`
 /// in message order, and returns the start line and the body's range.
-fn parse_fast(
-    input: &Bytes,
+fn parse_fast<'a>(
+    input: &'a [u8],
     sink: &mut impl HeaderSink,
-) -> Result<(StartLine, Range<usize>), SipParseError> {
+) -> Result<(StartText<'a>, Range<usize>), SipParseError> {
     if input.is_empty() {
         return Err(SipParseError::Empty);
     }
@@ -355,7 +360,6 @@ fn parse_fast(
     let mut cursor = LineCursor::new(head);
     let start = parse_start_line(cursor.next().ok_or(SipParseError::Empty)?)?;
 
-    sink.reserve(cursor.lines_left());
     let mut pending = cursor.next();
     while let Some(line) = pending.take() {
         // Header folding: continuation lines start with SP/HT. Only
@@ -385,14 +389,14 @@ fn parse_fast(
                 let colon = scan::memchr(b':', line.as_bytes())
                     .ok_or_else(|| SipParseError::BadHeaderLine(line.to_string()))?;
                 let value = scan::trim_ws(&line[colon + 1..]);
-                let name = HeaderName::parse(scan::trim_ws(&line[..colon]));
-                sink.header(input, name, value, Some(offset(value)));
+                let name = scan::trim_ws(&line[..colon]);
+                sink.header(name, value, Some(offset(value)));
             }
             Some(joined) => {
                 let (name, value) = joined
                     .split_once(':')
                     .ok_or_else(|| SipParseError::BadHeaderLine(joined.clone()))?;
-                sink.header(input, HeaderName::parse(name.trim()), value.trim(), None);
+                sink.header(name.trim(), value.trim(), None);
             }
         }
     }
@@ -506,16 +510,6 @@ impl<'a> LineCursor<'a> {
         }
     }
 
-    /// An upper bound on the lines still to come, exact for a head
-    /// without empty or folded lines; 0 when the line breaks were not
-    /// pre-located.
-    fn lines_left(&self) -> usize {
-        match self {
-            LineCursor::Indexed { n, i, .. } => n - i + 1,
-            LineCursor::Scan { .. } => 0,
-        }
-    }
-
     /// Next non-empty line, stripped of its trailing CR. LF and CR are
     /// ASCII, so the byte positions are `char` boundaries.
     #[inline]
@@ -624,17 +618,63 @@ fn window_find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
         .position(|w| w == needle)
 }
 
-fn parse_start_line(line: &str) -> Result<StartLine, SipParseError> {
+/// A start line as the line scan accepts it, borrowing its text: the
+/// view reads the method or status, and [`SipMessage::parse_bytes`]
+/// builds the owned [`StartLine`].
+enum StartText<'a> {
+    /// A request line; [`SipUri::aor_of`] accepted its URI.
+    Request {
+        /// The whole line, for the error text.
+        line: &'a str,
+        method: Method,
+        uri: &'a str,
+    },
+    /// A status line.
+    Response { code: StatusCode, reason: &'a str },
+}
+
+impl StartText<'_> {
+    fn method(&self) -> Option<Method> {
+        match self {
+            StartText::Request { method, .. } => Some(*method),
+            StartText::Response { .. } => None,
+        }
+    }
+
+    fn status(&self) -> Option<StatusCode> {
+        match self {
+            StartText::Request { .. } => None,
+            StartText::Response { code, .. } => Some(*code),
+        }
+    }
+
+    /// The owned start line. `aor_of` accepts exactly what `from_str`
+    /// does, so the URI parses; were they ever to disagree, the line
+    /// would still be refused as the bad start line it is.
+    fn owned(&self) -> Result<StartLine, SipParseError> {
+        Ok(match *self {
+            StartText::Request { line, method, uri } => StartLine::Request {
+                method,
+                uri: uri
+                    .parse()
+                    .map_err(|_| SipParseError::BadStartLine(line.to_string()))?,
+            },
+            StartText::Response { code, reason } => StartLine::Response {
+                code,
+                reason: reason.to_owned(),
+            },
+        })
+    }
+}
+
+fn parse_start_line(line: &str) -> Result<StartText<'_>, SipParseError> {
     let bad = || SipParseError::BadStartLine(line.to_string());
     if let Some(rest) = line.strip_prefix("SIP/2.0 ") {
         // Status line.
         let (code_str, reason) = rest.split_once(' ').unwrap_or((rest, ""));
         let code_num: u16 = code_str.parse().map_err(|_| bad())?;
         let code = StatusCode::try_from(code_num).map_err(|_| bad())?;
-        return Ok(StartLine::Response {
-            code,
-            reason: ByteStr::from(reason),
-        });
+        return Ok(StartText::Response { code, reason });
     }
     // Request line: METHOD SP uri SP SIP/2.0, split at the first two
     // spaces. Equivalent to the reference's `split(' ')` walk: a
@@ -644,17 +684,15 @@ fn parse_start_line(line: &str) -> Result<StartLine, SipParseError> {
     let method = Method::parse_token(&line[..sp1]).ok_or_else(bad)?;
     let rest = &line[sp1 + 1..];
     let sp2 = scan::memchr(b' ', rest.as_bytes()).ok_or_else(bad)?;
-    let uri: SipUri = rest[..sp2].parse().map_err(|_| bad())?;
-    if &rest[sp2 + 1..] != "SIP/2.0" {
+    let uri = &rest[..sp2];
+    if SipUri::aor_of(uri).is_none() || &rest[sp2 + 1..] != "SIP/2.0" {
         return Err(bad());
     }
-    Ok(StartLine::Request { method, uri })
+    Ok(StartText::Request { line, method, uri })
 }
 
-/// The retained start-line parser: linear method scan, and the
-/// allocating URI/reason construction the pre-optimization parser used
-/// (`String` per reason and per URI part before wrapping) — so the
-/// reference pays the same steady-state allocation costs it used to.
+/// The retained start-line parser: linear method scan and the naive URI
+/// parser.
 fn parse_start_line_reference(line: &str) -> Result<StartLine, SipParseError> {
     let bad = || SipParseError::BadStartLine(line.to_string());
     if let Some(rest) = line.strip_prefix("SIP/2.0 ") {
@@ -663,7 +701,7 @@ fn parse_start_line_reference(line: &str) -> Result<StartLine, SipParseError> {
         let code = StatusCode::try_from(code_num).map_err(|_| bad())?;
         return Ok(StartLine::Response {
             code,
-            reason: ByteStr::from(reason.to_string()),
+            reason: reason.to_string(),
         });
     }
     let mut parts = line.split(' ');
@@ -838,7 +876,7 @@ mod tests {
             raw.extend(b"\n\x0B there\r\nCall-ID: x\n\x0BX: y\r\n\r\n");
             corpus.push(raw);
         }
-        // Oversized value that cannot inline.
+        // A value longer than any the corpus above holds.
         let mut long = b"REGISTER sip:h SIP/2.0\r\nX-Pad: ".to_vec();
         long.extend(std::iter::repeat_n(b'y', 200));
         long.extend(b"\r\n\r\ntrailing");
@@ -866,8 +904,14 @@ mod tests {
 
     /// [`SipView::parse`] fails exactly as `parse_bytes` does, and
     /// otherwise returns a text that parses to the same message and a
-    /// view equal to that message's accessors.
+    /// view equal to that message's accessors; the violation text read
+    /// off the input is the parsed message's.
     fn check_view(input: Bytes) {
+        assert_eq!(
+            SipView::format_violations(&input),
+            SipMessage::parse_bytes(input.clone()).map(|msg| msg.format_violations()),
+            "{input:?}"
+        );
         let (text, view) = match (
             SipMessage::parse_bytes(input.clone()),
             SipView::parse(input.clone()),

@@ -5,10 +5,9 @@
 //! `from_le_bytes` — the compiler lowers them to aligned vector loads
 //! and the classic zero-byte trick, giving memchr-like throughput
 //! without platform intrinsics. They back [`crate::parse`]'s
-//! CRLF/terminator scanning, the UTF-8-validated slicing in
-//! [`crate::bstr`], and the byte-level scanners behind the SIP view
-//! (`trim_ws` is `str::trim` on any text; the field and line splitters
-//! below mirror `str`'s on ASCII text).
+//! CRLF/terminator and line scanning, and the byte-level scanners
+//! behind the SIP view (`trim_ws` is `str::trim` on any text; the field
+//! and line splitters below mirror `str`'s on ASCII text).
 //!
 //! The zero-byte trick: for a word `w`, `(w - 0x0101..01) & !w &
 //! 0x8080..80` has the high bit set in the lowest lane that was zero

@@ -1,6 +1,5 @@
 //! SIP URIs.
 
-use crate::bstr::ByteStr;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -18,29 +17,27 @@ use std::str::FromStr;
 /// use scidive_sip::uri::SipUri;
 ///
 /// let uri: SipUri = "sip:alice@10.0.0.1:5060".parse()?;
-/// assert_eq!(uri.user.as_ref().map(|u| u.as_str()), Some("alice"));
+/// assert_eq!(uri.user.as_deref(), Some("alice"));
 /// assert_eq!(uri.port, Some(5060));
 /// assert_eq!(uri.to_string(), "sip:alice@10.0.0.1:5060");
 /// # Ok::<(), scidive_sip::uri::ParseUriError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SipUri {
-    /// The user part, if present. A [`ByteStr`]: real user parts fit
-    /// the inline representation, so parsing a request line does not
-    /// allocate for them.
-    pub user: Option<ByteStr>,
+    /// The user part, if present.
+    pub user: Option<String>,
     /// The host part (domain or IPv4 literal).
-    pub host: ByteStr,
+    pub host: String,
     /// Explicit port, if present.
     pub port: Option<u16>,
     /// URI parameters as `(name, value)` pairs; valueless params have an
     /// empty value.
-    pub params: Vec<(ByteStr, ByteStr)>,
+    pub params: Vec<(String, String)>,
 }
 
 impl SipUri {
     /// Builds `sip:user@host`.
-    pub fn new(user: impl Into<ByteStr>, host: impl Into<ByteStr>) -> SipUri {
+    pub fn new(user: impl Into<String>, host: impl Into<String>) -> SipUri {
         SipUri {
             user: Some(user.into()),
             host: host.into(),
@@ -50,7 +47,7 @@ impl SipUri {
     }
 
     /// Builds a host-only URI `sip:host`.
-    pub fn host_only(host: impl Into<ByteStr>) -> SipUri {
+    pub fn host_only(host: impl Into<String>) -> SipUri {
         SipUri {
             user: None,
             host: host.into(),
@@ -66,7 +63,7 @@ impl SipUri {
     }
 
     /// Adds a URI parameter (builder-style).
-    pub fn with_param(mut self, name: impl Into<ByteStr>, value: impl Into<ByteStr>) -> SipUri {
+    pub fn with_param(mut self, name: impl Into<String>, value: impl Into<String>) -> SipUri {
         self.params.push((name.into(), value.into()));
         self
     }
@@ -123,11 +120,9 @@ impl SipUri {
         Some(&rest[start..host_start + host.len()])
     }
 
-    /// The retained allocating parser: materializes the user, host, and
-    /// parameter parts as owned `String`s before wrapping them, exactly
-    /// as the pre-optimization `FromStr` did. Kept so the reference
-    /// start-line parser pays the same per-URI allocation costs the
-    /// production path used to, and as a differential oracle for
+    /// The retained naive parser: splits the whole parameter tail with
+    /// `str::split` whether or not a `;` is present. Kept for the
+    /// reference start-line parser and as a differential oracle for
     /// [`SipUri::from_str`].
     ///
     /// # Errors
@@ -160,13 +155,10 @@ impl SipUri {
             return Err(ParseUriError::EmptyHost);
         }
         Ok(SipUri {
-            user: user.filter(|u| !u.is_empty()).map(ByteStr::from),
-            host: ByteStr::from(host),
+            user: user.filter(|u| !u.is_empty()),
+            host,
             port,
-            params: params
-                .into_iter()
-                .map(|(n, v)| (ByteStr::from(n), ByteStr::from(v)))
-                .collect(),
+            params,
         })
     }
 }
@@ -229,8 +221,8 @@ impl FromStr for SipUri {
                 rest[i + 1..]
                     .split(';')
                     .map(|p| match p.split_once('=') {
-                        Some((n, v)) => (ByteStr::from(n), ByteStr::from(v)),
-                        None => (ByteStr::from(p), ByteStr::EMPTY),
+                        Some((n, v)) => (n.to_owned(), v.to_owned()),
+                        None => (p.to_owned(), String::new()),
                     })
                     .collect(),
             ),
@@ -252,8 +244,8 @@ impl FromStr for SipUri {
             return Err(ParseUriError::EmptyHost);
         }
         Ok(SipUri {
-            user: user.filter(|u| !u.is_empty()).map(ByteStr::from),
-            host: ByteStr::from(host),
+            user: user.filter(|u| !u.is_empty()).map(str::to_owned),
+            host: host.to_owned(),
             port,
             params,
         })
@@ -267,14 +259,14 @@ mod tests {
     #[test]
     fn parse_full_uri() {
         let uri: SipUri = "sip:bob@example.com:5070;transport=udp;lr".parse().unwrap();
-        assert_eq!(uri.user.as_ref().map(|u| u.as_str()), Some("bob"));
+        assert_eq!(uri.user.as_deref(), Some("bob"));
         assert_eq!(uri.host, "example.com");
         assert_eq!(uri.port, Some(5070));
         assert_eq!(
             uri.params,
             vec![
-                (ByteStr::from("transport"), ByteStr::from("udp")),
-                (ByteStr::from("lr"), ByteStr::EMPTY)
+                ("transport".to_owned(), "udp".to_owned()),
+                ("lr".to_owned(), String::new())
             ]
         );
     }
@@ -358,6 +350,11 @@ mod tests {
             "http://x",
             "sip:h;=;a=;=b;;x",
             "sip:u@h:5060;p",
+            "sip:a@h:+5",
+            "sip:a@h:",
+            "sips:a@h",
+            "sip:h;lr",
+            "sip:bob@10.0.0.3:5060;transport=udp",
             "",
         ] {
             assert_eq!(

@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use scidive_sip::auth::{DigestChallenge, DigestCredentials};
-use scidive_sip::bstr::ByteStr;
 use scidive_sip::header::{CSeq, NameAddr, Via};
 use scidive_sip::md5::{md5, Md5};
 use scidive_sip::method::Method;
@@ -57,7 +56,7 @@ proptest! {
     ) {
         let mut na = NameAddr::new(u);
         na.display = display
-            .map(|d| ByteStr::from(d.trim()))
+            .map(|d| d.trim().to_owned())
             .filter(|d| !d.is_empty());
         if let Some(tag) = tag {
             na = na.with_tag(tag);

@@ -77,6 +77,9 @@
 #     4-shard fold plane live, under their 2 MiB cap and eviction-free,
 #     with every session gauge on a plateau and no trail evicted at the
 #     live-trail cap.
+# First it prints the size of the two core crates: the non-test lines of
+# crates/core/src and crates/sip/src, each .rs file cut at its first
+# top-level `#[cfg(test)]`. It is a number to watch, not a gate.
 # Last, the repo benchmark (benchmark/, its own workspace) runs its
 # generator/contract self-tests and its --quick pass, which exits
 # non-zero if any workload reports failed > 0 (a missed or late
@@ -92,6 +95,12 @@ cd "$(dirname "$0")/.."
 
 tree_state() { git status --porcelain; git diff | cksum; }
 tree_before=$(tree_state)
+
+echo "== size (non-test lines; each .rs cut at its first top-level #[cfg(test)]) =="
+for dir in crates/core/src crates/sip/src; do
+  find "$dir" -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} + \
+    | awk -v dir="$dir" '{ n += $1 } END { print dir ": " n " non-test lines" }'
+done
 
 echo "== build (release) =="
 cargo build --release
