@@ -61,6 +61,16 @@ const SIGNALLING_ALLOCS_PER_FRAME_BUDGET: f64 = 2.9;
 /// under one allocation: one more per unclean frame fails it.
 const MALFORMED_ALLOCS_PER_FRAME_BUDGET: f64 = 8.0;
 
+/// Heap allocations allowed per frame on the signalling-only capture
+/// through the sharded pipeline at one shard, dispatcher and worker
+/// together (the counter is process-global), `finish` included.
+/// Measured 3.05 (19,802 allocations over 6,499 frames) while the
+/// worker resolved every footprint again, through a second media index
+/// that interned each Call-ID and learned each SDP sink, and 2.70
+/// (17,530) since it files under the session the dispatcher resolved.
+/// One more allocation per frame, on either thread, fails it.
+const SHARDED_SIGNALLING_ALLOCS_PER_FRAME_BUDGET: f64 = 3.5;
+
 /// The counter is process-global and `cargo test` runs tests on parallel
 /// threads, so each test holds this for its whole body — the other
 /// test's capture generation would otherwise be charged to whichever
@@ -128,6 +138,44 @@ fn signalling_replay_stays_within_alloc_budget() {
     let _measuring = counter();
     let frames: Vec<(SimTime, IpPacket)> = SynthConfig::load(2_000, 100).stream().collect();
     assert_within_budget("signalling", &frames, SIGNALLING_ALLOCS_PER_FRAME_BUDGET);
+}
+
+/// The same signalling replay through `ShardedScidive` with one worker:
+/// the dispatcher distills, routes and runs the identity plane, and the
+/// worker files each footprint under the session the dispatcher
+/// resolved. A worker that interned Call-IDs or learned SDP sinks
+/// again, or built a key per frame, would blow through the budget.
+#[test]
+fn sharded_signalling_replay_stays_within_alloc_budget() {
+    let _measuring = counter();
+    let frames: Vec<(SimTime, IpPacket)> = SynthConfig::load(2_000, 100).stream().collect();
+    let mut ids = ShardedScidive::new(ScidiveConfig::default(), 1, 64);
+    // Warm one frame, as the single-engine replays do.
+    ids.submit(frames[0].0, &frames[0].1);
+    let rest = &frames[1..];
+    // `finish` joins the worker, so every allocation it made for these
+    // frames is counted, however far behind the dispatcher it ran.
+    let (report, used) = alloc_count::measure(|| {
+        for (t, p) in rest {
+            ids.submit(*t, p);
+        }
+        ids.finish()
+    });
+    assert_eq!(report.stats.frames, frames.len() as u64);
+    let per_frame = used.allocs as f64 / rest.len() as f64;
+    println!(
+        "sharded signalling replay: {:.2} allocs/frame ({} allocs / {} frames, {} bytes)",
+        per_frame,
+        used.allocs,
+        rest.len(),
+        used.bytes
+    );
+    assert!(
+        per_frame <= SHARDED_SIGNALLING_ALLOCS_PER_FRAME_BUDGET,
+        "allocation regression: sharded signalling at {per_frame:.2} allocs/frame exceeds \
+         budget of {SHARDED_SIGNALLING_ALLOCS_PER_FRAME_BUDGET} — a per-frame allocation \
+         crept into the dispatcher or the worker"
+    );
 }
 
 /// An attacker sets the share of unclean SIP frames, so their cost is

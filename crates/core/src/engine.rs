@@ -15,7 +15,7 @@ use crate::rules::{
     dsl, AlertSink, CompiledRuleset, Diagnostic, Program, Rule, RuleCtx, RuleToggles,
     RulesetBlueprint,
 };
-use crate::trail::{TrailStats, TrailStore, TrailStoreConfig};
+use crate::trail::{SessionKey, TrailKey, TrailStats, TrailStore, TrailStoreConfig};
 use scidive_netsim::node::{Node, NodeCtx};
 use scidive_netsim::packet::IpPacket;
 use scidive_netsim::time::SimTime;
@@ -175,13 +175,20 @@ impl std::ops::Add for PipelineStats {
     }
 }
 
-/// A footprint that already passed distillation, plus any events an
-/// upstream [`crate::event::IdentityPlane`] generated for it. The unit a
-/// [`crate::shard::ShardedScidive`] dispatcher hands to its shards.
+/// A footprint that already passed distillation and attribution, plus
+/// any events an upstream [`crate::event::IdentityPlane`] generated for
+/// it. The unit a [`crate::shard::ShardedScidive`] dispatcher hands to
+/// its shards.
 #[derive(Debug)]
 pub struct DistilledFootprint {
     /// The distilled footprint.
     pub footprint: Footprint,
+    /// The session the dispatcher's router resolved; the footprint is
+    /// filed under it as is.
+    pub session: SessionKey,
+    /// Whether that attribution found the footprint's sink in the media
+    /// index ([`crate::trail::TrailStore::media_hit`]).
+    pub media_hit: bool,
     /// Identity-plane events to append behind the footprint's own
     /// session-plane events.
     pub injected_events: Vec<Event>,
@@ -366,7 +373,8 @@ impl Scidive {
         self.stats.frames += 1;
         let mut new_alerts = Vec::new();
         if let Some(fp) = self.distiller.distill(time, pkt) {
-            self.process_footprint(time, fp, Vec::new(), &mut new_alerts);
+            let (fp, key) = self.trails.insert(fp);
+            self.process_footprint(time, fp, key, Vec::new(), &mut new_alerts);
         }
         self.stats.alerts += new_alerts.len() as u64;
         self.alerts.extend(new_alerts.iter().cloned());
@@ -374,8 +382,10 @@ impl Scidive {
     }
 
     /// Feeds one frame's already-distilled footprint (the shard-side
-    /// entry point: the dispatcher runs the distiller and the identity
-    /// plane, shards run everything downstream). Counts one frame
+    /// entry point: the dispatcher runs the distiller, the session
+    /// router and the identity plane, shards file the footprint under
+    /// the routed session and run everything downstream; they never
+    /// attribute). Counts one frame
     /// whether or not it carried a footprint — `None` marks frames that
     /// produced nothing (fragments in flight), so per-shard frame
     /// counters still sum to the number of frames the dispatcher saw.
@@ -393,24 +403,26 @@ impl Scidive {
         self.stats.frames += 1;
         let mut new_alerts = Vec::new();
         if let Some(dfp) = footprint {
-            self.process_footprint(time, dfp.footprint, dfp.injected_events, &mut new_alerts);
+            let (fp, key) = self.trails.file(dfp.footprint, dfp.session, dfp.media_hit);
+            self.process_footprint(time, fp, key, dfp.injected_events, &mut new_alerts);
         }
         self.stats.alerts += new_alerts.len() as u64;
         new_alerts
     }
 
-    /// Runs one footprint through trails → events → rules. `injected`
-    /// events (from an external identity plane) are appended after the
-    /// footprint's own events, matching the embedded-plane event order.
+    /// Runs one footprint, just filed under `key`, through events →
+    /// rules. `injected` events (from an external identity plane) are
+    /// appended after the footprint's own events, matching the
+    /// embedded-plane event order.
     fn process_footprint(
         &mut self,
         time: SimTime,
         fp: Footprint,
+        key: TrailKey,
         injected: Vec<Event>,
         new_alerts: &mut Vec<Alert>,
     ) {
         self.stats.footprints += 1;
-        let (fp, key) = self.trails.insert(fp);
         let mut events = std::mem::take(&mut self.event_buf);
         self.events
             .on_footprint_into(&fp, &key, &self.trails, &mut events);
@@ -549,9 +561,6 @@ impl Scidive {
             session_plane_expired: sessions.expired,
             evicted_entries: evicted + rule_state.entries_evicted,
             event_log_dropped: self.event_log_dropped,
-            router_media_index: 0,
-            router_interner: 0,
-            router_synthetic_keys: 0,
             rate_bytes,
             rate_evicted: identity.evicted,
             // The fold plane is dispatcher state; a lone engine (or one

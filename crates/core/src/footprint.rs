@@ -320,21 +320,49 @@ impl SipFootprint {
     }
 
     /// `message().format_violations()`, read off the text without
-    /// building the message.
+    /// building the message. Text that does not parse again (the view
+    /// and the parser disagree on it) is one violation naming the
+    /// parse error, never a panic in the worker reading it.
     pub fn format_violations(&self) -> Vec<String> {
-        SipView::format_violations(&self.text).expect("the text parsed before")
+        SipView::format_violations(&self.text)
+            .unwrap_or_else(|e| vec![format!("sip text does not parse again: {e}")])
     }
 
-    /// The message, parsed again from the text: for labels, `Debug`
-    /// and tests.
+    /// The message, parsed again from the text: for tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the text does not parse again.
     pub fn message(&self) -> SipMessage {
         SipMessage::parse_bytes(self.text.clone()).expect("the text parsed before")
+    }
+
+    /// The message's one-line summary, or the text's first line if the
+    /// text does not parse again.
+    fn summary(&self) -> String {
+        match SipMessage::parse_bytes(self.text.clone()) {
+            Ok(message) => message.summary(),
+            Err(_) => self.first_line(),
+        }
+    }
+
+    /// The text up to its first line break.
+    fn first_line(&self) -> String {
+        let end = self
+            .text
+            .iter()
+            .position(|&b| b == b'\r' || b == b'\n')
+            .unwrap_or(self.text.len());
+        String::from_utf8_lossy(&self.text[..end]).into_owned()
     }
 }
 
 impl fmt::Debug for SipFootprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.message(), f)
+        match SipMessage::parse_bytes(self.text.clone()) {
+            Ok(message) => fmt::Debug::fmt(&message, f),
+            Err(_) => f.debug_tuple("SipFootprint").field(&self.first_line()).finish(),
+        }
     }
 }
 
@@ -393,7 +421,7 @@ impl Footprint {
     /// A short label for display and debugging.
     pub fn label(&self) -> String {
         match &self.body {
-            FootprintBody::Sip(sip) => format!("SIP {}", sip.message().summary()),
+            FootprintBody::Sip(sip) => format!("SIP {}", sip.summary()),
             FootprintBody::SipMalformed { reason, .. } => format!("SIP? ({reason})"),
             FootprintBody::Rtp { header, .. } => {
                 format!("RTP seq={} ssrc={:#x}", header.seq, header.ssrc)
@@ -595,6 +623,46 @@ mod tests {
             SipFootprint::parse(text(70_000)),
             Err(SipTextError::TooLong(end)) if end > 70_000
         ));
+    }
+
+    /// Text the parser refuses, in a footprint built around it (as a
+    /// divergence between the view and the parser would leave one),
+    /// renders as a violation, a label and a `Debug` line instead of
+    /// panicking.
+    #[test]
+    fn text_that_does_not_parse_again_renders_without_panicking() {
+        let text = Bytes::from_static(b"NOT A SIP LINE\r\nCall-ID: x\r\n\r\n");
+        assert!(SipMessage::parse_bytes(text.clone()).is_err());
+        let sip = SipFootprint {
+            text,
+            method: Some(Method::Options),
+            status: None,
+            clean: false,
+            cseq: None,
+            rtp_target: None,
+            call_id: None,
+            from_aor: None,
+            to_aor: None,
+            authorization: None,
+        };
+        let violations = sip.format_violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].starts_with("sip text does not parse again: "),
+            "{violations:?}"
+        );
+        assert_eq!(format!("{sip:?}"), "SipFootprint(\"NOT A SIP LINE\")");
+        let fp = Footprint {
+            meta: PacketMeta {
+                time: SimTime::ZERO,
+                src: Ipv4Addr::new(10, 0, 0, 1),
+                src_port: 5060,
+                dst: Ipv4Addr::new(10, 0, 0, 2),
+                dst_port: 5060,
+            },
+            body: FootprintBody::Sip(sip),
+        };
+        assert_eq!(fp.label(), "SIP NOT A SIP LINE");
     }
 
     #[test]

@@ -242,9 +242,9 @@ impl std::ops::Add for SeverityCounts {
 /// The state sizes that must plateau for long-lived deployment, plus
 /// the lifecycle counters proving expiry is doing its job.
 ///
-/// `router_*` fields cover the sharded dispatcher's own media index
-/// (which shadows the per-shard ones); they are zero for a single
-/// engine.
+/// The media index, interner and synthetic-key gauges read the one
+/// index that attributes: a single engine's trail store's, or the
+/// sharded dispatcher's router's (shard workers hold none).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateGauges {
     /// Live trails across all engines.
@@ -296,13 +296,6 @@ pub struct StateGauges {
     /// the log was at [`crate::engine::ScidiveConfig::event_log_cap`]
     /// (monotonic).
     pub event_log_dropped: u64,
-    /// The dispatcher router's media mappings (0 for a single engine).
-    pub router_media_index: u64,
-    /// The dispatcher router's interned keys (0 for a single engine).
-    pub router_interner: u64,
-    /// The dispatcher router's memoized synthetic keys (0 for a single
-    /// engine).
-    pub router_synthetic_keys: u64,
     /// Bytes pinned by rate state: the identity plane's flood and guess
     /// tables (together capped at [`crate::rate::TABLE_BYTES_CAP`]) plus
     /// the engines' threshold tables (each capped at it) and fold
@@ -346,9 +339,6 @@ impl std::ops::Add for StateGauges {
             rule_state_evicted: self.rule_state_evicted + rhs.rule_state_evicted,
             evicted_entries: self.evicted_entries + rhs.evicted_entries,
             event_log_dropped: self.event_log_dropped + rhs.event_log_dropped,
-            router_media_index: self.router_media_index + rhs.router_media_index,
-            router_interner: self.router_interner + rhs.router_interner,
-            router_synthetic_keys: self.router_synthetic_keys + rhs.router_synthetic_keys,
             rate_bytes: self.rate_bytes + rhs.rate_bytes,
             rate_evicted: self.rate_evicted + rhs.rate_evicted,
             fold_rate_bytes: self.fold_rate_bytes + rhs.fold_rate_bytes,
@@ -760,16 +750,13 @@ impl PipelineObservation {
         );
         let _ = writeln!(
             out,
-            "state      trails={} media_index={} interner={} synthetic_keys={} rule_state={} session_plane={} router_media={} router_interner={} router_synth={}",
+            "state      trails={} media_index={} interner={} synthetic_keys={} rule_state={} session_plane={}",
             self.gauges.trails,
             self.gauges.media_index,
             self.gauges.interner,
             self.gauges.synthetic_keys,
             self.gauges.rule_state,
             self.gauges.session_plane,
-            self.gauges.router_media_index,
-            self.gauges.router_interner,
-            self.gauges.router_synthetic_keys,
         );
         let _ = writeln!(
             out,

@@ -9,8 +9,9 @@
 //! * **classify/decode** — payload + port hints → [`FootprintBody`]
 //!   (drives [`crate::distill::Distiller`]);
 //! * **attribute** — footprint → session key, plus media-flow learning
-//!   (drives [`crate::routing::MediaIndex`], and through it both the
-//!   trail store and the sharded dispatcher);
+//!   (drives [`crate::routing::MediaIndex`], and through it the single
+//!   engine's trail store and the sharded dispatcher, whose workers
+//!   file each footprint under the session it resolved);
 //! * **generate** — footprint + trail state → [`Event`]s (drives
 //!   [`EventGenerator`]).
 //!
@@ -91,8 +92,8 @@ pub trait ProtocolModule: Send + Sync + std::fmt::Debug {
 
     /// Derives the session a footprint belongs to. Must be a pure
     /// function of the footprint and the index state reachable through
-    /// `ctx` — the trail store and the sharded dispatcher both call it
-    /// and must agree bit-for-bit.
+    /// `ctx` — the single engine's trail store and the sharded
+    /// dispatcher both call it and must agree bit-for-bit.
     fn attribute(&self, fp: &Footprint, ctx: &mut AttributeCtx<'_>) -> SessionKey;
 
     /// Learns correlation state (media sinks) a footprint announces,
@@ -121,6 +122,9 @@ pub trait ProtocolModule: Send + Sync + std::fmt::Debug {
 pub struct AttributeCtx<'a> {
     pub(crate) now: SimTime,
     pub(crate) index: &'a mut MediaIndex,
+    /// Whether a [`AttributeCtx::resolve_media`] call found its sink:
+    /// the footprint's media hit (see [`TrailStore::media_hit`]).
+    pub(crate) media_hit: bool,
 }
 
 impl AttributeCtx<'_> {
@@ -136,9 +140,12 @@ impl AttributeCtx<'_> {
     }
 
     /// Resolves a media sink to its owning session with the exact idle
-    /// lifecycle rule (stale entries read as absent and are dropped).
+    /// lifecycle rule (stale entries read as absent and are dropped). A
+    /// hit marks the footprint's attribution as a media hit.
     pub fn resolve_media(&mut self, addr: Ipv4Addr, port: u16) -> Option<SessionKey> {
-        self.index.resolve_fresh(addr, port, self.now)
+        let session = self.index.resolve_fresh(addr, port, self.now);
+        self.media_hit |= session.is_some();
+        session
     }
 
     /// A memoized synthetic session key for uncorrelatable traffic:

@@ -63,12 +63,9 @@ impl ProtocolModule for OtherModule {
         if !ctx.config.cross_protocol {
             return;
         }
-        // Garbage counts only when aimed at a sink some SDP announced.
-        if ctx
-            .trails
-            .session_for_media(fp.meta.dst, fp.meta.dst_port)
-            .is_none()
-        {
+        // Garbage counts only when aimed at a sink some SDP announced:
+        // attribution found it in the media index.
+        if !ctx.trails.media_hit() {
             return;
         }
         // Rate-limit to one event per 10 packets to bound event volume.

@@ -1,12 +1,14 @@
 //! The shared session-routing layer.
 //!
-//! Two consumers need to answer "which session does this footprint
-//! belong to?": the [`crate::trail::TrailStore`] (to file the footprint
-//! into the right trail) and the sharded dispatcher of [`crate::shard`]
-//! (to route the footprint to the worker owning that session's state).
-//! Both answers must agree bit-for-bit, so the SDP-derived media
-//! correlation index and the session-derivation rules live here, in one
-//! place, and the trail store delegates to them.
+//! One question is answered here: "which session does this footprint
+//! belong to?" A single engine's [`crate::trail::TrailStore`] asks it
+//! to file the footprint into the right trail; the sharded dispatcher
+//! of [`crate::shard`] asks it to route the footprint to the worker
+//! owning that session's state, and ships the answer with the frame, so
+//! the worker files the footprint under it and never attributes again.
+//! The SDP-derived media correlation index and the session-derivation
+//! rules live here, in one place, so both deployments resolve every
+//! footprint by the same code.
 //!
 //! * [`MediaIndex`] — the `(sink address, port) → session` map learned
 //!   from SDP bodies, the heart of cross-protocol correlation.
@@ -37,9 +39,9 @@
 //!
 //! For an in-order capture every read is exact: an entry reads as
 //! absent exactly when it has been idle for the timeout, whichever
-//! other keys an index has seen, so the trail store and the sharded
-//! dispatcher agree bit-for-bit on every routing decision. A capture
-//! that steps back gets the retain-every-access model of
+//! other keys an index has seen, so a single engine's trail store and
+//! the sharded dispatcher agree bit-for-bit on every routing decision.
+//! A capture that steps back gets the retain-every-access model of
 //! [`crate::idle`]. Expiry is deliberately *not* tied to SIP teardown:
 //! cross-protocol rules (the §4.2.1 forged-BYE check) depend on
 //! correlating media that arrives *after* the BYE, so mappings outlive
@@ -103,8 +105,8 @@ impl MediaIndex {
 
     /// Creates an index whose entries expire after `idle_timeout`
     /// without activity, attributing through the given protocol
-    /// registry. Both consumers of the keying rule (trail store,
-    /// dispatcher) must use the same timeout and registry or their
+    /// registry. A single engine's trail store and a sharded
+    /// dispatcher must use the same timeout and registry or their
     /// routing diverges.
     pub fn with_protocols(idle_timeout: SimDuration, protocols: ProtocolSet) -> MediaIndex {
         MediaIndex {
@@ -180,12 +182,20 @@ impl MediaIndex {
         let protocols = self.protocols.clone();
         protocols
             .module_for(&fp.body)
-            .learn(fp, session, &mut AttributeCtx { now, index: self })
+            .learn(
+                fp,
+                session,
+                &mut AttributeCtx {
+                    now,
+                    index: self,
+                    media_hit: false,
+                },
+            )
     }
 
     /// Derives the session a footprint belongs to — the single
-    /// canonical keying rule shared by the trail store and the sharded
-    /// dispatcher, dispatched to the protocol module owning the
+    /// canonical keying rule shared by a single engine's trail store and
+    /// the sharded dispatcher, dispatched to the protocol module owning the
     /// footprint's body (see [`crate::proto::ProtocolModule::attribute`]):
     ///
     /// * SIP keys by Call-ID (`sip-anon-{src}` when absent);
@@ -204,14 +214,25 @@ impl MediaIndex {
     /// reads; entries idle for the timeout read as absent, and every
     /// call drops them from all three maps, read or not.
     pub fn session_for(&mut self, fp: &Footprint) -> SessionKey {
+        self.attribute(fp).0
+    }
+
+    /// [`MediaIndex::session_for`], plus whether the attribution found
+    /// the footprint's sink in this index (the media hit; see
+    /// [`crate::trail::TrailStore::media_hit`]).
+    pub(crate) fn attribute(&mut self, fp: &Footprint) -> (SessionKey, bool) {
         let now = fp.meta.time;
         self.map.reclaim(now);
         self.interner.reclaim(now);
         self.synthetic.reclaim(now);
         let protocols = self.protocols.clone();
-        protocols
-            .module_for(&fp.body)
-            .attribute(fp, &mut AttributeCtx { now, index: self })
+        let mut ctx = AttributeCtx {
+            now,
+            index: self,
+            media_hit: false,
+        };
+        let session = protocols.module_for(&fp.body).attribute(fp, &mut ctx);
+        (session, ctx.media_hit)
     }
 
     /// Interns a real session identifier, stamping it active at `now`.
@@ -271,7 +292,8 @@ pub fn stable_session_hash(session: &SessionKey) -> u64 {
 /// Where the router decided a footprint goes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteDecision {
-    /// The resolved session.
+    /// The resolved session, which the sharded dispatcher moves into
+    /// the frame it ships.
     pub session: SessionKey,
     /// The shard that owns the session's state.
     pub shard: usize,
@@ -280,6 +302,10 @@ pub struct RouteDecision {
     /// sessions spread across shards by the same stable hash as real
     /// ones.
     pub overflow: bool,
+    /// Whether attribution found the footprint's sink in the media
+    /// index. It travels with the frame, so the worker's generator
+    /// reads it instead of an index of its own.
+    pub media_hit: bool,
 }
 
 /// The dispatcher's session router: resolves each footprint to its
@@ -312,8 +338,8 @@ impl SessionRouter {
 
     /// Creates a router whose index expires entries after
     /// `idle_timeout` and attributes through `protocols` — pass the
-    /// workers' trail-store timeout and registry, or the two views of
-    /// the keying rule diverge.
+    /// trail-store timeout and registry a single engine would use, or
+    /// the sharded pipeline's sessions diverge from that engine's.
     ///
     /// # Panics
     ///
@@ -356,13 +382,14 @@ impl SessionRouter {
     /// carries (keeping the index in lock-step with what a single
     /// engine's trail store would know), and picks the shard.
     pub fn route(&mut self, fp: &Footprint) -> RouteDecision {
-        let session = self.index.session_for(fp);
+        let (session, media_hit) = self.index.attribute(fp);
         self.index.learn_from(fp, &session);
         let shard = self.shard_of(&session);
         RouteDecision {
             overflow: is_synthetic(&session),
             session,
             shard,
+            media_hit,
         }
     }
 }

@@ -10,9 +10,14 @@
 //! single engine processing the same capture, for any shard count and
 //! any worker-thread timing:
 //!
-//! * every footprint of a session lands on the same shard, so each
-//!   shard's trail store and event generator see exactly the session
-//!   slice a single engine would maintain for those sessions;
+//! * the dispatcher resolves each footprint's session once, through
+//!   the router's media index (the pipeline's only one), and ships the
+//!   session with the frame (`ShardFrame`); the worker files the
+//!   footprint under it ([`crate::trail::TrailStore::file`]) and never
+//!   attributes, so every footprint of a session lands on the same
+//!   shard, and each shard's trail store and event generator see
+//!   exactly the session slice a single engine would maintain for
+//!   those sessions;
 //! * identity-plane detection (REGISTER floods, password guessing, IM
 //!   source checks) runs in the dispatcher in dispatch order, and its
 //!   events are injected behind the owning footprint, preserving the
@@ -105,10 +110,12 @@ const DEFAULT_BATCH: usize = 8;
 /// so this is also the added detection latency ceiling.
 const DEFAULT_LINGER: SimDuration = SimDuration::from_millis(100);
 
-/// One dispatched frame: the distiller ran in the dispatcher, so shards
-/// receive footprints, not packets. `fp` is `None` for frames that
-/// produced no footprint (fragments awaiting reassembly) — still sent so
-/// per-shard frame counters sum to the dispatcher's.
+/// One dispatched frame: the distiller and the session router ran in
+/// the dispatcher, so shards receive footprints with their resolved
+/// session, not packets, and file each under that session without
+/// attributing it again. `fp` is `None` for frames that produced no
+/// footprint (fragments awaiting reassembly) — still sent so per-shard
+/// frame counters sum to the dispatcher's.
 #[derive(Debug)]
 struct ShardFrame {
     /// Dispatch sequence number, the global merge key.
@@ -605,6 +612,8 @@ impl ShardedScidive {
                 time,
                 fp: Some(DistilledFootprint {
                     footprint: fp,
+                    session: decision.session,
+                    media_hit: decision.media_hit,
                     injected_events,
                 }),
             },
@@ -798,17 +807,20 @@ impl ShardedScidive {
     }
 
     /// The dispatcher's contribution to the state gauges: the router's
-    /// own media index, interner and synthetic-key caches (kept in
-    /// lock-step with the per-shard trail stores, but counted
-    /// separately) and the identity plane's bindings and tables.
+    /// media index, interner and synthetic-key caches (the pipeline's
+    /// only ones: workers file under the routed session and attribute
+    /// nothing) and the identity plane's bindings and tables.
     fn router_gauges(&self) -> StateGauges {
         let [media, interner, synthetic] = self.router.index().gauges();
         let bindings = self.identity.binding_gauge();
         let rate = self.identity.rate_stats();
         StateGauges {
-            router_media_index: media.live,
-            router_interner: interner.live,
-            router_synthetic_keys: synthetic.live,
+            media_index: media.live,
+            interner: interner.live,
+            synthetic_keys: synthetic.live,
+            media_expired: media.expired,
+            interner_expired: interner.expired,
+            synthetic_expired: synthetic.expired,
             identity_bindings: bindings.live,
             evicted_entries: [media, interner, synthetic, bindings]
                 .iter()

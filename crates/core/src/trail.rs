@@ -8,9 +8,13 @@
 //! transactions carry the Call-ID directly; RTP/RTCP flows are linked to
 //! the SIP session whose SDP announced their destination. The keying
 //! rules and the media correlation index itself live in
-//! [`crate::routing`] (they are shared with the sharded dispatcher);
-//! the store here applies them to file footprints into trails, which
-//! count them rather than retain them (see [`Trail`]).
+//! [`crate::routing`]. There is one filing path,
+//! [`TrailStore::file`], which files a footprint into its session's
+//! trail; trails count footprints rather than retain them (see
+//! [`Trail`]). A single engine resolves the session in
+//! [`TrailStore::insert`], through the store's own index; a shard
+//! worker files under the session its dispatcher resolved, and its
+//! store's index stays empty.
 //!
 //! Bounded state (paper §3.3): the trails live in an
 //! [`crate::idle::IdleMap`], so before each insert every trail idle for
@@ -181,7 +185,7 @@ pub struct TrailKey {
 ///
 /// A trail records when it was opened, when a footprint last landed in
 /// it and how many have; the footprints themselves go back to the
-/// caller of [`TrailStore::insert`], and the events the Event Generator
+/// caller of [`TrailStore::file`], and the events the Event Generator
 /// condenses from them carry everything a rule reads.
 #[derive(Debug, Clone)]
 pub struct Trail {
@@ -259,10 +263,13 @@ pub struct TrailStats {
 #[derive(Debug)]
 pub struct TrailStore {
     trails: IdleMap<TrailKey, Trail>,
-    /// (media sink addr, port) → owning session, learned from SDP.
+    /// (media sink addr, port) → owning session, learned from SDP. Read
+    /// and fed only by [`TrailStore::insert`].
     media_index: MediaIndex,
     /// Footprints inserted.
     inserted: u64,
+    /// The last filed footprint's media hit.
+    media_hit: bool,
 }
 
 impl Default for TrailStore {
@@ -287,6 +294,7 @@ impl TrailStore {
             media_index: MediaIndex::with_protocols(config.idle_timeout, protocols),
             trails: IdleMap::new(config.idle_timeout),
             inserted: 0,
+            media_hit: false,
         }
     }
 
@@ -324,9 +332,21 @@ impl TrailStore {
         0
     }
 
-    /// The session owning a media sink, if announced by any SDP seen.
+    /// The session owning a media sink, if announced by any SDP this
+    /// store's [`TrailStore::insert`] saw. A shard worker's store files
+    /// footprints under the sessions its dispatcher resolved and holds
+    /// no index, so there this is always `None`; read
+    /// [`TrailStore::media_hit`] instead.
     pub fn session_for_media(&self, addr: Ipv4Addr, port: u16) -> Option<&SessionKey> {
         self.media_index.resolve(addr, port)
+    }
+
+    /// Whether the footprint filed last was attributed through the media
+    /// index: its sink (for RTCP, the RTP sink below it) was announced
+    /// by an SDP and still live at the footprint's time. Set by every
+    /// [`TrailStore::file`], whoever resolved the session.
+    pub fn media_hit(&self) -> bool {
+        self.media_hit
     }
 
     /// Read access to the media correlation index.
@@ -352,12 +372,27 @@ impl TrailStore {
         trails
     }
 
-    /// Files a footprint into its session trail. Returns the footprint,
-    /// for the Event Generator, and the trail key it landed in.
+    /// Resolves a footprint's session through the store's own index,
+    /// learns what it announces, and files it
+    /// ([`TrailStore::file`]). Returns the footprint, for the Event
+    /// Generator, and the trail key it landed in.
     pub fn insert(&mut self, fp: Footprint) -> (Footprint, TrailKey) {
-        let now = fp.meta.time;
-        let session = self.media_index.session_for(&fp);
+        let (session, media_hit) = self.media_index.attribute(&fp);
         self.media_index.learn_from(&fp, &session);
+        self.file(fp, session, media_hit)
+    }
+
+    /// Files a footprint into the trail of `session`, already resolved
+    /// with `media_hit` (see [`TrailStore::media_hit`]). Returns the
+    /// footprint and the trail key it landed in.
+    pub fn file(
+        &mut self,
+        fp: Footprint,
+        session: SessionKey,
+        media_hit: bool,
+    ) -> (Footprint, TrailKey) {
+        let now = fp.meta.time;
+        self.media_hit = media_hit;
         let key = TrailKey {
             session,
             proto: fp.proto(),
